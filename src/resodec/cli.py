@@ -11,10 +11,11 @@ verify     truncated-reservoir oracle versus resonance theory
 
 Every CSV starts with a provenance comment header (configuration
 hash, seed, package version — never timestamps), so identical inputs
-produce byte-identical output regardless of parallelism degree.  Exit
-codes: 0 success, 1 validation error, 2 numerical failure, 3
-verification failure; errors go to standard error with the prefix
-``ERROR[code]:``.
+produce byte-identical output.  Exit codes: 0 success, 1 validation
+error, 2 numerical failure, 3 verification failure; errors go to
+standard error with the prefix ``ERROR[code]:``.  A malformed
+configuration value is a validation error; any other exception is a
+bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .model import DensityMatrix
+from .model import DensityMatrix, register_to_system
 from .dynamics import resonance_evolution
 from .oracle import VerifyConfig, verify
 from .register import RegisterTemplate, decoherence_rates, scaling_study
@@ -71,6 +72,16 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".12e")
+
+
+@contextlib.contextmanager
+def _parsing():
+    """Report a malformed configuration value (a TypeError, ValueError or
+    KeyError while the configuration is read) as BadConfiguration."""
+    try:
+        yield
+    except (TypeError, ValueError, KeyError) as exc:
+        raise BadConfiguration(f"invalid configuration: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -111,6 +122,17 @@ def _parse_seed(text: str) -> int:
     if not 0 <= seed < 2 ** 64:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return seed
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a number, got {text!r}")
+    if not tol > 0.0:
+        raise argparse.ArgumentTypeError("tolerance must be > 0")
+    return tol
 
 
 def _parse_elements(text: str, dim: int) -> list:
@@ -163,14 +185,26 @@ def _parse_times(text: str) -> np.ndarray:
             f"got {text!r}")
 
 
+def _initial_state(section: dict, context: str, dim: int) -> DensityMatrix:
+    rho0 = DensityMatrix.from_array(matrix_from_config(
+        _require(section, "initial_state", context),
+        f"{context}.initial_state"))
+    if rho0.dim != dim:
+        raise BadConfiguration(
+            f"{context}.initial_state is {rho0.dim}x{rho0.dim}, but the "
+            f"system has dimension {dim}")
+    return rho0
+
+
 # =====================================================================
 # Subcommand handlers
 # =====================================================================
 
 def _cmd_spectrum(args) -> int:
-    cfg = load_config(args.config)
-    spec = system_from_config(cfg)
-    data = resonance_energies(spec, tol=args.tol, parallel=args.parallel)
+    with _parsing():
+        cfg = load_config(args.config)
+        spec = system_from_config(cfg)
+    data = resonance_energies(spec, tol=args.tol)
     rows = []
     for r in data:
         for s, eps in enumerate(r.epsilons):
@@ -194,9 +228,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    cfg = load_config(args.config)
-    reg = register_from_config(cfg)
-    reports = decoherence_rates(reg, tol=args.tol, parallel=args.parallel)
+    with _parsing():
+        cfg = load_config(args.config)
+        reg = register_from_config(cfg)
+    reports = decoherence_rates(reg, tol=args.tol)
     rows = [(r.e, r.gamma, r.gamma_conserving, r.gamma_exchange,
              r.gamma_cross, r.e0, r.hamming, len(r.group_pairs))
             for r in reports]
@@ -209,26 +244,25 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    cfg = load_config(args.config)
-    spec = system_from_config(cfg)
-    section = cfg.get("evolve")
-    if not isinstance(section, dict):
-        raise BadConfiguration("missing 'evolve' section in configuration")
-    rho0 = DensityMatrix.from_array(matrix_from_config(
-        _require(section, "initial_state", "evolve"),
-        "evolve.initial_state"))
-    if args.times is not None:
-        times = _parse_times(args.times)
-    else:
-        times = _grid_from_config(
-            _require(section, "times", "evolve"), "evolve.times")
+    with _parsing():
+        cfg = load_config(args.config)
+        spec = system_from_config(cfg)
+        section = cfg.get("evolve")
+        if not isinstance(section, dict):
+            raise BadConfiguration(
+                "missing 'evolve' section in configuration")
+        rho0 = _initial_state(section, "evolve", spec.dim)
+        if args.times is not None:
+            times = _parse_times(args.times)
+        else:
+            times = _grid_from_config(
+                _require(section, "times", "evolve"), "evolve.times")
     if args.elements is not None:
         elements = _parse_elements(args.elements, spec.dim)
     else:
         elements = [(m, n) for m in range(spec.dim)
                     for n in range(spec.dim)]
-    traj = resonance_evolution(spec, rho0, times, tol=args.tol,
-                               parallel=args.parallel)
+    traj = resonance_evolution(spec, rho0, times, tol=args.tol)
     columns = ["t"]
     for m, n in elements:
         columns += [f"re_{m}_{n}", f"im_{m}_{n}"]
@@ -252,14 +286,16 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    cfg = load_config(args.config)
-    section = cfg.get("scaling")
-    if not isinstance(section, dict):
-        raise BadConfiguration("missing 'scaling' section in configuration")
-    n_list = _require(section, "n_list", "scaling")
-    if not isinstance(n_list, list) or not n_list:
-        raise BadConfiguration("scaling.n_list must be a nonempty array")
-    try:
+    with _parsing():
+        cfg = load_config(args.config)
+        section = cfg.get("scaling")
+        if not isinstance(section, dict):
+            raise BadConfiguration(
+                "missing 'scaling' section in configuration")
+        n_list = _require(section, "n_list", "scaling")
+        if not isinstance(n_list, list) or not n_list:
+            raise BadConfiguration("scaling.n_list must be a nonempty array")
+        n_list = [int(n) for n in n_list]
         template = RegisterTemplate(
             lambda1=float(_require(section, "lambda1", "scaling")),
             lambda2=float(_require(section, "lambda2", "scaling")),
@@ -269,11 +305,8 @@ def _cmd_scaling(args) -> int:
                 _require(section, "g2", "scaling"), "scaling.g2"),
             beta=float(_require(cfg, "beta", "configuration")),
             b_interval=tuple(section.get("b_interval", (0.45, 0.55))))
-    except ValueError as exc:
-        raise BadConfiguration(str(exc)) from exc
     table = scaling_study(template, n_list, seed=args.seed,
-                          attenuate=args.attenuate, tol=args.tol,
-                          parallel=args.parallel)
+                          attenuate=args.attenuate, tol=args.tol)
     rows = [(row.n_qubits, row.max_gamma_conserving,
              row.max_gamma_exchange, row.gamma0) for row in table.rows]
     footer = [
@@ -290,12 +323,13 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_xi(args) -> int:
-    cfg = load_config(args.config)
-    ff = form_factor_from_config(
-        _require(cfg, "form_factor", "configuration"), "form_factor")
-    beta = float(_require(cfg, "beta", "configuration"))
-    grid = _grid_from_config(
-        _require(cfg, "xi_grid", "configuration"), "xi_grid")
+    with _parsing():
+        cfg = load_config(args.config)
+        ff = form_factor_from_config(
+            _require(cfg, "form_factor", "configuration"), "form_factor")
+        beta = float(_require(cfg, "beta", "configuration"))
+        grid = _grid_from_config(
+            _require(cfg, "xi_grid", "configuration"), "xi_grid")
     rows = []
     for eta in grid:
         value = xi(ff, beta, float(eta))
@@ -311,35 +345,36 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    if "register" in cfg:
-        system = register_from_config(cfg)
-    else:
-        system = system_from_config(cfg)
-    section = cfg.get("verify", {})
-    if not isinstance(section, dict):
-        raise BadConfiguration("'verify' section must be an object")
-    kwargs = {}
-    for key in ("n_modes", "fock_cutoff", "num_times"):
-        if key in section:
-            kwargs[key] = int(section[key])
-    for key in ("omega_max", "rate_tolerance", "horizon_factor"):
-        if key in section:
-            kwargs[key] = float(section[key])
-    if "lambdas" in section:
-        kwargs["lambdas"] = tuple(float(v) for v in section["lambdas"])
-    if "method" in section:
-        kwargs["method"] = str(section["method"])
-    if args.rate_tolerance is not None:
-        kwargs["rate_tolerance"] = args.rate_tolerance
-    try:
+    with _parsing():
+        cfg = load_config(args.config)
+        if "register" in cfg:
+            system = register_to_system(register_from_config(cfg))
+        else:
+            system = system_from_config(cfg)
+        section = cfg.get("verify", {})
+        if not isinstance(section, dict):
+            raise BadConfiguration("'verify' section must be an object")
+        kwargs = {}
+        for key in ("n_modes", "fock_cutoff", "num_times"):
+            if key in section:
+                kwargs[key] = int(section[key])
+        for key in ("omega_max", "rate_tolerance", "horizon_factor"):
+            if key in section:
+                kwargs[key] = float(section[key])
+        if "lambdas" in section:
+            kwargs["lambdas"] = tuple(float(v) for v in section["lambdas"])
+        if "method" in section:
+            kwargs["method"] = str(section["method"])
+        if args.rate_tolerance is not None:
+            kwargs["rate_tolerance"] = args.rate_tolerance
         vconfig = VerifyConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise BadConfiguration(f"invalid verify section: {exc}") from exc
-    rho0 = None
-    if "initial_state" in section:
-        rho0 = DensityMatrix.from_array(matrix_from_config(
-            section["initial_state"], "verify.initial_state"))
+        if system.overall_coupling == 0.0 and any(vconfig.lambdas):
+            raise BadConfiguration(
+                "verify rescales the coupling to each lambda, but every "
+                "coupling strength is zero")
+        rho0 = None
+        if "initial_state" in section:
+            rho0 = _initial_state(section, "verify", system.dim)
     report = verify(system, vconfig, rho0=rho0)
 
     rows = [(c.name, c.deviation, c.tolerance,
@@ -381,11 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                         help="64-bit unsigned seed (default 0x%X)"
                              % DEFAULT_SEED)
-    common.add_argument("--tol", type=float, default=None,
+    common.add_argument("--tol", type=_parse_tol, default=None,
                         help="Bohr-frequency clustering tolerance override")
     common.add_argument("--parallel", type=int, default=None,
-                        help="thread-pool width (default: RESODEC_PARALLEL "
-                             "environment variable, else 1)")
+                        help="accepted for compatibility and ignored: "
+                             "runs are single-threaded (numpy's BLAS "
+                             "may still use several threads)")
     common.add_argument("--verbose", "-v", action="store_true",
                         help="log progress to standard error")
 
@@ -457,9 +493,6 @@ def run(argv=None) -> int:
     except VerificationFailure as exc:
         print(f"ERROR[3]: {exc}", file=sys.stderr)
         return 3
-    except (TypeError, ValueError, KeyError) as exc:
-        print(f"ERROR[1]: invalid configuration: {exc}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

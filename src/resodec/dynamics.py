@@ -34,7 +34,6 @@ from .reservoir import (
     xi,
 )
 from .resonances import (
-    DISTINCTNESS_TOL,
     ZERO_RESONANCE_TOL,
     ResonanceData,
     bohr_spectrum,
@@ -112,17 +111,10 @@ class PropagatorBlock:
 def _block_from_resonance(data: ResonanceData) -> PropagatorBlock:
     """Merge eigenmodes with coinciding shift into one spectral weight."""
     d = len(data.pairs)
-    classes: list = []            # list of (delta, [indices])
-    for i, dlt in enumerate(data.deltas):
-        for cls in classes:
-            if abs(dlt - cls[0]) <= DISTINCTNESS_TOL:
-                cls[1].append(i)
-                break
-        else:
-            classes.append((dlt, [i]))
+    classes = data.classes
     epsilons = np.empty(len(classes), dtype=complex)
     weights = np.empty((len(classes), d, d), dtype=complex)
-    for s, (_, idx) in enumerate(classes):
+    for s, idx in enumerate(classes):
         epsilons[s] = np.mean(data.epsilons[idx])
         weights[s] = data.right_vectors[:, idx] @ data.left_vectors[idx, :]
     return PropagatorBlock(e=data.e, pairs=data.pairs,

@@ -627,8 +627,13 @@ class VerifyConfig:
     def __post_init__(self):
         if self.n_modes < 1 or not (self.omega_max > 0.0):
             raise ValueError("n_modes >= 1 and omega_max > 0 required")
+        if self.fock_cutoff < 1:
+            raise ValueError("fock_cutoff must be >= 1")
         if self.num_times < 20:
             raise ValueError("num_times must be >= 20")
+        if self.method not in ("auto", "dense", "sector"):
+            raise ValueError(f"method must be 'auto', 'dense' or 'sector', "
+                             f"got {self.method!r}")
         object.__setattr__(self, "lambdas",
                            tuple(float(v) for v in self.lambdas))
 
@@ -695,7 +700,8 @@ def verify(system, config: VerifyConfig = VerifyConfig(),
         vec = np.ones(n) / math.sqrt(n)
         rho0 = np.outer(vec, vec).astype(complex)
     else:
-        rho0 = np.asarray(rho0, dtype=complex)
+        rho0 = np.asarray(rho0.entries if isinstance(rho0, DensityMatrix)
+                          else rho0, dtype=complex)
 
     checks = []
     try:

@@ -9,14 +9,15 @@ channel through the total spin-flip operator.  Matrix elements are
 labelled by configuration pairs (sigma, tau) in {+1,-1}^N; the pair's
 Bohr frequency, Hamming distance D = sum |sigma_j - tau_j| and
 magnetization difference e0 = sum (sigma_j - tau_j) organize the decay
-rates.  Channel attribution is operational: the resonance pipeline runs
-three times (both channels, dephasing only, exchange only) and the
-cross contribution is the difference.
+rates.  Channel attribution is operational: the rates of the register
+with both channels, with the dephasing channel only and with the
+exchange channel only come from one resonance-pipeline pass that shares
+the Bohr groups and each channel's level-shift matrices across the
+three mixes; the cross contribution is the difference.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 from itertools import product
@@ -31,7 +32,7 @@ from .model import (
     register_to_system,
     spin_configuration,
 )
-from .resonances import resonance_energies
+from .resonances import _resonance_mixes
 
 __all__ = [
     "PairLabel",
@@ -154,10 +155,11 @@ class RateReport:
     """Decay data of one register Bohr group.
 
     ``gamma`` is the full two-channel rate; ``gamma_conserving`` and
-    ``gamma_exchange`` come from re-running the pipeline with the other
-    channel switched off, and ``gamma_cross`` is the remainder.  ``e0``
-    and ``hamming`` are evaluated on the group's first configuration
-    pair (for a generic field all pairs of a group share them).
+    ``gamma_exchange`` are the rates with the other channel switched
+    off, and ``gamma_cross`` is the remainder.  ``e0`` and ``hamming``
+    are those of the group's first configuration pair; ``merged`` is
+    True when the group's pairs do not all share them (a degenerate
+    field merges groups).
     """
 
     e: float
@@ -168,6 +170,7 @@ class RateReport:
     e0: int
     hamming: int
     group_pairs: tuple
+    merged: bool
 
 
 def _pair_labels(pairs, n_qubits: int) -> tuple:
@@ -179,22 +182,19 @@ def _pair_labels(pairs, n_qubits: int) -> tuple:
     return tuple(labels)
 
 
-def _gamma_by_frequency(reg: RegisterSpec, tol, parallel) -> dict:
-    system = register_to_system(reg)
-    data = resonance_energies(system, tol, parallel=parallel)
-    return {r.e: r for r in data}
-
-
 def decoherence_rates(reg: RegisterSpec, tol: float | None = None,
                       parallel: int | None = None) -> list:
     """Per-group decay rates of a register, attributed by channel.
 
-    Runs the resonance pipeline with both channels, with the exchange
-    channel off, and with the conserving channel off; the Bohr groups
-    coincide across runs because they depend only on the energies.
+    The resonance data of both channels, of the conserving channel
+    alone and of the exchange channel alone come from one pass; the
+    Bohr groups coincide because they depend only on the energies.
     Warns when the field values fail the generic check (groups merge)
-    -- the rates are still computed for the merged groups.
+    -- the rates are still computed for the merged groups, which
+    ``RateReport.merged`` flags.  ``parallel`` is accepted for
+    compatibility and ignored.
     """
+    labels_unique = False
     if reg.n_qubits <= 12:
         field_ok = generic_field_check(reg.B)
         if not field_ok.passed and reg.n_qubits > 1:
@@ -203,26 +203,32 @@ def decoherence_rates(reg: RegisterSpec, tol: float | None = None,
                 f"{field_ok.witness}; Bohr groups merge and rate "
                 "labels use merged-group representatives", UserWarning,
                 stacklevel=2)
+        # With no pair interaction and the default clustering, a field
+        # that passes the check leaves one (D, e0) per group; a merged
+        # group is then a grouping error, not a degenerate field.
+        labels_unique = (field_ok.passed and tol is None
+                         and not np.any(reg.J - np.diag(np.diag(reg.J))))
 
-    full = _gamma_by_frequency(reg, tol, parallel)
-    conserving = _gamma_by_frequency(
-        dataclasses.replace(reg, lambda2=0.0), tol, parallel)
-    exchange = _gamma_by_frequency(
-        dataclasses.replace(reg, lambda1=0.0), tol, parallel)
-
+    lam1, lam2 = reg.lambda1, reg.lambda2
+    full, conserving, exchange = _resonance_mixes(
+        register_to_system(reg),
+        [(lam1, lam2), (lam1, 0.0), (0.0, lam2)], tol)
     reports = []
-    for e in sorted(full.keys()):
-        r = full[e]
-        g_full = r.gamma
-        g_cons = conserving[e].gamma
-        g_exch = exchange[e].gamma
+    for r, r_cons, r_exch in zip(full, conserving, exchange):
         labels = _pair_labels(r.pairs, reg.n_qubits)
-        d, e0, _ = hamming_and_e0(labels[0].sigma, labels[0].tau)
+        jumps = [hamming_and_e0(p.sigma, p.tau)[:2] for p in labels]
+        d, e0 = jumps[0]
+        merged = len(set(jumps)) > 1
+        if merged and labels_unique:
+            raise RuntimeError(
+                f"Bohr group e = {r.e:.6g} holds pairs with different "
+                f"(D, e0) {sorted(set(jumps))} although the field passed "
+                "the generic check")
         reports.append(RateReport(
-            e=e, gamma=g_full, gamma_conserving=g_cons,
-            gamma_exchange=g_exch,
-            gamma_cross=g_full - g_cons - g_exch,
-            e0=e0, hamming=d, group_pairs=labels))
+            e=r.e, gamma=r.gamma, gamma_conserving=r_cons.gamma,
+            gamma_exchange=r_exch.gamma,
+            gamma_cross=r.gamma - r_cons.gamma - r_exch.gamma,
+            e0=e0, hamming=d, group_pairs=labels, merged=merged))
     return reports
 
 
@@ -311,10 +317,11 @@ def scaling_study(template: RegisterTemplate, n_list,
     """Decay-rate scaling with register size.
 
     For each N the template is realized with freshly drawn fields and
-    the resonance pipeline runs once per channel: the conserving-only
-    run gives max_e gamma_e, the exchange-only run gives max_e gamma_e
-    and the e = 0 thermalization rate gamma0.  Exponents are log-log
-    least-squares fits across the sizes.
+    one resonance-pipeline pass yields both single-channel spectra: the
+    conserving-only one gives max_e gamma_e, the exchange-only one gives
+    max_e gamma_e and the e = 0 thermalization rate gamma0.  Exponents
+    are log-log least-squares fits across the sizes.  ``parallel`` is
+    accepted for compatibility and ignored.
     """
     n_list = sorted(int(n) for n in n_list)
     if not n_list:
@@ -322,15 +329,14 @@ def scaling_study(template: RegisterTemplate, n_list,
     rows = []
     for n in n_list:
         reg = template.realize(n, seed, attenuate=attenuate)
-        cons = _gamma_by_frequency(
-            dataclasses.replace(reg, lambda2=0.0), tol, parallel)
-        exch = _gamma_by_frequency(
-            dataclasses.replace(reg, lambda1=0.0), tol, parallel)
+        cons, exch = _resonance_mixes(
+            register_to_system(reg),
+            [(reg.lambda1, 0.0), (0.0, reg.lambda2)], tol)
         rows.append(ScalingRow(
             n_qubits=n,
-            max_gamma_conserving=max(r.gamma for r in cons.values()),
-            max_gamma_exchange=max(r.gamma for r in exch.values()),
-            gamma0=exch[0.0].gamma))
+            max_gamma_conserving=max(r.gamma for r in cons),
+            max_gamma_exchange=max(r.gamma for r in exch),
+            gamma0=next(r.gamma for r in exch if r.e == 0.0)))
     ns = [row.n_qubits for row in rows]
     gamma0s = np.array([row.gamma0 for row in rows])
     spread = float((gamma0s.max() - gamma0s.min()) / gamma0s.mean()) \

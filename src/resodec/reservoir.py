@@ -343,9 +343,7 @@ class ReservoirTransforms:
     """Memoized W(omega) and D(omega) for one (form factor, beta) pair.
 
     Frequencies are keyed after rounding to 1e-12 so that Bohr gaps
-    equal up to clustering noise share a table entry.  Call
-    ``precompute`` with every frequency before any concurrent reads;
-    afterwards lookups are read-only and thread-safe.
+    equal up to clustering noise share a table entry.
     """
 
     def __init__(self, base: FormFactor, beta: float):

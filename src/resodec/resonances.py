@@ -19,19 +19,19 @@ delta_e^(s) of L_e give resonance energies
 eps_e^(s) = e + lam^2 delta_e^(s); the group decay rate is the smallest
 Im eps over the nonzero resonance energies.
 
-Group assembly and diagonalization are independent across groups and
-may run in a thread pool; results are always merged in sorted-e order,
-so output is deterministic for any parallelism degree.
+Each channel's K and D tables are built once per spec, each channel's
+matrices are assembled once per group, and all groups of one size are
+diagonalized in one batched call.  Channel mixes of the same spec
+(the register's channel attribution) share all of that and differ only
+in the weighted sum that is diagonalized.  Output is in sorted-e order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AmbiguousClustering,
@@ -143,66 +143,73 @@ def bohr_spectrum(spec: SystemSpec, tol: float | None = None) -> BohrSpectrum:
 # Level-shift assembly
 # =====================================================================
 
-def _channel_level_shift(energies, G, transforms: ReservoirTransforms,
-                         pairs, deg_tol: float) -> np.ndarray:
-    """Level-shift matrix of one reservoir channel on one Bohr group."""
-    m_idx = np.array([p[0] for p in pairs])
-    n_idx = np.array([p[1] for p in pairs])
-    d = len(pairs)
-    E = np.asarray(energies, dtype=float)
-    G = np.asarray(G, dtype=complex)
+def _channel_tables(spec: SystemSpec, mixes) -> list:
+    """Tables of every channel that some mix switches on, built once.
 
-    # K[m, k] = sum_j G[m, j] G[j, k] W(E_m - E_j), supported on
-    # G's sparsity pattern for the W evaluations
-    nz = np.nonzero(np.abs(G) > 0.0)
-    W = np.zeros_like(G)
-    for m, j in zip(*nz):
-        W[m, j] = transforms.wplus(E[m] - E[j])
-    K = (G * W) @ G
-
-    Em = E[m_idx]
-    En = E[n_idx]
-    same_m = (m_idx[:, None] == m_idx[None, :])
-    same_n = (n_idx[:, None] == n_idx[None, :])
-    em_equal = np.abs(Em[:, None] - Em[None, :]) <= deg_tol
-    en_equal = np.abs(En[:, None] - En[None, :]) <= deg_tol
-
-    lam_mat = np.zeros((d, d), dtype=complex)
-    lam_mat += 1j * K[np.ix_(m_idx, m_idx)] * (same_n & em_equal)
-    lam_mat += 1j * np.conj(K[np.ix_(n_idx, n_idx)]) * (same_m & en_equal)
-
-    # amp[p, q] = G[m_p, m_q] * G[n_q, n_p]
-    amp = G[np.ix_(m_idx, m_idx)] * G[np.ix_(n_idx, n_idx)].T
-    nzj = np.nonzero(np.abs(amp) > 0.0)
-    if nzj[0].size:
-        dens = np.zeros((d, d))
-        for p, q in zip(*nzj):
-            dens[p, q] = transforms.density(E[m_idx[q]] - E[m_idx[p]])
-        lam_mat -= 1j * np.pi * dens * amp
-    return lam_mat
-
-
-def _make_transforms(spec: SystemSpec):
-    """One ReservoirTransforms per nonzero channel, with every needed
-    frequency precomputed (so later reads are thread-safe)."""
-    channels = []
+    ``mixes`` holds one strength per coupling term for each channel
+    mix.  Each entry is (r, G, K, D) for coupling term r: its matrix G,
+    K[m, k] = sum_j G[m, j] G[j, k] W(E_m - E_j), and the density table
+    D[a, b] = D(E_b - E_a) on G's support (zero elsewhere), the only
+    entries any group's jump term reads.
+    """
     E = spec.energies
-    for term in spec.couplings:
-        if term.strength == 0.0 or term.form_factor.is_zero:
+    tables = []
+    for r, term in enumerate(spec.couplings):
+        if term.form_factor.is_zero or all(mix[r] == 0.0 for mix in mixes):
             continue
         tr = ReservoirTransforms(term.form_factor, spec.beta)
-        G = term.matrix
-        nz = np.nonzero(np.abs(G) > 0.0)
-        tr.precompute(E[m] - E[j] for m, j in zip(*nz))
-        # the jump terms may probe any difference of level energies
-        # connected through G's support twice; precompute all pair
-        # differences of levels that carry any coupling
-        touched = sorted(set(nz[0].tolist()) | set(nz[1].tolist()))
-        for a in touched:
-            for b in touched:
-                tr.density(E[a] - E[b])
-        channels.append((term, tr))
-    return channels
+        G = np.asarray(term.matrix, dtype=complex)
+        W = np.zeros_like(G)
+        D = np.zeros(G.shape)
+        for m, j in zip(*np.nonzero(np.abs(G) > 0.0)):
+            W[m, j] = tr.wplus(E[m] - E[j])
+            D[m, j] = tr.density(E[j] - E[m])
+        tables.append((r, G, (G * W) @ G, D))
+    return tables
+
+
+def _channel_level_shifts(energies, tables, pairs: np.ndarray,
+                          deg_tol: float) -> dict:
+    """Level-shift matrices of each channel on a stack of same-size Bohr
+    groups.  ``pairs`` has shape (groups, d, 2); returns
+    {r: (groups, d, d) array} keyed like ``_channel_tables``."""
+    E = np.asarray(energies, dtype=float)
+    m_idx, n_idx = pairs[..., 0], pairs[..., 1]
+    mm = (m_idx[:, :, None], m_idx[:, None, :])
+    nn = (n_idx[:, :, None], n_idx[:, None, :])
+    Em = E[m_idx]
+    En = E[n_idx]
+    same_m = mm[0] == mm[1]
+    same_n = nn[0] == nn[1]
+    em_equal = np.abs(Em[:, :, None] - Em[:, None, :]) <= deg_tol
+    en_equal = np.abs(En[:, :, None] - En[:, None, :]) <= deg_tol
+
+    out = {}
+    for r, G, K, D in tables:
+        lam_mat = np.zeros(same_m.shape, dtype=complex)
+        lam_mat += 1j * K[mm] * (same_n & em_equal)
+        lam_mat += 1j * np.conj(K[nn]) * (same_m & en_equal)
+        # amp[g, p, q] = G[m_p, m_q] * G[n_q, n_p]
+        amp = G[mm] * G[nn[::-1]]
+        nzj = np.abs(amp) > 0.0
+        hit = nzj.any(axis=(1, 2))
+        dens = np.where(nzj[hit], D[mm][hit], 0.0)
+        lam_mat[hit] -= 1j * np.pi * dens * amp[hit]
+        out[r] = lam_mat
+    return out
+
+
+def _mixed_level_shift(parts: dict, tables, strengths, shape) -> tuple:
+    """(lam, stack) of one channel mix: lam = max_r |strength_r| and the
+    channel matrices added in channel order with weights
+    (strength_r / lam)^2."""
+    lam = max((abs(s) for s in strengths), default=0.0)
+    out = np.zeros(shape, dtype=complex)
+    if lam != 0.0:
+        for r, *_ in tables:
+            if strengths[r] != 0.0:
+                out += (strengths[r] / lam) ** 2 * parts[r]
+    return lam, out
 
 
 def level_shift_operator(spec: SystemSpec, e: float, group,
@@ -215,16 +222,12 @@ def level_shift_operator(spec: SystemSpec, e: float, group,
     """
     if tol is None:
         tol = default_cluster_tolerance(spec.energies)
-    lam = spec.overall_coupling
-    d = len(group)
-    out = np.zeros((d, d), dtype=complex)
-    if lam == 0.0:
-        return out
-    for term, tr in _make_transforms(spec):
-        weight = (term.strength / lam) ** 2
-        out += weight * _channel_level_shift(
-            spec.energies, term.matrix, tr, group, tol)
-    return out
+    strengths = [term.strength for term in spec.couplings]
+    tables = _channel_tables(spec, [strengths])
+    pairs = np.array(group, dtype=int).reshape(1, len(group), 2)
+    parts = _channel_level_shifts(spec.energies, tables, pairs, tol)
+    return _mixed_level_shift(parts, tables, strengths,
+                              (1, len(group), len(group)))[1][0]
 
 
 # =====================================================================
@@ -237,67 +240,104 @@ class ResonanceData:
 
     epsilons[s] = e + lam^2 * deltas[s]; right_vectors (columns) and
     left_vectors (rows, = inverse of right_vectors) biorthogonally
-    diagonalize Lambda; nu counts distinct deltas at tolerance 1e-10;
-    gamma = min Im eps over resonance energies with |eps| > 1e-12,
-    or 0.0 when there is none.
+    diagonalize Lambda; gamma = min Im eps over resonance energies with
+    |eps| > 1e-12, or 0.0 when there is none.  ``classes`` groups the
+    indices of coinciding deltas and ``nu`` counts them.
     """
 
     e: float
     pairs: tuple
     Lambda: np.ndarray
     deltas: np.ndarray
-    nu: int
     epsilons: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     gamma: float
 
+    @cached_property
+    def classes(self) -> tuple:
+        """Index arrays of the distinct deltas: in sorted order, each
+        delta joins the first class whose first member lies within
+        DISTINCTNESS_TOL of it, or opens a new class."""
+        close = np.abs(self.deltas[:, None] - self.deltas[None, :]) \
+            <= DISTINCTNESS_TOL
+        close |= np.eye(len(self.deltas), dtype=bool)
+        free = np.ones(len(self.deltas), dtype=bool)
+        classes = []
+        while free.any():
+            members = free & close[np.argmax(free)]
+            classes.append(np.flatnonzero(members))
+            free &= ~members
+        return tuple(classes)
 
-def _count_distinct(values: np.ndarray, tol: float) -> int:
-    remaining = list(values)
-    count = 0
-    while remaining:
-        v = remaining.pop()
-        count += 1
-        remaining = [u for u in remaining if abs(u - v) > tol]
-    return count
+    @property
+    def nu(self) -> int:
+        """Number of distinct deltas at tolerance DISTINCTNESS_TOL."""
+        return len(self.classes)
 
 
-def _diagonalize_group(e: float, pairs, lam_mat: np.ndarray,
-                       lam: float) -> ResonanceData:
-    d = lam_mat.shape[0]
-    if d == 1:
-        deltas = np.array([lam_mat[0, 0]])
-        vr = np.ones((1, 1), dtype=complex)
-        vl = np.ones((1, 1), dtype=complex)
-    else:
-        deltas, vr = scipy.linalg.eig(lam_mat)
-        cond = np.linalg.cond(vr)
-        if not np.isfinite(cond) or cond > DEFECTIVE_COND:
-            raise DefectiveLevelShift(
-                f"level-shift matrix of group e = {e:.6g} has eigenvector "
-                f"condition number {cond:.3e} (> {DEFECTIVE_COND:.0e})")
-        order = np.lexsort((deltas.imag.round(12), deltas.real.round(12)))
-        deltas = deltas[order]
-        vr = vr[:, order]
-        vl = np.linalg.inv(vr)
-    epsilons = e + lam ** 2 * deltas
+def _diagonalize_groups(es, groups, lam_mats: np.ndarray,
+                        lam: float) -> list:
+    """ResonanceData of same-size Bohr groups, sorted by e, from their
+    stacked level-shift matrices (one batched eigendecomposition).
+
+    Raises DefectiveLevelShift naming the first group whose eigenvector
+    basis has condition number above DEFECTIVE_COND.
+    """
+    deltas, vr = np.linalg.eig(lam_mats)
+    cond = np.linalg.cond(vr)
+    defective = ~np.isfinite(cond) | (cond > DEFECTIVE_COND)
+    if defective.any():
+        i = int(np.argmax(defective))
+        raise DefectiveLevelShift(
+            f"level-shift matrix of group e = {es[i]:.6g} has "
+            f"eigenvector condition number {cond[i]:.3e} "
+            f"(> {DEFECTIVE_COND:.0e})")
+    order = np.lexsort((deltas.imag.round(12), deltas.real.round(12)),
+                       axis=-1)
+    deltas = np.take_along_axis(deltas, order, axis=-1)
+    vr = np.take_along_axis(vr, order[:, None, :], axis=-1)
+    vl = np.linalg.inv(vr)
+    epsilons = np.asarray(es, dtype=float)[:, None] + lam ** 2 * deltas
     nonzero = np.abs(epsilons) > ZERO_RESONANCE_TOL
-    gamma = float(epsilons.imag[nonzero].min()) if np.any(nonzero) else 0.0
-    nu = _count_distinct(deltas, DISTINCTNESS_TOL)
-    return ResonanceData(e=e, pairs=tuple(pairs), Lambda=lam_mat,
-                         deltas=deltas, nu=nu, epsilons=epsilons,
-                         right_vectors=vr, left_vectors=vl, gamma=gamma)
+    gammas = np.where(nonzero, epsilons.imag, np.inf).min(axis=1)
+    gammas[~nonzero.any(axis=1)] = 0.0
+    return [ResonanceData(e=e, pairs=tuple(groups[i]), Lambda=lam_mats[i],
+                          deltas=deltas[i], epsilons=epsilons[i],
+                          right_vectors=vr[i], left_vectors=vl[i],
+                          gamma=float(gammas[i]))
+            for i, e in enumerate(es)]
 
 
-def _parallel_degree(parallel: int | None) -> int:
-    if parallel is not None:
-        return max(1, int(parallel))
-    env = os.environ.get("RESODEC_PARALLEL", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+def _resonance_mixes(spec: SystemSpec, mixes, tol: float | None = None) \
+        -> list:
+    """``resonance_energies`` for several channel mixes of one spec.
+
+    ``mixes`` is a list of strength vectors, one strength per coupling
+    term of ``spec`` (a zero switches the channel off).  The Bohr
+    spectrum, the channel tables and each channel's matrices are shared
+    by all mixes; only the weighted sums are diagonalized per mix.
+    Returns one sorted-e list of ResonanceData per mix.
+    """
+    spectrum = bohr_spectrum(spec, tol)
+    tables = _channel_tables(spec, mixes)
+    keys = sorted(spectrum.groups.keys())
+    by_size: dict = {}
+    for e in keys:
+        by_size.setdefault(len(spectrum.groups[e]), []).append(e)
+    results = [{} for _ in mixes]
+    for es in by_size.values():
+        groups = [spectrum.groups[e] for e in es]
+        pairs = np.array(groups, dtype=int)
+        parts = _channel_level_shifts(spec.energies, tables, pairs,
+                                      spectrum.tolerance)
+        shape = (len(es), pairs.shape[1], pairs.shape[1])
+        for found, strengths in zip(results, mixes):
+            lam, lam_mats = _mixed_level_shift(parts, tables, strengths,
+                                               shape)
+            found.update(zip(es, _diagonalize_groups(es, groups, lam_mats,
+                                                     lam)))
+    return [[found[e] for e in keys] for found in results]
 
 
 def resonance_energies(spec: SystemSpec, tol: float | None = None,
@@ -305,32 +345,11 @@ def resonance_energies(spec: SystemSpec, tol: float | None = None,
     """Level-shift matrices, resonance energies and decay rates for
     every Bohr group, sorted by Bohr frequency.
 
-    ``parallel`` (or the RESODEC_PARALLEL environment variable) sets
-    the thread-pool width for per-group assembly; the output never
-    depends on it.
+    ``parallel`` is accepted for compatibility and ignored: the groups
+    are diagonalized in batches in one thread.
     """
-    spectrum = bohr_spectrum(spec, tol)
-    deg_tol = spectrum.tolerance
-    lam = spec.overall_coupling
-    channels = _make_transforms(spec) if lam != 0.0 else []
-    keys = sorted(spectrum.groups.keys())
-
-    def work(e):
-        pairs = spectrum.groups[e]
-        d = len(pairs)
-        lam_mat = np.zeros((d, d), dtype=complex)
-        if lam != 0.0:
-            for term, tr in channels:
-                weight = (term.strength / lam) ** 2
-                lam_mat += weight * _channel_level_shift(
-                    spec.energies, term.matrix, tr, pairs, deg_tol)
-        return _diagonalize_group(e, pairs, lam_mat, lam)
-
-    degree = _parallel_degree(parallel)
-    if degree == 1 or len(keys) == 1:
-        return [work(e) for e in keys]
-    with ThreadPoolExecutor(max_workers=degree) as pool:
-        return list(pool.map(work, keys))
+    strengths = [term.strength for term in spec.couplings]
+    return _resonance_mixes(spec, [strengths], tol)[0]
 
 
 # =====================================================================

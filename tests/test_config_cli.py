@@ -19,6 +19,7 @@ from resodec.config import (
 from resodec.cli import run
 from resodec.errors import BadConfiguration, ValidationError
 from resodec.model import RegisterSpec, SystemSpec
+from resodec.oracle import VerifyConfig
 from resodec.reservoir import thermal_spectral_density, xi
 
 from conftest import CONFIG_DIR
@@ -290,3 +291,45 @@ def test_seed_echo_and_version(tmp_path, capsys):
     assert run(["--version"]) == 0
     assert run(["spectrum", "--config", str(XI_CFG), "--seed",
                 "not-a-seed"]) == 1
+
+
+def test_programming_errors_are_not_relabelled(monkeypatch):
+    # only configuration parsing maps TypeError/ValueError/KeyError to
+    # exit 1; the same exceptions from computation are bugs
+    import resodec.cli as cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a handler")
+
+    monkeypatch.setattr(cli, "resonance_energies", broken)
+    with pytest.raises(TypeError, match="bug in a handler"):
+        run(["spectrum", "--config", str(QUBIT_CFG)])
+
+
+def test_verify_section_validation(tmp_path, capsys):
+    with pytest.raises(ValueError, match="method"):
+        VerifyConfig(method="krylov")
+    cfg = json.loads(VERIFY_CFG.read_text())
+    path = tmp_path / "verify.json"
+
+    cfg["verify"]["method"] = "krylov"
+    path.write_text(json.dumps(cfg))
+    assert run(["verify", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "ERROR[1]" in err and "krylov" in err
+
+    # an initial state of the right size reaches the checks (the coarse
+    # bath then fails verification); a wrong size is a validation error
+    del cfg["verify"]["method"]
+    cfg["verify"]["n_modes"] = 5
+    cfg["verify"]["initial_state"] = [[[0.5, 0.0], [0.5, 0.0]],
+                                      [[0.5, 0.0], [0.5, 0.0]]]
+    path.write_text(json.dumps(cfg))
+    assert run(["verify", "--config", str(path),
+                "-o", str(tmp_path / "out.csv")]) == 3
+    cfg["verify"]["initial_state"] = [[[1.0, 0.0]]]
+    path.write_text(json.dumps(cfg))
+    assert run(["verify", "--config", str(path)]) == 1
+    assert "dimension 2" in capsys.readouterr().err
+
+    assert run(["spectrum", "--config", str(QUBIT_CFG), "--tol", "0"]) == 1

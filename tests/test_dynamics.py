@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from resodec.model import DensityMatrix, FormFactor, build_system
+from resodec.model import (
+    DensityMatrix,
+    FormFactor,
+    RegisterSpec,
+    build_system,
+    register_to_system,
+)
 from resodec.dynamics import (
     ergodic_mean,
     free_evolution,
@@ -132,6 +138,23 @@ def test_block_weights_resolve_identity_and_average():
     v0 = np.array([0.75, 0.25], dtype=complex)
     avg = pop.time_average(v0, 1e7)
     assert np.allclose(avg, pop.ergodic_component(v0), atol=1e-6)
+
+
+def test_blocks_merge_the_counted_classes():
+    # a dephasing-only register repeats level shifts inside its groups;
+    # the blocks must merge exactly the classes that nu counts
+    ff = FormFactor(radial_exponent=-0.5, decay_exponent=1)
+    reg = RegisterSpec(n_qubits=3, J=np.zeros((3, 3)),
+                       B=np.array([0.47, 0.51, 0.53]), lambda1=0.01,
+                       lambda2=0.0, g1=ff, g2=ff, beta=0.5)
+    data = resonance_energies(register_to_system(reg))
+    assert any(r.nu < len(r.pairs) for r in data)
+    for r, block in zip(data, propagator_blocks(data)):
+        assert len(block.epsilons) == r.nu
+        assert sorted(np.concatenate(r.classes)) == list(range(len(r.pairs)))
+        for idx, eps in zip(r.classes, block.epsilons):
+            assert np.max(np.abs(r.deltas[idx] - r.deltas[idx[0]])) <= 1e-10
+            assert eps == np.mean(r.epsilons[idx])
 
 
 # =====================================================================

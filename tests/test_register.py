@@ -1,10 +1,12 @@
 """Register specialization: Hamming data, field genericity, rate laws."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from resodec.errors import BadConfiguration, TooLargeForExhaustiveCheck
-from resodec.model import FormFactor, RegisterSpec
+from resodec.model import FormFactor, RegisterSpec, register_to_system
 from resodec.register import (
     RegisterTemplate,
     decoherence_rates,
@@ -14,6 +16,7 @@ from resodec.register import (
     scaling_study,
 )
 from resodec.reservoir import thermal_spectral_density, xi
+from resodec.resonances import resonance_energies
 
 G1 = FormFactor(radial_exponent=-0.5, decay_exponent=1)
 G2 = FormFactor(radial_exponent=0.5, decay_exponent=1)
@@ -103,6 +106,23 @@ def test_degenerate_field_warns_in_rates():
         decoherence_rates(reg)
 
 
+def test_merged_groups_are_flagged():
+    reg = make_register(2, B=np.array([0.5, 0.5]))
+    with pytest.warns(UserWarning, match="integer relation"):
+        reports = decoherence_rates(reg)
+    for rep in reports:
+        jumps = {hamming_and_e0(p.sigma, p.tau)[:2]
+                 for p in rep.group_pairs}
+        assert rep.merged == (len(jumps) > 1)
+        assert (rep.hamming, rep.e0) == hamming_and_e0(
+            rep.group_pairs[0].sigma, rep.group_pairs[0].tau)[:2]
+    # e = 0 holds the diagonal pairs (D = 0) and the swapped pairs
+    # (+1,-1)/(-1,+1), D = 4, of the degenerate field
+    zero = next(rep for rep in reports if rep.e == 0.0)
+    assert zero.merged
+    assert not any(rep.merged for rep in decoherence_rates(make_register(3)))
+
+
 # =====================================================================
 # Exact channel laws
 # =====================================================================
@@ -137,6 +157,22 @@ def test_exchange_channel_rate_law():
             expected = reg.lambda2 ** 2 * (np.pi / 2.0) \
                 * sum(xi2[j] for j in flipped)
         assert np.isclose(rep.gamma, expected, rtol=1e-9, atol=1e-15)
+
+
+def test_channel_attribution_matches_single_channel_registers():
+    # the conserving and exchange rates come from the shared pass; they
+    # must equal the rates of the register with the other channel off
+    reg = make_register(3, lambda1=0.013, lambda2=0.008)
+    reports = decoherence_rates(reg)
+    for field, attr in (("lambda2", "gamma_conserving"),
+                        ("lambda1", "gamma_exchange"),
+                        (None, "gamma")):
+        single = reg if field is None else \
+            dataclasses.replace(reg, **{field: 0.0})
+        data = resonance_energies(register_to_system(single))
+        assert [r.e for r in data] == [rep.e for rep in reports]
+        assert [r.gamma for r in data] == \
+            [getattr(rep, attr) for rep in reports]
 
 
 def test_two_channel_attribution_adds_for_singletons():

@@ -13,7 +13,7 @@ from resodec.reservoir import (
     xi,
 )
 from resodec.resonances import (
-    _diagonalize_group,
+    _diagonalize_groups,
     bohr_spectrum,
     check_nonoverlap,
     default_cluster_tolerance,
@@ -209,7 +209,35 @@ def test_parallel_resonances_are_deterministic():
 def test_defective_level_shift_raises():
     nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(DefectiveLevelShift):
-        _diagonalize_group(0.0, [(0, 0), (1, 1)], nilpotent, 0.1)
+        _diagonalize_groups([0.0], [[(0, 0), (1, 1)]], nilpotent[None], 0.1)
+
+
+def test_defective_matrix_in_batched_stack_is_named():
+    # one batched eigendecomposition covers all same-size groups; the
+    # error must still name the group whose matrix is defective
+    stack = np.array([[[1.0, 0.0], [0.0, 2.0]],
+                      [[0.0, 1.0], [0.0, 0.0]],
+                      [[1.0, 0.5], [0.0, 3.0]]], dtype=complex)
+    es = [-0.75, 0.375, 1.25]
+    groups = [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(2, 0), (3, 1)]]
+    with pytest.raises(DefectiveLevelShift, match=r"e = 0\.375 "):
+        _diagonalize_groups(es, groups, stack, 0.1)
+    good = _diagonalize_groups([es[0], es[2]], [groups[0], groups[2]],
+                               stack[[0, 2]], 0.1)
+    assert [r.e for r in good] == [es[0], es[2]]
+    assert np.array_equal(good[1].deltas, [1.0, 3.0])
+
+
+def test_level_shift_operator_is_the_pipeline_matrix():
+    # the single-group entry point and the batched pipeline share one
+    # assembly path, so their matrices agree bit for bit
+    for seed, channels in ((5, 2), (12, 3)):
+        spec = random_spec(4, channels=channels, seed=seed)
+        data = resonance_energies(spec)
+        assert any(len(r.pairs) > 1 for r in data)
+        for r in data:
+            assert np.array_equal(
+                level_shift_operator(spec, r.e, list(r.pairs)), r.Lambda)
 
 
 # =====================================================================
