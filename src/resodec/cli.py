@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import logging
 import sys
 
@@ -43,7 +44,7 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .model import DensityMatrix, register_to_system
+from .model import DensityMatrix
 from .dynamics import resonance_evolution
 from .oracle import VerifyConfig, verify
 from .register import RegisterTemplate, decoherence_rates, scaling_study
@@ -347,24 +348,19 @@ def _cmd_xi(args) -> int:
 def _cmd_verify(args) -> int:
     with _parsing():
         cfg = load_config(args.config)
-        if "register" in cfg:
-            system = register_to_system(register_from_config(cfg))
-        else:
-            system = system_from_config(cfg)
+        system = system_from_config(cfg)
         section = cfg.get("verify", {})
         if not isinstance(section, dict):
             raise BadConfiguration("'verify' section must be an object")
-        kwargs = {}
-        for key in ("n_modes", "fock_cutoff", "num_times"):
-            if key in section:
-                kwargs[key] = int(section[key])
-        for key in ("omega_max", "rate_tolerance", "horizon_factor"):
-            if key in section:
-                kwargs[key] = float(section[key])
-        if "lambdas" in section:
-            kwargs["lambdas"] = tuple(float(v) for v in section["lambdas"])
-        if "method" in section:
-            kwargs["method"] = str(section["method"])
+        # each field is coerced to the type of its default (int, float,
+        # str; VerifyConfig turns the lambdas into floats itself)
+        kwargs = {f.name: type(f.default)(section[f.name])
+                  for f in dataclasses.fields(VerifyConfig)
+                  if f.name in section}
+        unknown = sorted(set(section) - set(kwargs) - {"initial_state"})
+        if unknown:
+            raise BadConfiguration(
+                f"unknown key(s) {unknown} in the 'verify' section")
         if args.rate_tolerance is not None:
             kwargs["rate_tolerance"] = args.rate_tolerance
         vconfig = VerifyConfig(**kwargs)

@@ -45,6 +45,7 @@ from .model import (
     FormFactor,
     RegisterSpec,
     SystemSpec,
+    register_to_system,
 )
 
 __all__ = [
@@ -126,17 +127,12 @@ def matrix_to_config(matrix: np.ndarray) -> list:
 def system_from_config(cfg: dict) -> SystemSpec:
     """Build a SystemSpec from the top-level configuration object.
 
-    A configuration with a "register" section is converted through the
-    register path instead; use register_from_config directly when the
-    RegisterSpec itself is wanted.
+    A configuration with a "register" section is lowered through
+    model.register_to_system instead; use register_from_config directly
+    when the RegisterSpec itself is wanted.
     """
     if "register" in cfg:
-        from .model import register_to_system
-        max_qubits = 10
-        if isinstance(cfg["register"], dict):
-            max_qubits = int(cfg["register"].get("max_qubits", 10))
-        return register_to_system(register_from_config(cfg),
-                                  max_qubits=max_qubits)
+        return register_to_system(register_from_config(cfg))
     dim = int(_require(cfg, "dim", "configuration"))
     energies = np.asarray(_require(cfg, "energies", "configuration"),
                           dtype=float)

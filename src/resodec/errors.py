@@ -65,7 +65,7 @@ class BadConfiguration(ValidationError):
 
 
 class RegisterTooLarge(ValidationError):
-    """Register size exceeds the configured maximum."""
+    """Register has more qubits than model.MAX_QUBITS."""
 
 
 class TooLargeForExhaustiveCheck(ValidationError):

@@ -9,9 +9,10 @@ acting on the system and ``g`` is a momentum-space form factor
 coupling terms model statistically independent reservoir channels.
 
 Qubit registers (all-to-all pair interactions ``J`` and local fields
-``B``) are lowered to plain N-level systems over the 2**n spin basis,
-ordered lexicographically with the first spin varying fastest and +1
-preceding -1.  All indices in this package are 0-based.
+``B``) of at most MAX_QUBITS qubits are lowered to plain N-level
+systems over the 2**n spin basis, ordered lexicographically with the
+first spin varying fastest and +1 preceding -1.  All indices in this
+package are 0-based.
 
 All types are immutable after construction and safe to share across
 threads; every operation here is pure.
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-12
+#: largest register that is lowered to a 2**n-level system
+MAX_QUBITS = 10
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -282,13 +285,15 @@ def build_system(energies, couplings, beta) -> SystemSpec:
                       couplings=tuple(terms), beta=float(beta))
 
 
-def spin_configuration(index: int, n: int) -> np.ndarray:
-    """The index-th spin configuration in the fixed basis order.
+def spin_configuration(index, n: int) -> np.ndarray:
+    """Spin configurations in the fixed basis order, one row per index.
 
     The first spin varies fastest and +1 precedes -1, so
     ``index = 0 -> (+1, ..., +1)`` and bit j of ``index`` flips spin j.
+    A scalar index gives one configuration of shape (n,); an array of
+    indices gives the table of shape (len(index), n).
     """
-    bits = (index >> np.arange(n)) & 1
+    bits = (np.asarray(index)[..., None] >> np.arange(n)) & 1
     return (1 - 2 * bits).astype(int)
 
 
@@ -301,9 +306,10 @@ def configuration_index(sigma: Sequence[int]) -> int:
 
 def _check_configuration(sigma) -> np.ndarray:
     arr = np.asarray(sigma)
-    if arr.ndim != 1 or not np.all(np.isin(arr, (-1, 1))):
+    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isin(arr, (-1, 1))):
         raise BadConfiguration(
-            f"spin configuration entries must be +1 or -1, got {sigma!r}")
+            "a spin configuration is a nonempty sequence of +1/-1 "
+            f"entries, got {sigma!r}")
     return arr.astype(int)
 
 
@@ -326,46 +332,40 @@ def energy_of_configuration(reg: RegisterSpec, sigma) -> float:
 def collective_z_matrix(n: int) -> np.ndarray:
     """Sum of single-spin z operators in the fixed basis order: the
     diagonal matrix of total magnetizations sum_j sigma_j."""
-    dim = 2 ** n
-    diag = np.array([spin_configuration(i, n).sum() for i in range(dim)],
-                    dtype=float)
-    return np.diag(diag).astype(complex)
+    magnetization = spin_configuration(np.arange(2 ** n), n).sum(axis=1)
+    return np.diag(magnetization.astype(float)).astype(complex)
 
 
 def collective_x_matrix(n: int) -> np.ndarray:
     """Sum of single-spin flip operators: unit matrix element between
     configurations differing in exactly one spin."""
-    dim = 2 ** n
-    m = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(n):
-            m[i, i ^ (1 << j)] = 1.0
+    index = np.arange(2 ** n)[:, None]
+    m = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    m[index, index ^ (1 << np.arange(n))] = 1.0
     return m
 
 
-def register_to_system(reg: RegisterSpec, max_qubits: int = 10) -> SystemSpec:
+def register_to_system(reg: RegisterSpec) -> SystemSpec:
     """Lower a qubit register to a 2**n-level SystemSpec.
 
     Energies follow the fixed configuration order of
     ``spin_configuration``; the two collective channels become coupling
     terms (lambda1, sum_j S_j^z, g1) and (lambda2, sum_j S_j^x, g2).
+    Registers above MAX_QUBITS qubits raise RegisterTooLarge.
     """
     n = reg.n_qubits
-    if n > max_qubits:
+    if n > MAX_QUBITS:
         raise RegisterTooLarge(
-            f"register has {n} qubits, maximum is {max_qubits}")
-    dim = 2 ** n
-    energies = np.array([
-        energy_of_configuration(reg, spin_configuration(i, n))
-        for i in range(dim)
-    ])
+            f"register has {n} qubits, maximum is {MAX_QUBITS}")
+    spins = spin_configuration(np.arange(2 ** n), n).astype(float)
+    energies = np.array([s @ reg.J @ s + reg.B @ s for s in spins])
     couplings = (
         CouplingTerm(strength=reg.lambda1, matrix=collective_z_matrix(n),
                      form_factor=reg.g1),
         CouplingTerm(strength=reg.lambda2, matrix=collective_x_matrix(n),
                      form_factor=reg.g2),
     )
-    return SystemSpec(dim=dim, energies=energies, couplings=couplings,
+    return SystemSpec(dim=2 ** n, energies=energies, couplings=couplings,
                       beta=reg.beta)
 
 

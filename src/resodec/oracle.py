@@ -27,7 +27,12 @@ Two evolution engines:
     spectral bounds, and each grid state is traced down to the system
     as soon as it is reached.  Validity requires the coupling-weighted
     thermal occupancy of the modes to be negligible; this is checked
-    and refused otherwise.
+    and refused otherwise.  K is the Fock cutoff unless the sector
+    would exceed STATE_SPACE_LIMIT; a lower K is used then and reported
+    with a TruncationWarning.
+
+Only the dense engine starts from the truncated thermal bath state, so
+only it warns about the thermal weight beyond the Fock cutoff.
 """
 
 from __future__ import annotations
@@ -40,15 +45,15 @@ import numpy as np
 import scipy.integrate
 import scipy.sparse
 
-from .dynamics import Trajectory, free_evolution, resonance_evolution
+from .dynamics import Trajectory, _as_state_array, free_evolution, \
+    resonance_evolution
 from .errors import (
     DimensionTooLarge,
     PoorFit,
     TruncationWarning,
     WeightMismatch,
 )
-from .model import DensityMatrix, FormFactor, RegisterSpec, SystemSpec, \
-    register_to_system
+from .model import FormFactor, RegisterSpec, SystemSpec, register_to_system
 from .resonances import ZERO_RESONANCE_TOL, resonance_energies
 from .reservoir import one_sided_density
 
@@ -70,7 +75,7 @@ STATE_SPACE_LIMIT = 200_000
 #: product-space size up to which the dense engine is chosen automatically
 DENSE_AUTO_LIMIT = 2500
 #: per-mode thermal tail probability beyond the Fock cutoff that
-#: triggers a truncation warning
+#: triggers a truncation warning in the dense engine
 TAIL_WARN = 1e-4
 #: ceiling on the coupling-weighted mode occupancy for the sector engine
 SECTOR_OCCUPANCY_TOL = 1e-3
@@ -177,6 +182,8 @@ def discretize_bath(form_factor: FormFactor, beta: float, n_modes: int,
 
 
 def _warn_truncation(baths) -> None:
+    """Warn when the truncated thermal bath state of the dense engine
+    drops a per-mode tail above TAIL_WARN."""
     tail = max(b.truncation_tail() for b in baths)
     if tail > TAIL_WARN:
         warnings.warn(
@@ -317,7 +324,8 @@ def _sector_evolve(spec: SystemSpec, active, rho0, times) -> np.ndarray:
 
     n_sys = spec.dim
     freqs = np.concatenate([bath.mode_frequencies for _, bath in active])
-    caps = [k for k in range(min(b.fock_cutoff for _, b in active), 1, -1)
+    requested = min(b.fock_cutoff for _, b in active)
+    caps = [k for k in range(requested, 1, -1)
             if _sector_dimension(n_sys, freqs.size, k) <= STATE_SPACE_LIMIT]
     if not caps:
         raise DimensionTooLarge(
@@ -325,6 +333,12 @@ def _sector_evolve(spec: SystemSpec, active, rho0, times) -> np.ndarray:
             f"{STATE_SPACE_LIMIT} ({_sector_dimension(n_sys, freqs.size, 2)}"
             f" states for {freqs.size} modes)")
     cap = caps[0]
+    if cap < requested:
+        warnings.warn(
+            f"excitation cap lowered from the requested {requested} to "
+            f"{cap} to fit the state-space cap {STATE_SPACE_LIMIT} "
+            f"(sector dimension {_sector_dimension(n_sys, freqs.size, cap)}"
+            f" for {freqs.size} modes)", TruncationWarning, stacklevel=3)
 
     # H = diag(E_i + bath energy) + sum_r G_r (x) A_r, with A_r the real
     # symmetric ladder operator sum_k amp_k (a_k + a_k^dag) of channel r
@@ -461,15 +475,13 @@ def exact_evolve(spec: SystemSpec, bath, rho0, times,
     sector engine otherwise.  The trajectory's ergodic mean is the
     empirical average over the second half of the time grid.
     """
-    rho0 = np.array(rho0.entries if isinstance(rho0, DensityMatrix)
-                    else rho0, dtype=complex)
+    rho0 = _as_state_array(rho0)
     if rho0.shape != (spec.dim, spec.dim):
         raise ValueError("initial state dimension does not match the system")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     active = _active_channels(spec, bath)
     if not active:
         return free_evolution(spec, rho0, times)
-    _warn_truncation([b for _, b in active])
 
     if method == "auto":
         product_dim = spec.dim
@@ -479,6 +491,7 @@ def exact_evolve(spec: SystemSpec, bath, rho0, times,
                 break
         method = "dense" if product_dim <= DENSE_AUTO_LIMIT else "sector"
     if method == "dense":
+        _warn_truncation([b for _, b in active])
         states = _dense_evolve(spec, active, rho0, times)
     elif method == "sector":
         states = _sector_evolve(spec, active, rho0, times)
@@ -700,8 +713,7 @@ def verify(system, config: VerifyConfig = VerifyConfig(),
         vec = np.ones(n) / math.sqrt(n)
         rho0 = np.outer(vec, vec).astype(complex)
     else:
-        rho0 = np.asarray(rho0.entries if isinstance(rho0, DensityMatrix)
-                          else rho0, dtype=complex)
+        rho0 = _as_state_array(rho0)
 
     checks = []
     try:
@@ -724,10 +736,8 @@ def verify(system, config: VerifyConfig = VerifyConfig(),
         horizon = min(horizon, 0.7 * t_rec)
         times = np.linspace(0.0, horizon, config.num_times)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            oracle_traj = exact_evolve(spec, baths, rho0, times,
-                                       method=config.method)
+        oracle_traj = exact_evolve(spec, baths, rho0, times,
+                                   method=config.method)
         recon = resonance_evolution(spec, rho0, times,
                                     resonances=resonances)
 

@@ -24,10 +24,13 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BadConfiguration, TooLargeForExhaustiveCheck
+from .errors import BadConfiguration, RegisterTooLarge, \
+    TooLargeForExhaustiveCheck
 from .model import (
+    MAX_QUBITS,
     FormFactor,
     RegisterSpec,
+    _check_configuration,
     energy_of_configuration,
     register_to_system,
     spin_configuration,
@@ -65,24 +68,9 @@ class PairLabel:
             raise BadConfiguration("configurations must have equal length")
 
 
-def _check_configuration(sigma) -> tuple:
-    sigma = tuple(int(s) for s in sigma)
-    if not sigma or any(s not in (-1, 1) for s in sigma):
-        raise BadConfiguration(
-            "a spin configuration is a nonempty tuple of +1/-1 entries, "
-            f"got {sigma!r}")
-    return sigma
-
-
 def register_bohr(reg: RegisterSpec, sigma, tau) -> float:
     """Bohr frequency e(sigma, tau) = E(sigma) - E(tau) of a register
     matrix element; computed exactly as the energy difference."""
-    sigma = _check_configuration(sigma)
-    tau = _check_configuration(tau)
-    if len(sigma) != reg.n_qubits or len(tau) != reg.n_qubits:
-        raise BadConfiguration(
-            f"configurations of length {len(sigma)}/{len(tau)} do not fit "
-            f"a register of {reg.n_qubits} qubits")
     return energy_of_configuration(reg, sigma) \
         - energy_of_configuration(reg, tau)
 
@@ -95,9 +83,9 @@ def hamming_and_e0(sigma, tau) -> tuple:
     tau = _check_configuration(tau)
     if len(sigma) != len(tau):
         raise BadConfiguration("configurations must have equal length")
-    d = sum(abs(s - t) for s, t in zip(sigma, tau))
-    e0 = sum(s - t for s, t in zip(sigma, tau))
-    n0 = sum(1 for s, t in zip(sigma, tau) if s == t)
+    d = int(np.abs(sigma - tau).sum())
+    e0 = int((sigma - tau).sum())
+    n0 = int(np.count_nonzero(sigma == tau))
     assert d + 2 * n0 == 2 * len(sigma)
     return d, e0, n0
 
@@ -173,15 +161,6 @@ class RateReport:
     merged: bool
 
 
-def _pair_labels(pairs, n_qubits: int) -> tuple:
-    labels = []
-    for m, n in pairs:
-        sigma = tuple(int(s) for s in spin_configuration(m, n_qubits))
-        tau = tuple(int(s) for s in spin_configuration(n, n_qubits))
-        labels.append(PairLabel(sigma=sigma, tau=tau))
-    return tuple(labels)
-
-
 def decoherence_rates(reg: RegisterSpec, tol: float | None = None,
                       parallel: int | None = None) -> list:
     """Per-group decay rates of a register, attributed by channel.
@@ -191,32 +170,37 @@ def decoherence_rates(reg: RegisterSpec, tol: float | None = None,
     Bohr groups coincide because they depend only on the energies.
     Warns when the field values fail the generic check (groups merge)
     -- the rates are still computed for the merged groups, which
-    ``RateReport.merged`` flags.  ``parallel`` is accepted for
+    ``RateReport.merged`` flags.  A register above MAX_QUBITS raises
+    RegisterTooLarge before any work.  ``parallel`` is accepted for
     compatibility and ignored.
     """
-    labels_unique = False
-    if reg.n_qubits <= 12:
-        field_ok = generic_field_check(reg.B)
-        if not field_ok.passed and reg.n_qubits > 1:
-            warnings.warn(
-                "field values admit the integer relation "
-                f"{field_ok.witness}; Bohr groups merge and rate "
-                "labels use merged-group representatives", UserWarning,
-                stacklevel=2)
-        # With no pair interaction and the default clustering, a field
-        # that passes the check leaves one (D, e0) per group; a merged
-        # group is then a grouping error, not a degenerate field.
-        labels_unique = (field_ok.passed and tol is None
-                         and not np.any(reg.J - np.diag(np.diag(reg.J))))
+    spec = register_to_system(reg)
+    field_ok = generic_field_check(reg.B)
+    if not field_ok.passed and reg.n_qubits > 1:
+        warnings.warn(
+            "field values admit the integer relation "
+            f"{field_ok.witness}; Bohr groups merge and rate "
+            "labels use merged-group representatives", UserWarning,
+            stacklevel=2)
+    # With no pair interaction and the default clustering, a field
+    # that passes the check leaves one (D, e0) per group; a merged
+    # group is then a grouping error, not a degenerate field.
+    labels_unique = (field_ok.passed and tol is None
+                     and not np.any(reg.J - np.diag(np.diag(reg.J))))
 
+    spins = spin_configuration(np.arange(spec.dim), reg.n_qubits)
+    rows = [tuple(row) for row in spins.tolist()]
     lam1, lam2 = reg.lambda1, reg.lambda2
     full, conserving, exchange = _resonance_mixes(
-        register_to_system(reg),
-        [(lam1, lam2), (lam1, 0.0), (0.0, lam2)], tol)
+        spec, [(lam1, lam2), (lam1, 0.0), (0.0, lam2)], tol)
     reports = []
     for r, r_cons, r_exch in zip(full, conserving, exchange):
-        labels = _pair_labels(r.pairs, reg.n_qubits)
-        jumps = [hamming_and_e0(p.sigma, p.tau)[:2] for p in labels]
+        labels = tuple(PairLabel(sigma=rows[m], tau=rows[n])
+                       for m, n in r.pairs)
+        index = np.array(r.pairs)
+        diff = spins[index[:, 0]] - spins[index[:, 1]]
+        jumps = list(zip(np.abs(diff).sum(axis=1).tolist(),
+                         diff.sum(axis=1).tolist()))
         d, e0 = jumps[0]
         merged = len(set(jumps)) > 1
         if merged and labels_unique:
@@ -320,12 +304,16 @@ def scaling_study(template: RegisterTemplate, n_list,
     one resonance-pipeline pass yields both single-channel spectra: the
     conserving-only one gives max_e gamma_e, the exchange-only one gives
     max_e gamma_e and the e = 0 thermalization rate gamma0.  Exponents
-    are log-log least-squares fits across the sizes.  ``parallel`` is
-    accepted for compatibility and ignored.
+    are log-log least-squares fits across the sizes.  An ``n_list``
+    above MAX_QUBITS raises RegisterTooLarge before any size is
+    computed.  ``parallel`` is accepted for compatibility and ignored.
     """
     n_list = sorted(int(n) for n in n_list)
     if not n_list:
         raise ValueError("n_list must be nonempty")
+    if n_list[-1] > MAX_QUBITS:
+        raise RegisterTooLarge(
+            f"n_list reaches {n_list[-1]} qubits, maximum is {MAX_QUBITS}")
     rows = []
     for n in n_list:
         reg = template.realize(n, seed, attenuate=attenuate)

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 from scipy import integrate, optimize
 
@@ -487,6 +486,8 @@ def check_condition_A(tf: ThermalFormFactor,
                                 max_mismatch=0.0,
                                 mismatch_by_order=(0.0,) * (max_order + 1),
                                 spacing=float(h), omega_prime=omega_prime)
+
+    import mpmath  # only this diagnostic needs it; kept off the import path
 
     weights = _one_sided_derivative_weights(npts, max_order)
     base = tf.base

@@ -333,3 +333,34 @@ def test_verify_section_validation(tmp_path, capsys):
     assert "dimension 2" in capsys.readouterr().err
 
     assert run(["spectrum", "--config", str(QUBIT_CFG), "--tol", "0"]) == 1
+
+
+def test_verify_section_rejects_unknown_keys(tmp_path, capsys):
+    cfg = json.loads(VERIFY_CFG.read_text())
+    cfg["verify"]["n_mode"] = 40          # misspelt n_modes
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["verify", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "ERROR[1]" in err and "n_mode" in err
+
+
+def test_rates_rejects_large_register_before_field_scan(
+        tmp_path, monkeypatch, capsys):
+    import resodec.register as register
+
+    def no_scan(*args, **kwargs):
+        pytest.fail("the generic-field scan ran before the size check")
+
+    monkeypatch.setattr(register, "generic_field_check", no_scan)
+    n = 11
+    cfg = {"register": {"n": n, "J": np.zeros((n, n)).tolist(),
+                        "B": np.linspace(0.45, 0.55, n).tolist(),
+                        "lambda1": 0.01, "lambda2": 0.01,
+                        "g1": {"p": -0.5, "m": 1}, "g2": {"p": 0.5, "m": 1}},
+           "beta": 0.5}
+    path = tmp_path / "reg11.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["rates", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "ERROR[1]" in err and "11 qubits" in err

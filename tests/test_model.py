@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from resodec.errors import (
+    BadConfiguration,
     DimensionMismatch,
     NonHermitianCoupling,
     NonPositiveBeta,
@@ -11,6 +12,7 @@ from resodec.errors import (
     ValidationError,
 )
 from resodec.model import (
+    MAX_QUBITS,
     CouplingTerm,
     DensityMatrix,
     FormFactor,
@@ -214,6 +216,28 @@ def test_register_too_large_raises():
     reg = make_register(11)
     with pytest.raises(RegisterTooLarge):
         register_to_system(reg)
+
+
+def test_spin_table_rows_are_the_single_configurations():
+    table = spin_configuration(np.arange(8), 3)
+    assert table.shape == (8, 3)
+    for idx in range(8):
+        assert np.array_equal(table[idx], spin_configuration(idx, 3))
+    for bad in ((), (1, 0), [[1, -1]]):
+        with pytest.raises(BadConfiguration):
+            configuration_index(bad)
+
+
+def test_register_to_system_at_the_size_limit():
+    reg = make_register(MAX_QUBITS)
+    spec = register_to_system(reg)
+    assert spec.dim == 2 ** MAX_QUBITS
+    x = spec.couplings[1].matrix
+    assert np.array_equal(x.sum(axis=1), np.full(spec.dim, MAX_QUBITS))
+    for idx in (0, 1, 517, spec.dim - 1):
+        sigma = spin_configuration(idx, MAX_QUBITS)
+        assert spec.energies[idx] == energy_of_configuration(reg, sigma)
+        assert spec.couplings[0].matrix[idx, idx] == sigma.sum()
 
 
 def test_register_spec_validation():

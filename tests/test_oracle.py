@@ -1,5 +1,7 @@
 """Truncated-bath oracle: discretization, engines, fits, verification."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -256,10 +258,36 @@ def test_dimension_guards():
     warm = TruncatedBath(mode_frequencies=np.array([0.5, 1.0]),
                          mode_couplings=np.array([0.1, 0.1]),
                          fock_cutoff=3, beta=0.5)
-    with pytest.warns(TruncationWarning):
-        with pytest.raises(DimensionTooLarge):
-            exact_evolve(warm_spec, warm, plus_state(), [0.0, 1.0],
-                         method="sector")
+    with pytest.raises(DimensionTooLarge):
+        exact_evolve(warm_spec, warm, plus_state(), [0.0, 1.0],
+                     method="sector")
+
+
+def test_sector_engine_ignores_per_mode_thermal_tail():
+    # the sector engine starts in the bath vacuum: a soft, weakly coupled
+    # mode with a large thermal tail beyond the cutoff is no truncation
+    spec = single_qubit_spec(a=0.0, b=0.0, c=1.0, delta=1.0, g=FF,
+                             beta=30.0, lam=0.01)
+    bath = TruncatedBath(mode_frequencies=np.array([0.05, 1.0, 1.5]),
+                         mode_couplings=np.array([1e-3, 0.1, 0.1]),
+                         fock_cutoff=3, beta=30.0)
+    assert bath.truncation_tail() > 1e-4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        exact_evolve(spec, bath, plus_state(), [0.0, 1.0], method="sector")
+
+
+def test_sector_engine_reports_lowered_cap():
+    # cap 3 over 90 modes needs 259,532 states, above STATE_SPACE_LIMIT;
+    # the engine evolves at cap 2 (8,372 states) and says so
+    spec = single_qubit_spec(a=0.0, b=0.0, c=1.0, delta=1.0, g=FF,
+                             beta=30.0, lam=0.01)
+    bath = TruncatedBath(mode_frequencies=np.linspace(0.5, 2.5, 90),
+                         mode_couplings=np.full(90, 0.01),
+                         fock_cutoff=3, beta=30.0)
+    with pytest.warns(TruncationWarning,
+                      match=r"from the requested 3 to 2 .*dimension 8372"):
+        exact_evolve(spec, bath, plus_state(), [0.0, 0.5], method="sector")
 
 
 # =====================================================================

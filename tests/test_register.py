@@ -5,8 +5,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from resodec.errors import BadConfiguration, TooLargeForExhaustiveCheck
-from resodec.model import FormFactor, RegisterSpec, register_to_system
+from resodec.errors import (
+    BadConfiguration,
+    RegisterTooLarge,
+    TooLargeForExhaustiveCheck,
+)
+from resodec.model import (
+    MAX_QUBITS,
+    FormFactor,
+    RegisterSpec,
+    register_to_system,
+)
 from resodec.register import (
     RegisterTemplate,
     decoherence_rates,
@@ -223,3 +232,16 @@ def test_scaling_study_small_sizes():
 
     with pytest.raises(ValueError):
         scaling_study(template, [])
+
+
+def test_scaling_study_rejects_oversized_list_before_any_size(monkeypatch):
+    import resodec.register as register
+
+    def no_pass(*args, **kwargs):
+        pytest.fail("a size was computed before the size check")
+
+    monkeypatch.setattr(register, "_resonance_mixes", no_pass)
+    template = RegisterTemplate(lambda1=0.01, lambda2=0.01, g1=G1, g2=G2,
+                                beta=0.5)
+    with pytest.raises(RegisterTooLarge):
+        scaling_study(template, [2, MAX_QUBITS + 1])
