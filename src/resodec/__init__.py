@@ -4,156 +4,9 @@ Resonance energies and decay rates of N-level systems and qubit
 registers weakly coupled to bosonic thermal reservoirs, second-order
 reconstruction of the reduced density-matrix dynamics, and an exact
 truncated-reservoir oracle for verification.
+
+The package itself provides only ``__version__``; import everything
+else from its submodule, whose ``__all__`` lists its public names.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    AmbiguousClustering,
-    BadConfiguration,
-    DefectiveLevelShift,
-    DimensionMismatch,
-    DimensionTooLarge,
-    InfraredDivergent,
-    NonHermitianCoupling,
-    NonPositiveBeta,
-    NumericalError,
-    OmegaPrimeOutOfRange,
-    PoorFit,
-    QuadratureNotConverged,
-    RegisterTooLarge,
-    ResodecError,
-    TooLargeForExhaustiveCheck,
-    TruncationWarning,
-    UnsupportedAnisotropy,
-    ValidationError,
-    VerificationFailure,
-    WeightMismatch,
-)
-from .model import (
-    CouplingTerm,
-    DensityMatrix,
-    FormFactor,
-    RegisterSpec,
-    SystemSpec,
-    build_system,
-    collective_x_matrix,
-    collective_z_matrix,
-    configuration_index,
-    energy_of_configuration,
-    gibbs_state,
-    register_to_system,
-    spin_configuration,
-)
-from .reservoir import (
-    ReservoirTransforms,
-    ThermalFormFactor,
-    check_condition_A,
-    glued_form_factor,
-    half_line_transform,
-    mean_inverse_frequency,
-    one_sided_density,
-    pv_energy_shift,
-    spectral_profile,
-    thermal_spectral_density,
-    xi,
-    xi_lorentzian_check,
-)
-from .resonances import (
-    BohrSpectrum,
-    NonoverlapReport,
-    ResonanceData,
-    bohr_spectrum,
-    check_nonoverlap,
-    default_cluster_tolerance,
-    level_shift_operator,
-    resonance_energies,
-)
-from .dynamics import (
-    PropagatorBlock,
-    Trajectory,
-    ergodic_mean,
-    free_evolution,
-    propagator_blocks,
-    resonance_evolution,
-    single_qubit_closed_form,
-    single_qubit_spec,
-)
-from .register import (
-    GenericFieldReport,
-    PairLabel,
-    RateReport,
-    RegisterTemplate,
-    ScalingRow,
-    ScalingTable,
-    decoherence_rates,
-    generic_field_check,
-    hamming_and_e0,
-    register_bohr,
-    scaling_study,
-)
-from .oracle import (
-    FitResult,
-    TruncatedBath,
-    VerificationCheck,
-    VerificationReport,
-    VerifyConfig,
-    dephasing_envelope,
-    discretize_bath,
-    exact_evolve,
-    fit_decay,
-    verify,
-)
-from .config import (
-    config_hash,
-    form_factor_from_config,
-    load_config,
-    matrix_from_config,
-    matrix_to_config,
-    register_from_config,
-    system_from_config,
-)
-
-__all__ = [
-    "__version__",
-    # errors
-    "ResodecError", "ValidationError", "NonHermitianCoupling",
-    "DimensionMismatch", "NonPositiveBeta", "BadConfiguration",
-    "RegisterTooLarge", "TooLargeForExhaustiveCheck",
-    "OmegaPrimeOutOfRange", "UnsupportedAnisotropy", "NumericalError",
-    "InfraredDivergent", "QuadratureNotConverged", "AmbiguousClustering",
-    "DefectiveLevelShift", "DimensionTooLarge", "WeightMismatch",
-    "PoorFit", "VerificationFailure", "TruncationWarning",
-    # model
-    "FormFactor", "CouplingTerm", "SystemSpec", "DensityMatrix",
-    "RegisterSpec", "build_system", "spin_configuration",
-    "configuration_index", "energy_of_configuration",
-    "collective_z_matrix", "collective_x_matrix", "register_to_system",
-    "gibbs_state",
-    # reservoir
-    "ThermalFormFactor", "ReservoirTransforms", "one_sided_density",
-    "xi", "xi_lorentzian_check", "thermal_spectral_density",
-    "mean_inverse_frequency", "pv_energy_shift", "half_line_transform",
-    "glued_form_factor", "check_condition_A", "spectral_profile",
-    # resonances
-    "BohrSpectrum", "bohr_spectrum", "default_cluster_tolerance",
-    "ResonanceData", "level_shift_operator", "resonance_energies",
-    "NonoverlapReport", "check_nonoverlap",
-    # dynamics
-    "PropagatorBlock", "propagator_blocks", "Trajectory",
-    "free_evolution", "resonance_evolution", "ergodic_mean",
-    "single_qubit_closed_form", "single_qubit_spec",
-    # register
-    "PairLabel", "register_bohr", "hamming_and_e0",
-    "GenericFieldReport", "generic_field_check", "RateReport",
-    "decoherence_rates", "RegisterTemplate", "ScalingRow",
-    "ScalingTable", "scaling_study",
-    # oracle
-    "TruncatedBath", "discretize_bath", "exact_evolve",
-    "dephasing_envelope", "FitResult", "fit_decay", "VerifyConfig",
-    "VerificationCheck", "VerificationReport", "verify",
-    # config
-    "load_config", "config_hash", "form_factor_from_config",
-    "matrix_from_config", "matrix_to_config", "system_from_config",
-    "register_from_config",
-]

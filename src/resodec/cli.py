@@ -361,8 +361,6 @@ def _cmd_verify(args) -> int:
         if unknown:
             raise BadConfiguration(
                 f"unknown key(s) {unknown} in the 'verify' section")
-        if args.rate_tolerance is not None:
-            kwargs["rate_tolerance"] = args.rate_tolerance
         vconfig = VerifyConfig(**kwargs)
         if system.overall_coupling == 0.0 and any(vconfig.lambdas):
             raise BadConfiguration(
@@ -455,8 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="oracle-versus-theory verification suite")
-    p.add_argument("--rate-tolerance", type=float, default=None,
-                   help="relative decay-rate tolerance override")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -49,6 +49,7 @@ __all__ = [
     "resonance_evolution",
     "ergodic_mean",
     "single_qubit_closed_form",
+    "single_qubit_spec",
 ]
 
 
@@ -195,7 +196,6 @@ def free_evolution(spec: SystemSpec, rho0, times) -> Trajectory:
 
 def resonance_evolution(spec: SystemSpec, rho0, times,
                         tol: float | None = None,
-                        parallel: int | None = None,
                         resonances: list | None = None) -> Trajectory:
     """Second-order resonance reconstruction of the reduced dynamics.
 
@@ -207,7 +207,7 @@ def resonance_evolution(spec: SystemSpec, rho0, times,
     rho0 = _as_state_array(rho0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if resonances is None:
-        resonances = resonance_energies(spec, tol, parallel=parallel)
+        resonances = resonance_energies(spec, tol)
     report = check_nonoverlap(spec, tol, resonances=resonances)
     if not report.passed:
         warnings.warn(

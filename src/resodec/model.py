@@ -52,8 +52,10 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-12
-#: largest register that is lowered to a 2**n-level system
-MAX_QUBITS = 10
+#: largest register that is lowered to a 2**n-level system: the rate
+#: pipeline keeps three arrays of 2^N 3^N complex entries for each of
+#: three channel mixes (1.45 GB at N = 9, 8.7 GB at N = 10)
+MAX_QUBITS = 9
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:

@@ -87,6 +87,8 @@ CHEBYSHEV_OUTPUTS = 4
 CHEBYSHEV_BATCH = 8
 #: sector rows processed together in one recurrence step
 SECTOR_ROW_BLOCK = 8192
+#: largest RMS log-residual of an accepted decay fit
+FIT_RESIDUAL_LIMIT = 0.2
 
 
 # =====================================================================
@@ -325,12 +327,15 @@ def _sector_evolve(spec: SystemSpec, active, rho0, times) -> np.ndarray:
     n_sys = spec.dim
     freqs = np.concatenate([bath.mode_frequencies for _, bath in active])
     requested = min(b.fock_cutoff for _, b in active)
-    caps = [k for k in range(requested, 1, -1)
+    # the cap is never lowered below 2 (or below a requested 1)
+    smallest = min(requested, 2)
+    caps = [k for k in range(requested, smallest - 1, -1)
             if _sector_dimension(n_sys, freqs.size, k) <= STATE_SPACE_LIMIT]
     if not caps:
         raise DimensionTooLarge(
-            "even the two-excitation sector exceeds the cap "
-            f"{STATE_SPACE_LIMIT} ({_sector_dimension(n_sys, freqs.size, 2)}"
+            f"even the {smallest}-excitation sector exceeds the cap "
+            f"{STATE_SPACE_LIMIT} "
+            f"({_sector_dimension(n_sys, freqs.size, smallest)}"
             f" states for {freqs.size} modes)")
     cap = caps[0]
     if cap < requested:
@@ -564,15 +569,14 @@ class FitResult:
             raise ValueError("rate must be >= 0")
 
 
-def fit_decay(trajectory: Trajectory, element: tuple,
-              residual_threshold: float = 0.2) -> FitResult:
+def fit_decay(trajectory: Trajectory, element: tuple) -> FitResult:
     """Fit |x(t) - asymptote| = C e^{-rate t} with phase drift.
 
     The asymptote is the average over the last quarter of the samples;
     the fit window keeps samples whose deviation exceeds 2% of the
     initial deviation (so a biased tail cannot pollute the slope).
     Raises PoorFit for too few samples, a window under two measured
-    e-folds, or an RMS log-residual above ``residual_threshold``.
+    e-folds, or an RMS log-residual above ``FIT_RESIDUAL_LIMIT``.
     """
     m, n = element
     y = trajectory.element(m, n)
@@ -608,10 +612,10 @@ def fit_decay(trajectory: Trajectory, element: tuple,
     slope, intercept = np.polyfit(tk, log_amp, 1)
     residual = float(np.sqrt(np.mean(
         (log_amp - (slope * tk + intercept)) ** 2)))
-    if residual > residual_threshold:
+    if residual > FIT_RESIDUAL_LIMIT:
         raise PoorFit(
             f"RMS log-residual {residual:.3g} exceeds "
-            f"{residual_threshold:g}; the window or bath resolution is "
+            f"{FIT_RESIDUAL_LIMIT:g}; the window or bath resolution is "
             "inadequate")
     phase = np.unwrap(np.angle(devk))
     frequency = float(np.polyfit(tk, phase, 1)[0])

@@ -99,7 +99,7 @@ class GenericFieldReport:
     """Result of the integer-relation scan over the field values.
 
     ``passed`` is True when no nonzero integer vector n with entries in
-    {-n_max..n_max} annihilates B; otherwise ``witness`` holds one such
+    {0, +-1, +-2} annihilates B; otherwise ``witness`` holds one such
     vector (degenerate fields merge Bohr groups).
     """
 
@@ -107,10 +107,10 @@ class GenericFieldReport:
     witness: tuple | None = None
 
 
-def generic_field_check(B, n_max: int = 2) -> GenericFieldReport:
+def generic_field_check(B) -> GenericFieldReport:
     """Exhaustively scan integer combinations of the field values.
 
-    FAIL with a witness when some nonzero n in {0,+-1,..,+-n_max}^N has
+    FAIL with a witness when some nonzero n in {0, +-1, +-2}^N has
     |sum_j B_j n_j| <= 1e-12 max|B|; registers beyond N = 12 are
     rejected (the scan is exponential).
     """
@@ -118,15 +118,12 @@ def generic_field_check(B, n_max: int = 2) -> GenericFieldReport:
     n = B.size
     if n > 12:
         raise TooLargeForExhaustiveCheck(
-            f"generic-field scan is exhaustive over (2 n_max + 1)^N "
+            "generic-field scan is exhaustive over 5^N "
             f"vectors; N = {n} > 12 is not supported")
     scale = float(np.max(np.abs(B))) if n else 0.0
     threshold = 1e-12 * scale
     # small entries first, so a returned witness is a simplest relation
-    values = [0]
-    for k in range(1, n_max + 1):
-        values.extend((k, -k))
-    for vec in product(values, repeat=n):
+    for vec in product((0, 1, -1, 2, -2), repeat=n):
         if all(v == 0 for v in vec):
             continue
         if abs(float(np.dot(B, vec))) <= threshold:

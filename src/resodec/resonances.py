@@ -45,6 +45,7 @@ __all__ = [
     "ResonanceData",
     "NonoverlapReport",
     "bohr_spectrum",
+    "default_cluster_tolerance",
     "level_shift_operator",
     "resonance_energies",
     "check_nonoverlap",

@@ -233,6 +233,26 @@ def test_xi_grid_output(tmp_path):
                           atol=1e-15)
 
 
+def test_package_provides_only_the_version(tmp_path):
+    # the names live in the submodules: loading the value types and the
+    # configuration loaders pulls in no scipy
+    probe = ("import sys, resodec.model, resodec.config, resodec; "
+             "print(resodec.__version__); "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    version, scipy_modules = proc.stdout.splitlines()
+    assert scipy_modules == "[]"
+
+    # and the package's version is the one stamped on every CSV
+    out = tmp_path / "xi.csv"
+    proc = invoke("xi", "--config", str(XI_CFG), "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    comments, _, _, _ = read_csv(out)
+    assert f"# version: {version}" in comments
+
 def test_verify_failure_exit_code(tmp_path):
     cfg = json.loads(VERIFY_CFG.read_text())
     cfg["verify"]["n_modes"] = 5

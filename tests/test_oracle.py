@@ -1,5 +1,6 @@
 """Truncated-bath oracle: discretization, engines, fits, verification."""
 
+import math
 import warnings
 
 import numpy as np
@@ -124,23 +125,25 @@ def test_sector_engine_nonuniform_grid():
     assert np.max(np.abs(dense.states - sector.states)) <= 1e-10
 
 
-def test_sector_engine_matches_explicit_sector_expm():
+@pytest.mark.parametrize("cap", [1, 2])
+def test_sector_engine_matches_explicit_sector_expm(cap):
     # two channels (two modes and one mode), complex Hermitian couplings,
     # a mixed initial state and a non-uniform grid starting after t = 0;
-    # the cap of two quanta holds the two-quantum states k != q and
-    # k = q.  The reference is scipy's expm of the sector Hamiltonian
-    # written out here on the product of the mode Fock spaces, in this
-    # package's convention rho_t = e^{itH} rho e^{-itH}
+    # a cap of two quanta holds the two-quantum states k != q and k = q,
+    # a cap of one only the vacuum and the one-quantum states.  The
+    # reference is scipy's expm of the sector Hamiltonian written out
+    # here on the product of the mode Fock spaces, in this package's
+    # convention rho_t = e^{itH} rho e^{-itH}
     g1 = np.array([[0.3, 0.5 - 0.4j], [0.5 + 0.4j, -0.2]])
     g2 = np.array([[0.1, 0.2j], [-0.2j, 0.4]])
     spec = build_system([0.0, 1.1], [(0.3, g1, FF), (0.2, g2, FF)],
                         beta=30.0)
     baths = [TruncatedBath(mode_frequencies=np.array([0.8, 1.4]),
                            mode_couplings=np.array([0.5, 0.35]),
-                           fock_cutoff=2, beta=30.0),
+                           fock_cutoff=cap, beta=30.0),
              TruncatedBath(mode_frequencies=np.array([1.1]),
                            mode_couplings=np.array([0.45]),
-                           fock_cutoff=2, beta=30.0)]
+                           fock_cutoff=cap, beta=30.0)]
     rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
     times = np.array([0.4, 1.3, 2.0, 5.5, 6.0, 9.7, 10.1])
     sector = exact_evolve(spec, baths, rho0, times, method="sector")
@@ -149,28 +152,31 @@ def test_sector_engine_matches_explicit_sector_expm():
     modes = [(0.8, 0.3 * 0.5 / np.sqrt(2.0), g1),
              (1.4, 0.3 * 0.35 / np.sqrt(2.0), g1),
              (1.1, 0.2 * 0.45 / np.sqrt(2.0), g2)]
-    lower = np.diag(np.sqrt([1.0, 2.0]), 1)             # cutoff 2
-    eye3 = np.eye(3)
+    lower = np.diag(np.sqrt(np.arange(1.0, cap + 1.0)), 1)
+    eye = np.eye(cap + 1)
 
     def on_mode(op, k):
-        factors = [op if j == k else eye3 for j in range(3)]
+        factors = [op if j == k else eye for j in range(3)]
         return np.kron(np.kron(factors[0], factors[1]), factors[2])
 
-    h = np.kron(np.diag(spec.energies), np.eye(27)).astype(complex)
+    h = np.kron(np.diag(spec.energies), np.eye((cap + 1) ** 3)) \
+        .astype(complex)
     for k, (omega, amp, g) in enumerate(modes):
         h += omega * np.kron(np.eye(2), on_mode(lower.T @ lower, k))
         h += amp * np.kron(g, on_mode(lower + lower.T, k))
-    quanta = np.array([sum(occ) for occ in np.ndindex(3, 3, 3)])
-    keep = np.flatnonzero(np.tile(quanta <= 2, 2))     # system-major
+    occupations = np.ndindex(cap + 1, cap + 1, cap + 1)
+    quanta = np.array([sum(occ) for occ in occupations])
+    keep = np.flatnonzero(np.tile(quanta <= cap, 2))   # system-major
     h_sector = h[np.ix_(keep, keep)]
-    assert h_sector.shape == (2 * 10, 2 * 10)
+    n_bath = math.comb(3 + cap, cap)        # states of <= cap quanta
+    assert h_sector.shape == (2 * n_bath, 2 * n_bath)
 
-    rho_full = np.zeros((20, 20), dtype=complex)
-    rho_full[np.ix_([0, 10], [0, 10])] = rho0           # bath vacuum
+    rho_full = np.zeros((2 * n_bath, 2 * n_bath), dtype=complex)
+    rho_full[np.ix_([0, n_bath], [0, n_bath])] = rho0   # bath vacuum
     for t, got in zip(times, sector.states):
         u = scipy.linalg.expm(1j * t * h_sector)
         want = np.einsum("iaja->ij", (u @ rho_full @ u.conj().T)
-                         .reshape(2, 10, 2, 10))
+                         .reshape(2, n_bath, 2, n_bath))
         assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -261,6 +267,17 @@ def test_dimension_guards():
     with pytest.raises(DimensionTooLarge):
         exact_evolve(warm_spec, warm, plus_state(), [0.0, 1.0],
                      method="sector")
+
+    # the sector engine lowers the cap to 2 at most (a requested 1 is
+    # kept); when even that sector is too large, the error names it
+    for cap, n_modes in ((3, 500), (1, 100_000)):
+        cold = TruncatedBath(mode_frequencies=np.linspace(0.5, 2.5, n_modes),
+                             mode_couplings=np.full(n_modes, 1e-4),
+                             fock_cutoff=cap, beta=30.0)
+        with pytest.raises(DimensionTooLarge,
+                           match=f"even the {min(cap, 2)}-excitation"):
+            exact_evolve(spec, cold, plus_state(), [0.0, 1.0],
+                         method="sector")
 
 
 def test_sector_engine_ignores_per_mode_thermal_tail():
