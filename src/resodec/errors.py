@@ -94,7 +94,7 @@ class InfraredDivergent(NumericalError):
 
 
 class QuadratureNotConverged(NumericalError):
-    """Adaptive quadrature reported an error estimate above tolerance."""
+    """A quadrature's error estimate stayed above tolerance."""
 
 
 class AmbiguousClustering(NumericalError):

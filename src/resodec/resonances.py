@@ -160,11 +160,13 @@ def _channel_tables(spec: SystemSpec, mixes) -> list:
             continue
         tr = ReservoirTransforms(term.form_factor, spec.beta)
         G = np.asarray(term.matrix, dtype=complex)
+        m, j = np.nonzero(np.abs(G) > 0.0)
+        gaps = (E[m] - E[j]).tolist()
+        tr.precompute(gaps)
         W = np.zeros_like(G)
         D = np.zeros(G.shape)
-        for m, j in zip(*np.nonzero(np.abs(G) > 0.0)):
-            W[m, j] = tr.wplus(E[m] - E[j])
-            D[m, j] = tr.density(E[j] - E[m])
+        W[m, j] = [tr.wplus(g) for g in gaps]
+        D[m, j] = [tr.density(-g) for g in gaps]
         tables.append((r, G, (G * W) @ G, D))
     return tables
 

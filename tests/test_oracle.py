@@ -368,7 +368,10 @@ def test_verify_passes_on_resolved_benchmark():
                              beta=30.0, lam=0.02)
     cfg = VerifyConfig(n_modes=110, omega_max=3.0, fock_cutoff=3,
                        lambdas=(0.016,), num_times=101)
-    report = verify(spec, cfg)
+    with pytest.warns(TruncationWarning,
+                      match="excitation cap lowered from the requested "
+                            "3 to 2"):
+        report = verify(spec, cfg)
     assert report.passed
     names = [c.name for c in report.checks]
     assert "lambda=0.016:trajectory" in names

@@ -1,20 +1,25 @@
 """Spectral functions checked against independent integral oracles."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from resodec import reservoir
 from resodec.errors import (
     InfraredDivergent,
     OmegaPrimeOutOfRange,
+    QuadratureNotConverged,
     ValidationError,
 )
 from resodec.model import FormFactor
 from resodec.reservoir import (
     ReservoirTransforms,
     ThermalFormFactor,
+    _density_array,
+    _pv_transform,
     angular_square,
     check_condition_A,
     glued_form_factor,
@@ -64,6 +69,9 @@ def test_xi_at_zero_three_regimes():
                       rtol=1e-13)
     with pytest.raises(InfraredDivergent):
         xi(make_ff(-0.75, 1), beta, 0.0)
+    # W(0) reports the divergence, not the principal value it cannot reach
+    with pytest.raises(InfraredDivergent):
+        half_line_transform(make_ff(-0.9, 1), beta, 0.0)
 
 
 def test_xi_input_validation():
@@ -189,6 +197,59 @@ def test_reservoir_transforms_memoize_and_round_keys():
     assert tr.wplus(0.8 + 1e-13) == tr.wplus(0.8)
     tr.precompute([0.0, 0.8])
     assert tr.density(0.8) == thermal_spectral_density(tr.base, 1.5, 0.8)
+
+
+PV_POLES = [0.0, 1e-8, -1e-8, 1e-6, -1e-6, 1e-3, -1e-3, 0.5, 1.0, 2.25,
+            6.0]
+
+
+def cauchy_reference(f, pole):
+    """P.V. int f(u) / (u - pole) du by QUADPACK: the Cauchy-weight rule
+    on a window around the pole and plain adaptive quadrature elsewhere,
+    split at f's kink 0 and, for a tiny pole, at every second decade of
+    |pole| up to 1, so the pole's scale is resolved."""
+    kw = dict(epsabs=1e-13, epsrel=1e-12, limit=500)
+    w = min(0.5, abs(pole) / 4.0) if pole else 1.0
+    val = integrate.quad(f, pole - w, pole + w, weight="cauchy",
+                         wvar=pole, **kw)[0]
+    cuts = {-np.inf, pole - w, pole + w, np.inf}
+    if pole:
+        decades = abs(pole) * 100.0 ** np.arange(
+            1 + max(0, int(-math.log10(abs(pole)))) // 2)
+        cuts |= {0.0, *(2.0 * abs(pole) + decades),
+                 *(-2.0 * abs(pole) - decades)}
+    edges = sorted(cuts)
+    for a, b in zip(edges[:-1], edges[1:]):
+        if a != pole - w:
+            val += integrate.quad(lambda u: f(u) / (u - pole), a, b,
+                                  **kw)[0]
+    return val
+
+
+@pytest.mark.parametrize("beta", [1.0, 30.0])
+@pytest.mark.parametrize("p, m", [(-0.5, 1), (0.5, 2), (-0.3, 1)])
+def test_pv_transform_matches_cauchy_quadrature(p, m, beta):
+    ff = make_ff(p, m)
+    got = _pv_transform(partial(_density_array, ff, beta), PV_POLES)
+    for pole, value in zip(PV_POLES, got):
+        want = cauchy_reference(
+            lambda u: thermal_spectral_density(ff, beta, u), pole)
+        assert abs(value - want) <= 1e-10 * abs(want), (pole, value, want)
+
+
+def test_pv_transform_is_independent_of_the_batch(monkeypatch):
+    f = partial(_density_array, make_ff(0.5, 2), 1.0)
+    poles = np.array(PV_POLES)
+    batched = _pv_transform(f, poles)
+    # bitwise: every pole is summed along its own row
+    assert np.array_equal(batched,
+                          [_pv_transform(f, [pole])[0] for pole in poles])
+    assert np.array_equal(batched, _pv_transform(f, poles[::-1])[::-1])
+    monkeypatch.setattr(reservoir, "_PV_BLOCK", 3)
+    assert np.array_equal(batched, _pv_transform(f, poles))
+    monkeypatch.setattr(reservoir, "_PV_TOL", 0.0)
+    with pytest.raises(QuadratureNotConverged):
+        _pv_transform(f, poles)
 
 
 def test_spectral_profile_samples_xi():
