@@ -36,6 +36,7 @@ from .config import (
     matrix_from_config,
     register_from_config,
     system_from_config,
+    _integer,
     _require,
 )
 from .errors import (
@@ -164,7 +165,7 @@ def _parse_elements(text: str, dim: int) -> list:
 def _grid_from_config(section: dict, context: str) -> np.ndarray:
     start = float(_require(section, "start", context))
     stop = float(_require(section, "stop", context))
-    num = int(_require(section, "num", context))
+    num = _integer(_require(section, "num", context), f"{context}.num")
     if not (np.isfinite(start) and np.isfinite(stop)) or num < 1:
         raise BadConfiguration(
             f"{context} must have finite start/stop and num >= 1")
@@ -296,7 +297,7 @@ def _cmd_scaling(args) -> int:
         n_list = _require(section, "n_list", "scaling")
         if not isinstance(n_list, list) or not n_list:
             raise BadConfiguration("scaling.n_list must be a nonempty array")
-        n_list = [int(n) for n in n_list]
+        n_list = [_integer(n, "scaling.n_list") for n in n_list]
         template = RegisterTemplate(
             lambda1=float(_require(section, "lambda1", "scaling")),
             lambda2=float(_require(section, "lambda2", "scaling")),
@@ -354,7 +355,9 @@ def _cmd_verify(args) -> int:
             raise BadConfiguration("'verify' section must be an object")
         # each field is coerced to the type of its default (int, float,
         # str; VerifyConfig turns the lambdas into floats itself)
-        kwargs = {f.name: type(f.default)(section[f.name])
+        kwargs = {f.name: _integer(section[f.name], f"verify.{f.name}")
+                  if type(f.default) is int
+                  else type(f.default)(section[f.name])
                   for f in dataclasses.fields(VerifyConfig)
                   if f.name in section}
         unknown = sorted(set(section) - set(kwargs) - {"initial_state"})

@@ -86,17 +86,27 @@ def _require(cfg: dict, key: str, context: str):
     return cfg[key]
 
 
+def _integer(value, context: str) -> int:
+    """An integer or integral float (20.0) as an int; any other value,
+    20.7 included, raises BadConfiguration instead of being truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise BadConfiguration(f"{context} must be an integer, got {value!r}")
+
+
 def form_factor_from_config(d: dict, context: str = "form_factor") \
         -> FormFactor:
     """Build a FormFactor from {"p": ..., "m": ..., "scale": ...}."""
     if not isinstance(d, dict):
         raise BadConfiguration(f"{context} must be an object")
     p = _require(d, "p", context)
-    m = _require(d, "m", context)
+    m = _integer(_require(d, "m", context), f"{context}.m")
     scale = d.get("scale", 1.0)
     weight = d.get("weight", 1.0)
     try:
-        return FormFactor(radial_exponent=float(p), decay_exponent=int(m),
+        return FormFactor(radial_exponent=float(p), decay_exponent=m,
                           overall_scale=float(scale),
                           angular_weight=float(weight))
     except (TypeError, ValueError) as exc:
@@ -133,7 +143,7 @@ def system_from_config(cfg: dict) -> SystemSpec:
     """
     if "register" in cfg:
         return register_to_system(register_from_config(cfg))
-    dim = int(_require(cfg, "dim", "configuration"))
+    dim = _integer(_require(cfg, "dim", "configuration"), "dim")
     energies = np.asarray(_require(cfg, "energies", "configuration"),
                           dtype=float)
     beta = float(_require(cfg, "beta", "configuration"))
@@ -162,7 +172,7 @@ def register_from_config(cfg: dict) -> RegisterSpec:
     reg = _require(cfg, "register", "configuration")
     if not isinstance(reg, dict):
         raise BadConfiguration("register must be an object")
-    n = int(_require(reg, "n", "register"))
+    n = _integer(_require(reg, "n", "register"), "register.n")
     J = np.asarray(_require(reg, "J", "register"), dtype=float)
     B = np.asarray(_require(reg, "B", "register"), dtype=float)
     beta = float(_require(cfg, "beta", "configuration"))

@@ -1,6 +1,7 @@
 """Reduced density-matrix evolution reconstructed from resonance data.
 
-Bohr group e collects the matrix elements (m, n) with E_m - E_n = e;
+Bohr group e collects the matrix elements (m, n) with E_m - E_n = e,
+held as a read-only (d, 2) array of index pairs (see resonances);
 under the free dynamics each element just rotates, [rho_t]_{mn} =
 e^{i t e} [rho_0]_{mn}.  At second order in the coupling the elements
 of one group mix through the level-shift matrix, and the trajectory is
@@ -61,7 +62,8 @@ __all__ = [
 class PropagatorBlock:
     """Explicit propagator of one Bohr group.
 
-    ``epsilons`` holds the distinct resonance energies of the group and
+    ``pairs`` is the group's (d, 2) array of index pairs, ``epsilons``
+    holds the distinct resonance energies of the group and
     ``weights[s]`` the spectral weight matrix of mode s, so that the
     group's element vector evolves as
     v(t) = sum_s exp(i t epsilons[s]) weights[s] @ v(0).
@@ -70,7 +72,7 @@ class PropagatorBlock:
     """
 
     e: float
-    pairs: tuple
+    pairs: np.ndarray
     epsilons: np.ndarray
     weights: np.ndarray
 
@@ -184,15 +186,27 @@ def free_evolution(spec: SystemSpec, rho0, times) -> Trajectory:
     states = phases * rho0[None, :, :]
 
     mean = np.zeros_like(rho0)
-    spectrum = bohr_spectrum(spec)
-    for m, n in spectrum.groups.get(0.0, []):
-        mean[m, n] = rho0[m, n]
+    m, n = bohr_spectrum(spec).groups[0.0].T
+    mean[m, n] = rho0[m, n]
     return Trajectory(times=times, states=states, ergodic_mean=mean)
 
 
 # =====================================================================
 # Resonance reconstruction
 # =====================================================================
+
+def _reconstruct(resonances: list, rho0: np.ndarray, n: int,
+                 times: np.ndarray) -> tuple:
+    """(states, ergodic mean) of an n-level system from its blocks."""
+    states = np.zeros((len(times), n, n), dtype=complex)
+    mean = np.zeros((n, n), dtype=complex)
+    for block in propagator_blocks(resonances):
+        m, k = block.pairs.T
+        v0 = rho0[m, k]
+        states[:, m, k] = block.propagate(v0, times)
+        mean[m, k] = block.ergodic_component(v0)
+    return states, mean
+
 
 def resonance_evolution(spec: SystemSpec, rho0, times,
                         tol: float | None = None,
@@ -215,16 +229,7 @@ def resonance_evolution(spec: SystemSpec, rho0, times,
             "second-order expansion may be inaccurate here"
             % report.margin, UserWarning, stacklevel=2)
 
-    n = spec.dim
-    states = np.zeros((len(times), n, n), dtype=complex)
-    mean = np.zeros((n, n), dtype=complex)
-    for block in propagator_blocks(resonances):
-        m_idx = [p[0] for p in block.pairs]
-        n_idx = [p[1] for p in block.pairs]
-        v0 = rho0[m_idx, n_idx]
-        traj = block.propagate(v0, times)
-        states[:, m_idx, n_idx] = traj
-        mean[m_idx, n_idx] = block.ergodic_component(v0)
+    states, mean = _reconstruct(resonances, rho0, spec.dim, times)
     return Trajectory(times=times, states=states, ergodic_mean=mean)
 
 
@@ -241,13 +246,8 @@ def ergodic_mean(source, rho0=None, tol: float | None = None) -> np.ndarray:
     spec = source
     if rho0 is None:
         raise ValueError("an initial state is required with a SystemSpec")
-    rho0 = _as_state_array(rho0)
-    mean = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for block in propagator_blocks(resonance_energies(spec, tol)):
-        m_idx = [p[0] for p in block.pairs]
-        n_idx = [p[1] for p in block.pairs]
-        mean[m_idx, n_idx] = block.ergodic_component(rho0[m_idx, n_idx])
-    return mean
+    return _reconstruct(resonance_energies(spec, tol),
+                        _as_state_array(rho0), spec.dim, np.empty(0))[1]
 
 
 # =====================================================================

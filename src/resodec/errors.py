@@ -61,7 +61,9 @@ class NonPositiveBeta(ValidationError):
 
 
 class BadConfiguration(ValidationError):
-    """A spin configuration contains an entry other than +1 or -1."""
+    """A configuration value is malformed (missing, of the wrong type or
+    shape, a non-integer where an integer is required, an unreadable
+    file or output path, a spin entry other than +1 or -1)."""
 
 
 class RegisterTooLarge(ValidationError):
@@ -133,4 +135,6 @@ class VerificationFailure(ResodecError):
 # =====================================================================
 
 class TruncationWarning(UserWarning):
-    """The per-mode Fock cutoff discards a thermal tail above 1e-4."""
+    """The oracle's bath is truncated more than asked: the per-mode Fock
+    cutoff discards a thermal tail above 1e-4, or the excitation cap is
+    lowered below the requested Fock cutoff to fit the state space."""

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 import scipy.integrate
@@ -757,12 +758,12 @@ def verify(system, config: VerifyConfig = VerifyConfig(),
             passed=dev <= tol))
 
         if lam > 0.0:
-            gamma_of = {}
+            gamma_of = np.zeros((n, n))
             for r in resonances:
-                for pair in r.pairs:
-                    gamma_of[pair] = r.gamma
-            for (m, k), gamma in sorted(gamma_of.items()):
-                if m >= k or gamma <= ZERO_RESONANCE_TOL:
+                gamma_of[r.pairs[:, 0], r.pairs[:, 1]] = r.gamma
+            for m, k in combinations(range(n), 2):
+                gamma = float(gamma_of[m, k])
+                if gamma <= ZERO_RESONANCE_TOL:
                     continue
                 if gamma * horizon < 2.5:
                     continue

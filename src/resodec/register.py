@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -94,6 +93,9 @@ def hamming_and_e0(sigma, tau) -> tuple:
 # Generic-field check
 # =====================================================================
 
+#: entries of the scanned integer vectors, smallest first
+_FIELD_DIGITS = (0, 1, -1, 2, -2)
+
 @dataclass(frozen=True)
 class GenericFieldReport:
     """Result of the integer-relation scan over the field values.
@@ -107,12 +109,24 @@ class GenericFieldReport:
     witness: tuple | None = None
 
 
+def _combination_sums(B: np.ndarray) -> np.ndarray:
+    """sum_j B_j n_j for each n in product(_FIELD_DIGITS, repeat=len(B)),
+    in that order."""
+    digits = np.array(_FIELD_DIGITS, dtype=float)
+    sums = np.zeros(1)
+    for b in B.tolist():
+        sums = (sums[:, None] + b * digits[None, :]).ravel()
+    return sums
+
+
 def generic_field_check(B) -> GenericFieldReport:
     """Exhaustively scan integer combinations of the field values.
 
     FAIL with a witness when some nonzero n in {0, +-1, +-2}^N has
     |sum_j B_j n_j| <= 1e-12 max|B|; registers beyond N = 12 are
-    rejected (the scan is exponential).
+    rejected (the scan is exponential).  Vectors are scanned in
+    product order, small entries first, so the witness is a simplest
+    relation: each prefix sum against one table of suffix sums.
     """
     B = np.asarray(B, dtype=float)
     n = B.size
@@ -122,12 +136,16 @@ def generic_field_check(B) -> GenericFieldReport:
             f"vectors; N = {n} > 12 is not supported")
     scale = float(np.max(np.abs(B))) if n else 0.0
     threshold = 1e-12 * scale
-    # small entries first, so a returned witness is a simplest relation
-    for vec in product((0, 1, -1, 2, -2), repeat=n):
-        if all(v == 0 for v in vec):
-            continue
-        if abs(float(np.dot(B, vec))) <= threshold:
-            return GenericFieldReport(passed=False, witness=vec)
+    split = max(n - 7, 0)           # at most 5^7 suffix sums at once
+    suffix = _combination_sums(B[split:])
+    for i, head in enumerate(_combination_sums(B[:split]).tolist()):
+        hits = np.abs(head + suffix) <= threshold
+        hits[0] &= i > 0          # the zero vector is no relation
+        if hits.any():
+            index = i * suffix.size + int(np.argmax(hits))
+            witness = tuple(_FIELD_DIGITS[d]
+                            for d in np.unravel_index(index, (5,) * n))
+            return GenericFieldReport(passed=False, witness=witness)
     return GenericFieldReport(passed=True, witness=None)
 
 
@@ -193,9 +211,8 @@ def decoherence_rates(reg: RegisterSpec, tol: float | None = None,
     reports = []
     for r, r_cons, r_exch in zip(full, conserving, exchange):
         labels = tuple(PairLabel(sigma=rows[m], tau=rows[n])
-                       for m, n in r.pairs)
-        index = np.array(r.pairs)
-        diff = spins[index[:, 0]] - spins[index[:, 1]]
+                       for m, n in r.pairs.tolist())
+        diff = spins[r.pairs[:, 0]] - spins[r.pairs[:, 1]]
         jumps = list(zip(np.abs(diff).sum(axis=1).tolist(),
                          diff.sum(axis=1).tolist()))
         d, e0 = jumps[0]

@@ -22,9 +22,7 @@ For a form factor ``g`` (see model.FormFactor) at inverse temperature
   negative-frequency gluing of the form factor at temperature beta and
   a numeric smoothness diagnostic at frequency zero.
 
-Everything is a pure function of immutable inputs; ``ReservoirTransforms``
-adds a per-(form factor, beta) memo table, filled for a whole channel by
-one batched double-exponential principal-value transform.
+Everything is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ __all__ = [
     "one_sided_density",
     "half_line_transform",
     "spectral_profile",
-    "ReservoirTransforms",
 ]
 
 #: infrared exponent threshold: xi(0) is finite iff p == IR_CRITICAL,
@@ -362,43 +359,6 @@ def half_line_transform(base: FormFactor, beta: float,
     imaginary part the corresponding energy (Lamb-type) shift.
     """
     return _half_line_transforms(base, beta, [float(omega)])[0]
-
-
-class ReservoirTransforms:
-    """Memoized W(omega) and D(omega) for one (form factor, beta) pair.
-
-    Frequencies are keyed after rounding to 1e-12 so that Bohr gaps
-    equal up to clustering noise share a table entry.
-    """
-
-    def __init__(self, base: FormFactor, beta: float):
-        self.base = base
-        self.beta = beta
-        self._w = {}
-        self._d = {}
-
-    @staticmethod
-    def _key(omega: float) -> float:
-        return round(float(omega), 12)
-
-    def precompute(self, omegas) -> None:
-        """Fill W at every new key of ``omegas`` in one batch."""
-        keys = sorted({self._key(o) for o in omegas} - self._w.keys())
-        if keys:
-            self._w.update(zip(keys, _half_line_transforms(
-                self.base, self.beta, keys)))
-
-    def wplus(self, omega: float) -> complex:
-        k = self._key(omega)
-        if k not in self._w:
-            self.precompute([k])
-        return self._w[k]
-
-    def density(self, omega: float) -> float:
-        k = self._key(omega)
-        if k not in self._d:
-            self._d[k] = thermal_spectral_density(self.base, self.beta, k)
-        return self._d[k]
 
 
 # =====================================================================

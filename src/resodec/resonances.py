@@ -3,9 +3,9 @@ decay rates.
 
 Matrix elements (m, n) of the reduced density matrix are labelled by
 their Bohr frequency e = E_m - E_n; all pairs sharing an e (up to a
-clustering tolerance) form a group that evolves jointly.  For each
-group the second-order level-shift matrix acts on the column vector of
-the group's density-matrix elements:
+clustering tolerance) form a group, one read-only (d, 2) integer array
+of pairs in lexicographic order, whose elements rho[pairs[:, 0],
+pairs[:, 1]] evolve jointly under its second-order level-shift matrix:
 
     L_e[(m,n),(k,l)] = i K[m,k] delta_{nl} [E_m = E_k]
                      + i conj(K[n,l]) delta_{mk} [E_n = E_l]
@@ -38,7 +38,7 @@ from .errors import (
     DefectiveLevelShift,
 )
 from .model import SystemSpec
-from .reservoir import ReservoirTransforms
+from .reservoir import _half_line_transforms, thermal_spectral_density
 
 __all__ = [
     "BohrSpectrum",
@@ -68,9 +68,10 @@ DEFECTIVE_COND = 1e8
 class BohrSpectrum:
     """Partition of all N^2 index pairs by energy difference.
 
-    ``groups`` maps each representative Bohr frequency e to the list of
-    0-based index pairs (m, n) with E_m - E_n = e up to the clustering
-    tolerance.  The e = 0 group always contains all diagonal pairs.
+    ``groups`` maps each representative Bohr frequency e to a read-only
+    (d, 2) integer array of the 0-based index pairs (m, n) with
+    E_m - E_n = e up to the clustering tolerance, in lexicographic
+    order.  The e = 0 group always contains all diagonal pairs.
     """
 
     groups: dict
@@ -79,12 +80,6 @@ class BohrSpectrum:
     @property
     def frequencies(self) -> np.ndarray:
         return np.array(sorted(self.groups.keys()))
-
-    def group_of_pair(self, m: int, n: int) -> float:
-        for e, pairs in self.groups.items():
-            if (m, n) in pairs:
-                return e
-        raise KeyError((m, n))
 
 
 def default_cluster_tolerance(energies: np.ndarray) -> float:
@@ -100,8 +95,9 @@ def bohr_spectrum(spec: SystemSpec, tol: float | None = None) -> BohrSpectrum:
     Single-linkage clustering: sorted differences are split wherever the
     gap exceeds ``tol``.  The representative frequency is the cluster
     mean, snapped to exactly 0.0 for the cluster containing the
-    diagonal pairs.  Raises AmbiguousClustering when two distinct
-    clusters approach each other within 10*tol.
+    diagonal pairs (whose differences are exactly 0.0).  Raises
+    AmbiguousClustering when two distinct clusters approach each other
+    within 10*tol.
     """
     if tol is None:
         tol = default_cluster_tolerance(spec.energies)
@@ -109,9 +105,7 @@ def bohr_spectrum(spec: SystemSpec, tol: float | None = None) -> BohrSpectrum:
         raise ValueError("tol must be > 0")
     n = spec.dim
     e_vals = spec.energies
-    mm, nn = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     diffs = (e_vals[:, None] - e_vals[None, :]).ravel()
-    pairs = list(zip(mm.ravel().tolist(), nn.ravel().tolist()))
 
     order = np.argsort(diffs, kind="stable")
     sorted_diffs = diffs[order]
@@ -122,21 +116,24 @@ def bohr_spectrum(spec: SystemSpec, tol: float | None = None) -> BohrSpectrum:
 
     # stability guard: neighbouring clusters must be separated by a
     # comfortable multiple of the tolerance
-    for b in boundaries:
-        if sorted_diffs[b + 1] - sorted_diffs[b] < 10.0 * tol:
-            raise AmbiguousClustering(
-                "energy-difference clusters separated by only "
-                f"{sorted_diffs[b + 1] - sorted_diffs[b]:.3e} "
-                f"(tolerance {tol:.3e}); grouping is unstable")
+    close = gaps[boundaries] < 10.0 * tol
+    if close.any():
+        gap = gaps[boundaries[np.argmax(close)]]
+        raise AmbiguousClustering(
+            "energy-difference clusters separated by only "
+            f"{gap:.3e} (tolerance {tol:.3e}); grouping is unstable")
+
+    # flat indices m*n + k sorted within each cluster: lexicographic
+    cluster = np.repeat(np.arange(len(starts)), ends - starts)
+    pairs = np.stack(divmod(order[np.lexsort((order, cluster))], n), axis=1)
+    pairs.flags.writeable = False
+    # the cluster holding the exact 0.0 of every diagonal difference
+    zero = cluster[np.searchsorted(sorted_diffs, 0.0)]
 
     groups: dict = {}
-    for a, b in zip(starts, ends):
-        members = [pairs[i] for i in order[a:b].tolist()]
-        chunk = sorted_diffs[a:b]
-        has_exact_zero = any(p[0] == p[1] for p in members) or \
-            np.any(chunk == 0.0)
-        e_rep = 0.0 if has_exact_zero else float(chunk.mean())
-        groups[e_rep] = sorted(members)
+    for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        e_rep = 0.0 if i == zero else float(sorted_diffs[a:b].mean())
+        groups[e_rep] = pairs[a:b]
     return BohrSpectrum(groups=groups, tolerance=float(tol))
 
 
@@ -151,22 +148,25 @@ def _channel_tables(spec: SystemSpec, mixes) -> list:
     mix.  Each entry is (r, G, K, D) for coupling term r: its matrix G,
     K[m, k] = sum_j G[m, j] G[j, k] W(E_m - E_j), and the density table
     D[a, b] = D(E_b - E_a) on G's support (zero elsewhere), the only
-    entries any group's jump term reads.
+    entries any group's jump term reads.  Gaps are rounded to 1e-12, so
+    gaps equal up to clustering noise share one W and one D value.
     """
     E = spec.energies
     tables = []
     for r, term in enumerate(spec.couplings):
         if term.form_factor.is_zero or all(mix[r] == 0.0 for mix in mixes):
             continue
-        tr = ReservoirTransforms(term.form_factor, spec.beta)
+        ff = term.form_factor
         G = np.asarray(term.matrix, dtype=complex)
         m, j = np.nonzero(np.abs(G) > 0.0)
-        gaps = (E[m] - E[j]).tolist()
-        tr.precompute(gaps)
+        gaps = [round(g, 12) for g in (E[m] - E[j]).tolist()]
+        keys = sorted(set(gaps))
+        w_of = dict(zip(keys, _half_line_transforms(ff, spec.beta, keys)))
+        d_of = {k: thermal_spectral_density(ff, spec.beta, -k) for k in keys}
         W = np.zeros_like(G)
         D = np.zeros(G.shape)
-        W[m, j] = [tr.wplus(g) for g in gaps]
-        D[m, j] = [tr.density(-g) for g in gaps]
+        W[m, j] = [w_of[g] for g in gaps]
+        D[m, j] = [d_of[g] for g in gaps]
         tables.append((r, G, (G * W) @ G, D))
     return tables
 
@@ -219,18 +219,18 @@ def level_shift_operator(spec: SystemSpec, e: float, group,
                          tol: float | None = None) -> np.ndarray:
     """The second-order level-shift matrix on one Bohr group.
 
-    ``group`` is the list of index pairs from ``bohr_spectrum``.
-    Channels are summed with weights (strength_r / lam)^2,
-    lam = max_r |strength_r|.
+    ``group`` is a (d, 2) array of index pairs, such as a group of
+    ``bohr_spectrum``.  Channels are summed with weights
+    (strength_r / lam)^2, lam = max_r |strength_r|.
     """
     if tol is None:
         tol = default_cluster_tolerance(spec.energies)
     strengths = [term.strength for term in spec.couplings]
     tables = _channel_tables(spec, [strengths])
-    pairs = np.array(group, dtype=int).reshape(1, len(group), 2)
+    pairs = np.asarray(group, dtype=int).reshape(1, -1, 2)
+    d = pairs.shape[1]
     parts = _channel_level_shifts(spec.energies, tables, pairs, tol)
-    return _mixed_level_shift(parts, tables, strengths,
-                              (1, len(group), len(group)))[1][0]
+    return _mixed_level_shift(parts, tables, strengths, (1, d, d))[1][0]
 
 
 # =====================================================================
@@ -241,6 +241,7 @@ def level_shift_operator(spec: SystemSpec, e: float, group,
 class ResonanceData:
     """Spectral data of one Bohr group.
 
+    ``pairs`` is the group's read-only (d, 2) array of index pairs;
     epsilons[s] = e + lam^2 * deltas[s]; right_vectors (columns) and
     left_vectors (rows, = inverse of right_vectors) biorthogonally
     diagonalize Lambda; gamma = min Im eps over resonance energies with
@@ -249,7 +250,7 @@ class ResonanceData:
     """
 
     e: float
-    pairs: tuple
+    pairs: np.ndarray
     Lambda: np.ndarray
     deltas: np.ndarray
     epsilons: np.ndarray
@@ -305,7 +306,7 @@ def _diagonalize_groups(es, groups, lam_mats: np.ndarray,
     nonzero = np.abs(epsilons) > ZERO_RESONANCE_TOL
     gammas = np.where(nonzero, epsilons.imag, np.inf).min(axis=1)
     gammas[~nonzero.any(axis=1)] = 0.0
-    return [ResonanceData(e=e, pairs=tuple(groups[i]), Lambda=lam_mats[i],
+    return [ResonanceData(e=e, pairs=groups[i], Lambda=lam_mats[i],
                           deltas=deltas[i], epsilons=epsilons[i],
                           right_vectors=vr[i], left_vectors=vl[i],
                           gamma=float(gammas[i]))
@@ -331,7 +332,7 @@ def _resonance_mixes(spec: SystemSpec, mixes, tol: float | None = None) \
     results = [{} for _ in mixes]
     for es in by_size.values():
         groups = [spectrum.groups[e] for e in es]
-        pairs = np.array(groups, dtype=int)
+        pairs = np.stack(groups)
         parts = _channel_level_shifts(spec.energies, tables, pairs,
                                       spectrum.tolerance)
         shape = (len(es), pairs.shape[1], pairs.shape[1])

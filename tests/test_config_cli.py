@@ -15,6 +15,7 @@ from resodec.config import (
     matrix_to_config,
     register_from_config,
     system_from_config,
+    _integer,
 )
 from resodec.cli import run
 from resodec.errors import BadConfiguration, ValidationError
@@ -28,6 +29,7 @@ QUBIT_CFG = CONFIG_DIR / "single_qubit.json"
 REG4_CFG = CONFIG_DIR / "reg4.json"
 XI_CFG = CONFIG_DIR / "xi_grid.json"
 VERIFY_CFG = CONFIG_DIR / "verify_qubit.json"
+SCALING_CFG = CONFIG_DIR / "scaling.json"
 
 
 def invoke(*args):
@@ -353,6 +355,53 @@ def test_verify_section_validation(tmp_path, capsys):
     assert "dimension 2" in capsys.readouterr().err
 
     assert run(["spectrum", "--config", str(QUBIT_CFG), "--tol", "0"]) == 1
+
+
+def test_integer_values_accept_integral_floats_only():
+    assert _integer(3, "x") == 3 and _integer(20.0, "x") == 20
+    for bad in (1.5, 20.7, "3", True, None):
+        with pytest.raises(BadConfiguration, match="x must be an integer"):
+            _integer(bad, "x")
+    assert form_factor_from_config({"p": 0.5, "m": 2.0}) == \
+        form_factor_from_config({"p": 0.5, "m": 2})
+
+
+def _set(*path):
+    """Mutator that sets cfg[path[0]]...[path[-2]] = path[-1]."""
+    def apply(cfg):
+        *keys, last, value = path
+        for key in keys:
+            cfg = cfg[key]
+        cfg[last] = value
+    return apply
+
+
+@pytest.mark.parametrize("command, config, mutate, context", [
+    ("spectrum", QUBIT_CFG,
+     _set("couplings", 0, "form_factor", "m", 1.5),
+     "couplings[0].form_factor.m"),
+    ("spectrum", QUBIT_CFG, _set("dim", 2.5), "dim"),
+    ("rates", REG4_CFG, _set("register", "n", 4.5), "register.n"),
+    ("scaling", SCALING_CFG, _set("scaling", "n_list", 1, 3.5),
+     "scaling.n_list"),
+    ("xi", XI_CFG, _set("xi_grid", "num", 40.5), "xi_grid.num"),
+    ("evolve", QUBIT_CFG, _set("evolve", "times", "num", 20.5),
+     "evolve.times.num"),
+    ("verify", VERIFY_CFG, _set("verify", "n_modes", 20.7),
+     "verify.n_modes"),
+    ("verify", VERIFY_CFG, _set("verify", "num_times", "161"),
+     "verify.num_times"),
+])
+def test_non_integer_config_values_exit_1(tmp_path, capsys, command,
+                                          config, mutate, context):
+    # no silent truncation: 1.5 is not run as 1
+    cfg = json.loads(config.read_text())
+    mutate(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "ERROR[1]" in err and f"{context} must be an integer" in err
 
 
 def test_verify_section_rejects_unknown_keys(tmp_path, capsys):

@@ -151,6 +151,7 @@ def test_blocks_merge_the_counted_classes():
     assert any(r.nu < len(r.pairs) for r in data)
     for r, block in zip(data, propagator_blocks(data)):
         assert len(block.epsilons) == r.nu
+        assert block.pairs is r.pairs and not block.pairs.flags.writeable
         assert sorted(np.concatenate(r.classes)) == list(range(len(r.pairs)))
         for idx, eps in zip(r.classes, block.epsilons):
             assert np.max(np.abs(r.deltas[idx] - r.deltas[idx[0]])) <= 1e-10

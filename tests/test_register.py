@@ -1,6 +1,8 @@
 """Register specialization: Hamming data, field genericity, rate laws."""
 
 import dataclasses
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -102,6 +104,53 @@ def test_generic_field_check_finds_simplest_witness():
 def test_generic_field_check_passes_generic_draw():
     B = [0.463712, 0.508139, 0.484295, 0.542906]
     assert generic_field_check(B).passed
+
+
+def reference_field_witness(B):
+    """First witness of the scan as the plain loop over product order,
+    or None: the reference for generic_field_check's table search."""
+    B = np.asarray(B, dtype=float)
+    threshold = 1e-12 * float(np.max(np.abs(B)))
+    for vec in product((0, 1, -1, 2, -2), repeat=B.size):
+        if all(v == 0 for v in vec):
+            continue
+        if abs(float(np.dot(B, vec))) <= threshold:
+            return vec
+    return None
+
+
+#: distinct prime denominators, so rational fields hold no relation
+#: but the planted one
+PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091)
+
+
+def test_generic_field_check_matches_loop_on_planted_relations():
+    rng = np.random.default_rng(2718)
+    for n in range(2, 10):
+        # rational fields with one planted relation sum_j c_j B_j = 0,
+        # solved exactly for one entry; for n > 7 the relation reaches
+        # into the positions outside the table of suffix sums
+        B = [Fraction(int(rng.integers(4500, 5500)), p)
+             for p in PRIMES[:n]]
+        support = [int(j) for j in rng.permutation(n)[:3]]
+        if n > 7:
+            support = [n - 8] + [j for j in support if j != n - 8][:2]
+        coeffs = rng.choice([1, -1, 2, -2], size=len(support) - 1)
+        B[support[0]] = -sum(int(c) * B[j] for c, j in
+                             zip(coeffs, support[1:]))
+        B = [float(b) for b in B]
+        report = generic_field_check(B)
+        assert not report.passed
+        assert report.witness == reference_field_witness(B)
+        assert abs(np.dot(B, report.witness)) <= 1e-12 * max(map(abs, B))
+
+
+def test_generic_field_check_matches_loop_on_generic_draws():
+    rng = np.random.default_rng(3141)
+    for n in range(1, 8):
+        B = rng.uniform(0.45, 0.55, n)
+        assert reference_field_witness(B) is None
+        assert generic_field_check(B).passed
 
 
 def test_generic_field_check_size_limit():

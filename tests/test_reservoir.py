@@ -16,7 +16,6 @@ from resodec.errors import (
 )
 from resodec.model import FormFactor
 from resodec.reservoir import (
-    ReservoirTransforms,
     ThermalFormFactor,
     _density_array,
     _pv_transform,
@@ -187,16 +186,6 @@ def test_half_line_transform_identities():
     wm = half_line_transform(ff, beta, -delta)
     assert np.isclose(wp.imag - wm.imag,
                       0.5 * pv_energy_shift(ff, beta, delta), rtol=1e-9)
-
-
-def test_reservoir_transforms_memoize_and_round_keys():
-    tr = ReservoirTransforms(make_ff(0.5, 2), beta=1.5)
-    direct = half_line_transform(tr.base, 1.5, 0.8)
-    assert tr.wplus(0.8) == direct
-    # keys round at 1e-12, so clustering noise reuses the entry
-    assert tr.wplus(0.8 + 1e-13) == tr.wplus(0.8)
-    tr.precompute([0.0, 0.8])
-    assert tr.density(0.8) == thermal_spectral_density(tr.base, 1.5, 0.8)
 
 
 PV_POLES = [0.0, 1e-8, -1e-8, 1e-6, -1e-6, 1e-3, -1e-3, 0.5, 1.0, 2.25,

@@ -13,6 +13,7 @@ from resodec.reservoir import (
     xi,
 )
 from resodec.resonances import (
+    _channel_tables,
     _diagonalize_groups,
     bohr_spectrum,
     check_nonoverlap,
@@ -53,9 +54,9 @@ def test_bohr_spectrum_qubit_groups():
     spec = single_qubit_spec(**QUBIT)
     bs = bohr_spectrum(spec)
     assert np.allclose(bs.frequencies, [-1.1, 0.0, 1.1])
-    assert bs.groups[0.0] == [(0, 0), (1, 1)]
-    assert bs.groups[-1.1] == [(0, 1)]
-    assert bs.group_of_pair(1, 0) == 1.1
+    assert bs.groups[0.0].tolist() == [[0, 0], [1, 1]]
+    assert bs.groups[-1.1].tolist() == [[0, 1]]
+    assert bs.groups[1.1].tolist() == [[1, 0]]
 
 
 def test_bohr_spectrum_merges_degenerate_levels():
@@ -65,8 +66,34 @@ def test_bohr_spectrum_merges_degenerate_levels():
     bs = bohr_spectrum(spec)
     # degenerate levels put the (0,1)/(1,0) coherences into the e = 0
     # group alongside the diagonals
-    assert set(bs.groups[0.0]) == {(0, 0), (0, 1), (1, 0), (1, 1),
-                                   (2, 2)}
+    assert bs.groups[0.0].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1],
+                                       [2, 2]]
+
+
+def test_bohr_spectrum_partitions_pairs_lexicographically():
+    rng = np.random.default_rng(41)
+    ff = QUBIT["g"]
+    for trial in range(12):
+        n = int(rng.integers(2, 8))
+        if trial % 2:
+            # exact degeneracies: levels drawn from a few values
+            energies = rng.choice([0.0, 0.3, 0.7, 1.3], n)
+        else:
+            energies = rng.uniform(0.0, 2.0, n)
+        spec = build_system(energies, [(0.01, np.eye(n, dtype=complex),
+                                        ff)], beta=1.0)
+        bs = bohr_spectrum(spec)
+        every = np.concatenate(list(bs.groups.values()))
+        assert sorted(map(tuple, every.tolist())) == \
+            [(m, k) for m in range(n) for k in range(n)]
+        for e, pairs in bs.groups.items():
+            assert pairs.shape[1:] == (2,)
+            assert not pairs.flags.writeable
+            assert pairs.tolist() == sorted(pairs.tolist())
+            diffs = energies[pairs[:, 0]] - energies[pairs[:, 1]]
+            assert np.all(np.abs(diffs - e) <= bs.tolerance)
+        diagonal = [[m, m] for m in range(n)]
+        assert all(p in bs.groups[0.0].tolist() for p in diagonal)
 
 
 def test_default_cluster_tolerance_scales_with_spread():
@@ -80,6 +107,24 @@ def test_ambiguous_clustering_raises():
                         [(0.01, np.eye(3, dtype=complex), ff)], beta=1.0)
     with pytest.raises(AmbiguousClustering):
         bohr_spectrum(spec, tol=1e-3)
+
+
+def test_channel_tables_share_entries_of_rounded_gaps():
+    # gaps 0.8 and 0.8 + 1e-13 round to one key at 1e-12, so they get
+    # the same W and D, those of the rounded gap
+    ff = FormFactor(radial_exponent=0.5, decay_exponent=2)
+    beta = 1.5
+    G = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=complex)
+    spec = build_system([0.0, 0.8, 0.8 + 1e-13], [(0.01, G, ff)], beta)
+    [(_, _, K, D)] = _channel_tables(spec, [[0.01]])
+    w_down = half_line_transform(ff, beta, -0.8)
+    w_up = half_line_transform(ff, beta, 0.8)
+    W = np.array([[0, w_down, w_down], [w_up, 0, 0], [w_up, 0, 0]])
+    assert np.array_equal(K, (G * W) @ G)
+    assert K[1, 1] == K[2, 2] == K[1, 2] == K[2, 1] == w_up
+    assert D[0, 1] == D[0, 2] == thermal_spectral_density(ff, beta, 0.8)
+    assert D[1, 0] == D[2, 0] == thermal_spectral_density(ff, beta, -0.8)
+    assert D[1, 2] == D[2, 1] == 0.0
 
 
 # =====================================================================
@@ -182,8 +227,9 @@ def test_conjugate_pairing_of_blocks_and_energies():
             want = want[np.lexsort((want.real, want.imag))]
             assert np.allclose(got, want, atol=1e-10)
             # and so do the matrices, under pair transposition
-            idx = {p: i for i, p in enumerate(partner.pairs)}
-            perm = [idx[(n, m)] for (m, n) in r.pairs]
+            idx = {p: i for i, p in
+                   enumerate(map(tuple, partner.pairs.tolist()))}
+            perm = [idx[(n, m)] for m, n in r.pairs.tolist()]
             block = partner.Lambda[np.ix_(perm, perm)]
             assert np.allclose(block, -np.conj(r.Lambda), atol=1e-12)
 
@@ -209,7 +255,8 @@ def test_parallel_resonances_are_deterministic():
 def test_defective_level_shift_raises():
     nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(DefectiveLevelShift):
-        _diagonalize_groups([0.0], [[(0, 0), (1, 1)]], nilpotent[None], 0.1)
+        _diagonalize_groups([0.0], [np.array([[0, 0], [1, 1]])],
+                            nilpotent[None], 0.1)
 
 
 def test_defective_matrix_in_batched_stack_is_named():
@@ -219,7 +266,8 @@ def test_defective_matrix_in_batched_stack_is_named():
                       [[0.0, 1.0], [0.0, 0.0]],
                       [[1.0, 0.5], [0.0, 3.0]]], dtype=complex)
     es = [-0.75, 0.375, 1.25]
-    groups = [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(2, 0), (3, 1)]]
+    groups = list(np.array([[[0, 1], [2, 3]], [[0, 2], [1, 3]],
+                            [[2, 0], [3, 1]]]))
     with pytest.raises(DefectiveLevelShift, match=r"e = 0\.375 "):
         _diagonalize_groups(es, groups, stack, 0.1)
     good = _diagonalize_groups([es[0], es[2]], [groups[0], groups[2]],
@@ -237,7 +285,8 @@ def test_level_shift_operator_is_the_pipeline_matrix():
         assert any(len(r.pairs) > 1 for r in data)
         for r in data:
             assert np.array_equal(
-                level_shift_operator(spec, r.e, list(r.pairs)), r.Lambda)
+                level_shift_operator(spec, r.e, r.pairs), r.Lambda)
+            assert not r.pairs.flags.writeable
 
 
 # =====================================================================
