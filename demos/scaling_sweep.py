@@ -40,7 +40,7 @@ def main() -> None:
     # =================================================================
     # One rate table per register size, same seed throughout
     # =================================================================
-    table = scaling_study(template, n_list, seed=53710, parallel=4)
+    table = scaling_study(template, n_list, seed=53710)
     print("\n   N   max conserving   max exchange     gamma0 "
           "(diagonal group)")
     for row in table.rows:

@@ -47,7 +47,6 @@ from .errors import (
 )
 from .model import DensityMatrix
 from .dynamics import resonance_evolution
-from .oracle import VerifyConfig, verify
 from .register import RegisterTemplate, decoherence_rates, scaling_study
 from .reservoir import xi, xi_lorentzian_check
 from .resonances import check_nonoverlap, resonance_energies
@@ -347,6 +346,9 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the oracle loads scipy; only this command pays for it.  Imported
+    # outside _parsing() so that an import failure is not exit 1.
+    from .oracle import VerifyConfig, verify
     with _parsing():
         cfg = load_config(args.config)
         system = system_from_config(cfg)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _integer
 from .errors import BadConfiguration, RegisterTooLarge, \
     TooLargeForExhaustiveCheck
 from .model import (
@@ -318,11 +319,12 @@ def scaling_study(template: RegisterTemplate, n_list,
     one resonance-pipeline pass yields both single-channel spectra: the
     conserving-only one gives max_e gamma_e, the exchange-only one gives
     max_e gamma_e and the e = 0 thermalization rate gamma0.  Exponents
-    are log-log least-squares fits across the sizes.  An ``n_list``
-    above MAX_QUBITS raises RegisterTooLarge before any size is
-    computed.  ``parallel`` is accepted for compatibility and ignored.
+    are log-log least-squares fits across the sizes.  A size that is
+    not an integer or integral float raises BadConfiguration, and an
+    ``n_list`` above MAX_QUBITS raises RegisterTooLarge, before any size
+    is computed.  ``parallel`` is accepted for compatibility and ignored.
     """
-    n_list = sorted(int(n) for n in n_list)
+    n_list = sorted(_integer(n, "n_list") for n in n_list)
     if not n_list:
         raise ValueError("n_list must be nonempty")
     if n_list[-1] > MAX_QUBITS:

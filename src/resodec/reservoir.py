@@ -22,7 +22,10 @@ For a form factor ``g`` (see model.FormFactor) at inverse temperature
   negative-frequency gluing of the form factor at temperature beta and
   a numeric smoothness diagnostic at frequency zero.
 
-Everything is a pure function of immutable inputs.
+Everything is a pure function of immutable inputs.  scipy is loaded
+only by the three diagnostics that use it (``xi_lorentzian_check``,
+``mean_inverse_frequency``, ``check_condition_A``), when first called,
+so importing this module costs numpy alone.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import (
     InfraredDivergent,
@@ -191,6 +193,7 @@ def xi_lorentzian_check(base: FormFactor, beta: float, eta: float,
         raise ValidationError(f"epsilon must be > 0, got {epsilon!r}")
     if base.is_zero:
         return 0.0
+    from scipy import integrate  # only the diagnostics load scipy
 
     def f(r):
         return (xi(base, beta, r) * epsilon
@@ -233,6 +236,7 @@ def mean_inverse_frequency(base: FormFactor) -> float:
         raise InfraredDivergent(
             "inverse-frequency moment diverges for radial exponent "
             f"p = {base.radial_exponent} <= -1")
+    from scipy import integrate  # only the diagnostics load scipy
     val, err = integrate.quad(lambda r: r * angular_square(base, r),
                               0.0, np.inf, **_QUAD_KW)
     if err > max(_PV_TOL, _PV_TOL * abs(val)):
@@ -509,6 +513,7 @@ def check_condition_A(tf: ThermalFormFactor,
     hi = grid[(i0 + 1) % len(grid)]
     if hi < lo:
         hi += 2.0 * np.pi
+    from scipy import optimize  # only the diagnostics load scipy
     res = optimize.minimize_scalar(mismatch, bounds=(lo, hi),
                                    method="bounded",
                                    options={"xatol": 1e-12})

@@ -255,6 +255,43 @@ def test_package_provides_only_the_version(tmp_path):
     comments, _, _, _ = read_csv(out)
     assert f"# version: {version}" in comments
 
+
+def test_scipy_free_commands_load_no_scipy(tmp_path):
+    # only xi, verify and three reservoir diagnostics need scipy: one
+    # interpreter runs the other commands on their demo configurations
+    # without loading any of it
+    commands = [
+        ["spectrum", "--config", str(QUBIT_CFG)],
+        ["spectrum", "--config", str(CONFIG_DIR / "three_level.json"),
+         "--check-nonoverlap"],
+        ["rates", "--config", str(REG4_CFG)],
+        ["evolve", "--config", str(CONFIG_DIR / "three_level.json")],
+        ["scaling", "--config", str(SCALING_CFG)],
+    ]
+    commands = [argv + ["-o", str(tmp_path / f"{i}.csv")]
+                for i, argv in enumerate(commands)]
+    probe = ("import json, sys, resodec.cli; "
+             "print([resodec.cli.run(argv) "
+             "for argv in json.loads(sys.argv[1])]); "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe,
+                           json.dumps(commands)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = proc.stdout.splitlines()
+    assert codes == "[0, 0, 0, 0, 0]"
+    assert scipy_modules == "[]"
+
+
+def test_verify_import_failure_is_not_exit_1(monkeypatch):
+    # verify imports the oracle when it runs, outside the configuration
+    # parsing whose errors are exit 1: a failed import stays an error
+    monkeypatch.setitem(sys.modules, "resodec.oracle", None)
+    with pytest.raises(ImportError):
+        run(["verify", "--config", str(VERIFY_CFG)])
+
+
 def test_verify_failure_exit_code(tmp_path):
     cfg = json.loads(VERIFY_CFG.read_text())
     cfg["verify"]["n_modes"] = 5

@@ -283,6 +283,25 @@ def test_scaling_study_small_sizes():
         scaling_study(template, [])
 
 
+def test_scaling_study_takes_integral_sizes_only(monkeypatch):
+    # integral floats are sizes; anything else is refused, not truncated
+    template = RegisterTemplate(lambda1=0.01, lambda2=0.01, g1=G1, g2=G2,
+                                beta=0.5)
+    assert scaling_study(template, [3.0, 2.0], seed=7) \
+        == scaling_study(template, [3, 2], seed=7)
+
+    import resodec.register as register
+
+    def no_pass(*args, **kwargs):
+        pytest.fail("a size was computed before the size check")
+
+    monkeypatch.setattr(register, "_resonance_mixes", no_pass)
+    for n_list in ([2.7, 3.2], [2, 3.5], ["3"], [True, 2]):
+        with pytest.raises(BadConfiguration, match="n_list must be an "
+                                                   "integer"):
+            scaling_study(template, n_list)
+
+
 def test_scaling_study_rejects_oversized_list_before_any_size(monkeypatch):
     import resodec.register as register
 
