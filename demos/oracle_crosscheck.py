@@ -12,6 +12,7 @@ into single-mode envelopes) and confirms the two exact routes agree to
 machine precision.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,8 @@ from resodec.resonances import resonance_energies
 CONFIG = Path(__file__).parent / "configs" / "verify_qubit.json"
 
 
-def main() -> None:
+def main() -> int:
+    """Print the scorecard; return the exit status, 1 on a FAIL."""
     cfg = load_config(CONFIG)
     spec = system_from_config(cfg)
     section = cfg["verify"]
@@ -93,7 +95,8 @@ def main() -> None:
 
     verdict = "PASS" if report.passed and dev_coh < 1e-10 else "FAIL"
     print(f"\ncombined verdict: {verdict}")
+    return 0 if verdict == "PASS" else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -21,15 +21,18 @@ Two evolution engines:
     model, feasible for a handful of modes;
   * sector -- for many modes at low temperature: the bath starts in
     its vacuum and the state space is cut at a total excitation number
-    K.  H is applied matrix-free (per channel a real sparse ladder
-    operator on the bath index, then the small coupling matrix on the
-    system index), propagated by Chebyshev expansion inside Gershgorin
-    spectral bounds, and each grid state is traced down to the system
-    as soon as it is reached.  Validity requires the coupling-weighted
-    thermal occupancy of the modes to be negligible; this is checked
-    and refused otherwise.  K is the Fock cutoff unless the sector
-    would exceed STATE_SPACE_LIMIT; a lower K is used then and reported
-    with a TruncationWarning.
+    K.  H is applied matrix-free.  Per channel, the real sparse creation
+    half of the ladder operator, which raises the states below the top
+    excitation level by one quantum, and its transpose act on the bath
+    index; the small coupling matrix acts on the system index of the
+    sub-top rows only, never on the top level that holds most of the
+    sector.  The state is propagated by Chebyshev expansion inside
+    Gershgorin spectral bounds, and each grid state is traced down to
+    the system as soon as it is reached.  Validity requires the
+    coupling-weighted thermal occupancy of the modes to be negligible;
+    this is checked and refused otherwise.  K is the Fock cutoff unless
+    the sector would exceed STATE_SPACE_LIMIT; a lower K is used then
+    and reported with a TruncationWarning.
 
 Only the dense engine starts from the truncated thermal bath state, so
 only it warns about the thermal weight beyond the Fock cutoff.
@@ -86,7 +89,7 @@ CHEBYSHEV_TOL = 1e-13
 CHEBYSHEV_OUTPUTS = 4
 #: recurrence vectors summed into the outputs at once
 CHEBYSHEV_BATCH = 8
-#: sector rows processed together in one recurrence step
+#: sector rows summed into the outputs together
 SECTOR_ROW_BLOCK = 8192
 #: largest RMS log-residual of an accepted decay fit
 FIT_RESIDUAL_LIMIT = 0.2
@@ -346,76 +349,96 @@ def _sector_evolve(spec: SystemSpec, active, rho0, times) -> np.ndarray:
             f"(sector dimension {_sector_dimension(n_sys, freqs.size, cap)}"
             f" for {freqs.size} modes)", TruncationWarning, stacklevel=3)
 
-    # H = diag(E_i + bath energy) + sum_r G_r (x) A_r, with A_r the real
-    # symmetric ladder operator sum_k amp_k (a_k + a_k^dag) of channel r
-    # on the sector
+    # H = diag(E_i + bath energy) + sum_r G_r (x) (U_r + U_r^T), with U_r
+    # = sum_k amp_k a_k^dag the real creation half of channel r's ladder.
+    # U_r only creates, so its columns are the n_low states below the
+    # top level, and U_r^T only lands on them
     energy, target, source, mode, factor = _sector_ladder(freqs, cap)
     n_bath = energy.size
+    n_low = _sector_dimension(1, freqs.size, cap - 1)
     diag = energy[:, None] + spec.energies[None, :]
     terms, radius, coupling_norm, start = [], np.zeros_like(diag), 0.0, 0
     for term, bath in active:
         amps = term.strength * bath.mode_couplings / math.sqrt(2.0)
         own = (mode >= start) & (mode < start + bath.n_modes)
-        up = scipy.sparse.csr_matrix(
+        # U_r^T, stored as CSR (n_low x n_bath); its transpose is U_r
+        up_t = scipy.sparse.csr_matrix(
             (amps[mode[own] - start] * factor[own],
-             (target[own], source[own])), shape=(n_bath, n_bath))
+             (source[own], target[own])), shape=(n_low, n_bath))
         start += bath.n_modes
-        ladder = (up + up.T).tocsr()
-        terms.append((ladder, term.matrix))
-        radius += np.outer(abs(ladder).sum(axis=1),
-                           np.abs(term.matrix).sum(axis=1))
-        # the creation part of A_r takes j quanta to j + 1 with norm at
-        # most |amp| sqrt(j + 1), so |A_r| <= 2 sqrt(cap) |amp|
+        terms.append((up_t, term.matrix))
+        # U_r and U_r^T share no entry, so the row sums of |U_r + U_r^T|
+        # are the column sums of |U_r^T| plus its row sums on the low rows
+        magnitude = abs(up_t)
+        row_sums = np.asarray(magnitude.sum(axis=0)).ravel()
+        row_sums[:n_low] += np.asarray(magnitude.sum(axis=1)).ravel()
+        radius += np.outer(row_sums, np.abs(term.matrix).sum(axis=1))
+        # U_r takes j quanta to j + 1 with norm at most |amp| sqrt(j + 1),
+        # so |U_r + U_r^T| <= 2 sqrt(cap) |amp|
         coupling_norm += (2.0 * math.sqrt(cap) * np.linalg.norm(amps)
                           * np.linalg.norm(term.matrix, 2))
+    del energy, target, source, mode, factor, own, magnitude
     # Gershgorin discs, intersected with |H - diag| <= coupling_norm
     lo = max(float(np.min(diag - radius)), diag.min() - coupling_norm)
     hi = min(float(np.max(diag + radius)), diag.max() + coupling_norm)
     return _chebyshev_states(diag, terms, lo, hi, rho0, times)
 
 
+def _real_product(sparse, dense):
+    """Real sparse matrix times a complex array, as one real product on
+    the interleaved real and imaginary parts."""
+    return (sparse @ dense.view(np.float64)).view(np.complex128)
+
+
 def _chebyshev_states(diag, terms, lo, hi, rho0, times) -> np.ndarray:
     """Reduced states e^{itH} rho0 e^{-itH} on the time grid for
-    H Z = diag * Z + sum_r A_r Z G_r^T on (n_bath, n_sys) arrays Z with
-    spectrum in [lo, hi]; rho0 sits on the bath vacuum, row 0.
+    H Z = diag * Z + sum_r (U_r + U_r^T) Z G_r^T on (n_bath, n_sys)
+    arrays Z with spectrum in [lo, hi]; rho0 sits on the bath vacuum,
+    row 0.
+
+    ``terms`` holds per channel G_r and the transpose U_r^T (CSR,
+    n_low x n_bath) of the real creation half U_r of the bath ladder;
+    the n_low columns of U_r are the states below the top excitation
+    level, stacked first.  H Z is applied as
+    diag * Z + sum_r [U_r (Z[:n_low] G_r^T), plus (U_r^T Z) G_r^T on
+    rows :n_low], so the dense system-side products run on the n_low
+    sub-top rows only, never on the top level that holds most of the
+    sector.
 
     Chebyshev expansion (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967
     (1984)): exp(i dt H) = e^{i c dt} sum_k (2 - delta_k0) i^k J_k(h dt)
     T_k((H - c) / h), c and h the center and half-width of [lo, hi],
     cut where the tail falls below CHEBYSHEV_TOL.  CHEBYSHEV_OUTPUTS
     grid times share one recurrence, so the Bessel tail beyond h dt is
-    paid once per group; the recurrence runs in row blocks, which stay
-    in cache and keep the small coupling products single-threaded (a
-    threaded BLAS costs more to wake than these products take), and its
-    vectors are summed into the outputs CHEBYSHEV_BATCH at a time.
+    paid once per group; the recurrence vectors are summed into the
+    outputs CHEBYSHEV_BATCH at a time, each output taking only the
+    terms it needs, in row blocks of SECTOR_ROW_BLOCK so that no
+    output-sized temporary is formed.
     """
     from scipy.special import jv
 
     n_bath, n_sys = diag.shape
+    n_low = terms[0][0].shape[0]
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     diag2 = (2.0 / half) * (diag - center)
-    g2t = [(2.0 / half) * gmat.T for _, gmat in terms]
+    ops = [(up_t.T, up_t, (2.0 / half) * gmat.T) for up_t, gmat in terms]
     row_blocks = [slice(a, a + SECTOR_ROW_BLOCK)
                   for a in range(0, n_bath, SECTOR_ROW_BLOCK)]
-    ladder_rows = [[ladder[rows] for rows in row_blocks]
-                   for ladder, _ in terms]
     # ring[2:] holds a batch of recurrence vectors, ring[:2] the two before
     ring = np.empty((CHEBYSHEV_BATCH + 2, n_bath, n_sys), dtype=complex)
     outs = np.empty((CHEBYSHEV_OUTPUTS, n_bath, n_sys), dtype=complex)
 
     def step(prev, cur, out):
         # out = 2 T cur - prev for T = (H - center) / half, or T cur
-        for b, rows in enumerate(row_blocks):
-            block = out[rows]
-            np.multiply(diag2[rows], cur[rows], out=block)
-            for ladders, g in zip(ladder_rows, g2t):
-                # real sparse product on the interleaved re/im parts
-                block += (ladders[b] @ cur.view(np.float64)) \
-                    .view(np.complex128) @ g
-            if prev is None:
-                block *= 0.5
-            else:
-                block -= prev[rows]
+        np.multiply(diag2, cur, out=out)
+        low = out[:n_low]
+        for up, up_t, g in ops:
+            out += _real_product(up, cur[:n_low] @ g)
+            low += _real_product(up_t, cur) @ g
+        if prev is None:
+            out *= 0.5
+        else:
+            out -= prev
 
     def propagate(vec, steps):
         """outs[j] = exp(i steps[j] H) vec from one recurrence."""
@@ -426,7 +449,8 @@ def _chebyshev_states(diag, terms, lo, hi, rho0, times) -> np.ndarray:
             * np.exp(1j * center * steps)[:, None]
         tail = np.cumsum(np.abs(table[:, ::-1]), axis=1)[:, ::-1]
         table[tail < CHEBYSHEV_TOL] = 0.0
-        n_terms = np.count_nonzero(tail >= CHEBYSHEV_TOL, axis=1).max()
+        needed = np.count_nonzero(tail >= CHEBYSHEV_TOL, axis=1)
+        n_terms = needed.max()
         ring[2] = vec              # before outs, which may hold vec
         outs[:steps.size] = 0.0
         for k0 in range(0, n_terms, CHEBYSHEV_BATCH):
@@ -434,11 +458,13 @@ def _chebyshev_states(diag, terms, lo, hi, rho0, times) -> np.ndarray:
             for slot in range(2 + (k0 == 0), 2 + count):
                 step(ring[slot - 2] if k0 + slot > 3 else None,
                      ring[slot - 1], ring[slot])
-            coef = table[:, k0:k0 + count]
+            # outputs from the first that still takes terms at k0 on
+            live = slice(np.argmax(needed > k0), steps.size)
+            coef = table[live, k0:k0 + count]
             for rows in row_blocks:
-                outs[:steps.size, rows] += (coef @ ring[2:2 + count, rows]
-                                            .reshape(count, -1)) \
-                    .reshape(steps.size, -1, n_sys)
+                outs[live, rows] += (coef @ ring[2:2 + count, rows]
+                                     .reshape(count, -1)) \
+                    .reshape(coef.shape[0], -1, n_sys)
             ring[:2] = ring[count:count + 2]
 
     states = np.zeros((len(times), n_sys, n_sys), dtype=complex)
@@ -643,17 +669,26 @@ class VerifyConfig:
     method: str = "auto"
 
     def __post_init__(self):
-        if self.n_modes < 1 or not (self.omega_max > 0.0):
-            raise ValueError("n_modes >= 1 and omega_max > 0 required")
+        if self.n_modes < 1:
+            raise ValueError("n_modes must be >= 1")
         if self.fock_cutoff < 1:
             raise ValueError("fock_cutoff must be >= 1")
         if self.num_times < 20:
             raise ValueError("num_times must be >= 20")
+        for name in ("omega_max", "rate_tolerance", "horizon_factor"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value!r}")
         if self.method not in ("auto", "dense", "sector"):
             raise ValueError(f"method must be 'auto', 'dense' or 'sector', "
                              f"got {self.method!r}")
-        object.__setattr__(self, "lambdas",
-                           tuple(float(v) for v in self.lambdas))
+        lambdas = tuple(float(v) for v in self.lambdas)
+        if not lambdas:
+            raise ValueError("lambdas must hold at least one coupling")
+        if not all(map(math.isfinite, lambdas)):
+            raise ValueError(f"lambdas must be finite, got {lambdas!r}")
+        object.__setattr__(self, "lambdas", lambdas)
 
 
 @dataclass(frozen=True)

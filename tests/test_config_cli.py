@@ -394,6 +394,23 @@ def test_verify_section_validation(tmp_path, capsys):
     assert run(["spectrum", "--config", str(QUBIT_CFG), "--tol", "0"]) == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lambdas", []), ("horizon_factor", -5.0), ("horizon_factor", 0.0),
+    ("rate_tolerance", -0.2),
+])
+def test_verify_section_rejects_empty_or_nonpositive_values(
+        tmp_path, capsys, key, value):
+    # these ran before and reported a vacuous PASS (no lambda, a zero
+    # horizon) or a spurious verification failure (exit 3)
+    cfg = json.loads(VERIFY_CFG.read_text())
+    cfg["verify"][key] = value
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["verify", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "ERROR[1]" in err and key in err
+
+
 def test_integer_values_accept_integral_floats_only():
     assert _integer(3, "x") == 3 and _integer(20.0, "x") == 20
     for bad in (1.5, 20.7, "3", True, None):

@@ -1,5 +1,6 @@
 """Truncated-bath oracle: discretization, engines, fits, verification."""
 
+import importlib.util
 import math
 import warnings
 
@@ -19,6 +20,8 @@ from resodec.dynamics import Trajectory, free_evolution, single_qubit_spec
 from resodec.reservoir import thermal_spectral_density, xi
 from resodec.oracle import (
     TruncatedBath,
+    VerificationCheck,
+    VerificationReport,
     VerifyConfig,
     dephasing_envelope,
     discretize_bath,
@@ -26,6 +29,8 @@ from resodec.oracle import (
     fit_decay,
     verify,
 )
+
+from conftest import REPO_ROOT
 
 FF = FormFactor(radial_exponent=0.5, decay_exponent=2)
 
@@ -125,12 +130,15 @@ def test_sector_engine_nonuniform_grid():
     assert np.max(np.abs(dense.states - sector.states)) <= 1e-10
 
 
-@pytest.mark.parametrize("cap", [1, 2])
+@pytest.mark.parametrize("cap", [1, 2, 3])
 def test_sector_engine_matches_explicit_sector_expm(cap):
     # two channels (two modes and one mode), complex Hermitian couplings,
-    # a mixed initial state and a non-uniform grid starting after t = 0;
-    # a cap of two quanta holds the two-quantum states k != q and k = q,
-    # a cap of one only the vacuum and the one-quantum states.  The
+    # a mixed initial state and a non-uniform grid starting after t = 0
+    # that spans two Chebyshev recurrences, the last one partial; a cap
+    # of two quanta holds the two-quantum states k != q and k = q, a cap
+    # of one only the vacuum and the one-quantum states, and a cap of
+    # three puts a whole two-quantum level of both channels below the
+    # top level, where the coupling matrices act on both sides.  The
     # reference is scipy's expm of the sector Hamiltonian written out
     # here on the product of the mode Fock spaces, in this package's
     # convention rho_t = e^{itH} rho e^{-itH}
@@ -395,3 +403,37 @@ def test_verify_config_validation():
         VerifyConfig(n_modes=0)
     with pytest.raises(ValueError):
         VerifyConfig(num_times=10)
+    # a zero lambda checks free evolution, a negative one flips the sign
+    assert VerifyConfig(lambdas=[0.0, -0.01]).lambdas == (0.0, -0.01)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambdas", ()), ("lambdas", (0.01, math.nan)), ("lambdas", (math.inf,)),
+    ("horizon_factor", -5.0), ("horizon_factor", 0.0),
+    ("horizon_factor", math.inf), ("horizon_factor", math.nan),
+    ("rate_tolerance", -0.2), ("rate_tolerance", 0.0),
+    ("rate_tolerance", math.inf), ("rate_tolerance", math.nan),
+    ("omega_max", math.inf), ("omega_max", math.nan),
+])
+def test_verify_config_rejects_vacuous_values(field, value):
+    # no lambda gives a report with no check, which passes; a negative
+    # horizon evolves backwards, a zero one gives an all-zero grid that
+    # passes the trajectory check; a negative tolerance fails every
+    # rate check
+    with pytest.raises(ValueError, match=field):
+        VerifyConfig(**{field: value})
+
+
+def test_crosscheck_demo_exits_1_on_fail(monkeypatch, capsys):
+    # the demo script is the CI's oracle smoke run: a FAIL verdict must
+    # reach its exit status, not only its output
+    path = REPO_ROOT / "demos" / "oracle_crosscheck.py"
+    spec = importlib.util.spec_from_file_location("oracle_crosscheck", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    failed = VerificationReport(checks=(VerificationCheck(
+        name="lambda=0.01:trajectory", deviation=1.0, tolerance=0.1,
+        passed=False),))
+    monkeypatch.setattr(demo, "verify", lambda system, config: failed)
+    assert demo.main() == 1
+    assert "combined verdict: FAIL" in capsys.readouterr().out
