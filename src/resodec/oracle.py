@@ -377,6 +377,7 @@ def _sector_evolve(spec: SystemSpec, active, rho0, times) -> np.ndarray:
         # so |U_r + U_r^T| <= 2 sqrt(cap) |amp|
         coupling_norm += (2.0 * math.sqrt(cap) * np.linalg.norm(amps)
                           * np.linalg.norm(term.matrix, 2))
+    # the ladder's index arrays would otherwise live through the recurrence
     del energy, target, source, mode, factor, own, magnitude
     # Gershgorin discs, intersected with |H - diag| <= coupling_norm
     lo = max(float(np.min(diag - radius)), diag.min() - coupling_norm)

@@ -400,8 +400,8 @@ def test_verify_section_validation(tmp_path, capsys):
 ])
 def test_verify_section_rejects_empty_or_nonpositive_values(
         tmp_path, capsys, key, value):
-    # these ran before and reported a vacuous PASS (no lambda, a zero
-    # horizon) or a spurious verification failure (exit 3)
+    # run, these would report a vacuous PASS (no lambda, a zero horizon)
+    # or a spurious verification failure (exit 3)
     cfg = json.loads(VERIFY_CFG.read_text())
     cfg["verify"][key] = value
     path = tmp_path / "verify.json"
