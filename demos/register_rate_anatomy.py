@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from resodec.config import load_config, register_from_config
+from resodec.model import spin_configuration
 from resodec.register import decoherence_rates
 from resodec.reservoir import thermal_spectral_density, xi
 
@@ -69,9 +70,8 @@ def main() -> None:
     # lam2^2 (pi/2) xi2(2 B_j); positions that agree contribute nothing.
     print("\nexchange channel: sum of per-position flip rates")
     for rep in reports[:4]:
-        pair = rep.group_pairs[0]
-        flipped = [j for j in range(reg.n_qubits)
-                   if pair.sigma[j] != pair.tau[j]]
+        sigma, tau = spin_configuration(rep.pairs[0], reg.n_qubits)
+        flipped = [j for j in range(reg.n_qubits) if sigma[j] != tau[j]]
         total = sum(reg.lambda2 ** 2 * (np.pi / 2)
                     * xi(reg.g2, reg.beta, 2.0 * reg.B[j])
                     for j in flipped)

@@ -234,7 +234,7 @@ def _cmd_rates(args) -> int:
         reg = register_from_config(cfg)
     reports = decoherence_rates(reg, tol=args.tol)
     rows = [(r.e, r.gamma, r.gamma_conserving, r.gamma_exchange,
-             r.gamma_cross, r.e0, r.hamming, len(r.group_pairs))
+             r.gamma_cross, r.e0, r.hamming, len(r.pairs))
             for r in reports]
     with _open_output(args.output) as out:
         _write_csv(out, cfg, args.seed,
@@ -355,8 +355,8 @@ def _cmd_verify(args) -> int:
         section = cfg.get("verify", {})
         if not isinstance(section, dict):
             raise BadConfiguration("'verify' section must be an object")
-        # each field is coerced to the type of its default (int, float,
-        # str; VerifyConfig turns the lambdas into floats itself)
+        # each field is coerced to the type of its default (int, float;
+        # VerifyConfig turns the lambdas into floats itself)
         kwargs = {f.name: _integer(section[f.name], f"verify.{f.name}")
                   if type(f.default) is int
                   else type(f.default)(section[f.name])

@@ -667,7 +667,6 @@ class VerifyConfig:
     rate_tolerance: float = 0.2
     num_times: int = 161
     horizon_factor: float = 5.0
-    method: str = "auto"
 
     def __post_init__(self):
         if self.n_modes < 1:
@@ -681,9 +680,6 @@ class VerifyConfig:
             if not (0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value!r}")
-        if self.method not in ("auto", "dense", "sector"):
-            raise ValueError(f"method must be 'auto', 'dense' or 'sector', "
-                             f"got {self.method!r}")
         lambdas = tuple(float(v) for v in self.lambdas)
         if not lambdas:
             raise ValueError("lambdas must hold at least one coupling")
@@ -777,8 +773,7 @@ def verify(system, config: VerifyConfig = VerifyConfig(),
         horizon = min(horizon, 0.7 * t_rec)
         times = np.linspace(0.0, horizon, config.num_times)
 
-        oracle_traj = exact_evolve(spec, baths, rho0, times,
-                                   method=config.method)
+        oracle_traj = exact_evolve(spec, baths, rho0, times)
         recon = resonance_evolution(spec, rho0, times,
                                     resonances=resonances)
 

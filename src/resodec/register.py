@@ -38,7 +38,6 @@ from .model import (
 from .resonances import _resonance_mixes
 
 __all__ = [
-    "PairLabel",
     "RateReport",
     "GenericFieldReport",
     "RegisterTemplate",
@@ -55,18 +54,6 @@ __all__ = [
 # =====================================================================
 # Configuration pairs
 # =====================================================================
-
-@dataclass(frozen=True)
-class PairLabel:
-    """A pair of spin configurations labelling one matrix element."""
-
-    sigma: tuple
-    tau: tuple
-
-    def __post_init__(self):
-        if len(self.sigma) != len(self.tau):
-            raise BadConfiguration("configurations must have equal length")
-
 
 def register_bohr(reg: RegisterSpec, sigma, tau) -> float:
     """Bohr frequency e(sigma, tau) = E(sigma) - E(tau) of a register
@@ -163,7 +150,9 @@ class RateReport:
     off, and ``gamma_cross`` is the remainder.  ``e0`` and ``hamming``
     are those of the group's first configuration pair; ``merged`` is
     True when the group's pairs do not all share them (a degenerate
-    field merges groups).
+    field merges groups).  ``pairs`` holds the group's (sigma, tau)
+    basis indices as a read-only (d, 2) array; ``spin_configuration``
+    turns a row into the two configurations.
     """
 
     e: float
@@ -173,7 +162,7 @@ class RateReport:
     gamma_cross: float
     e0: int
     hamming: int
-    group_pairs: tuple
+    pairs: np.ndarray
     merged: bool
 
 
@@ -205,14 +194,11 @@ def decoherence_rates(reg: RegisterSpec, tol: float | None = None,
                      and not np.any(reg.J - np.diag(np.diag(reg.J))))
 
     spins = spin_configuration(np.arange(spec.dim), reg.n_qubits)
-    rows = [tuple(row) for row in spins.tolist()]
     lam1, lam2 = reg.lambda1, reg.lambda2
     full, conserving, exchange = _resonance_mixes(
         spec, [(lam1, lam2), (lam1, 0.0), (0.0, lam2)], tol)
     reports = []
     for r, r_cons, r_exch in zip(full, conserving, exchange):
-        labels = tuple(PairLabel(sigma=rows[m], tau=rows[n])
-                       for m, n in r.pairs.tolist())
         diff = spins[r.pairs[:, 0]] - spins[r.pairs[:, 1]]
         jumps = list(zip(np.abs(diff).sum(axis=1).tolist(),
                          diff.sum(axis=1).tolist()))
@@ -227,7 +213,7 @@ def decoherence_rates(reg: RegisterSpec, tol: float | None = None,
             e=r.e, gamma=r.gamma, gamma_conserving=r_cons.gamma,
             gamma_exchange=r_exch.gamma,
             gamma_cross=r.gamma - r_cons.gamma - r_exch.gamma,
-            e0=e0, hamming=d, group_pairs=labels, merged=merged))
+            e0=e0, hamming=d, pairs=r.pairs, merged=merged))
     return reports
 
 

@@ -20,20 +20,18 @@ For a form factor ``g`` (see model.FormFactor) at inverse temperature
   shifts are assembled.
 * ``glued_form_factor`` / ``check_condition_A`` — the positive- and
   negative-frequency gluing of the form factor at temperature beta and
-  a numeric smoothness diagnostic at frequency zero.
+  the exact decision whether it is analytic at frequency zero.
 
 Everything is a pure function of immutable inputs.  scipy is loaded
-only by the three diagnostics that use it (``xi_lorentzian_check``,
-``mean_inverse_frequency``, ``check_condition_A``), when first called,
-so importing this module costs numpy alone.
+only by ``xi_lorentzian_check``, its one user, when first called, so
+importing this module costs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -114,17 +112,13 @@ class SpectralProfile:
 
 @dataclass(frozen=True)
 class ConditionAReport:
-    """Result of the numeric frequency-zero smoothness check.
-
-    This is a necessary-condition proxy (one-sided derivative matching
-    at orders 0..3), not a proof of analyticity.
-    """
+    """Result of the frequency-zero analyticity decision: the lowest
+    one-sided derivative order that no gluing phase matches (None when
+    the glued form factor is analytic), and the best phase."""
 
     passed: bool
     best_chi: float
-    max_mismatch: float
-    mismatch_by_order: tuple
-    spacing: float
+    mismatch_order: int | None
     omega_prime: float
 
 
@@ -193,7 +187,7 @@ def xi_lorentzian_check(base: FormFactor, beta: float, eta: float,
         raise ValidationError(f"epsilon must be > 0, got {epsilon!r}")
     if base.is_zero:
         return 0.0
-    from scipy import integrate  # only the diagnostics load scipy
+    from scipy import integrate  # only this diagnostic loads scipy
 
     def f(r):
         return (xi(base, beta, r) * epsilon
@@ -229,20 +223,18 @@ def thermal_spectral_density(base: FormFactor, beta: float, u: float) -> float:
 
 def mean_inverse_frequency(base: FormFactor) -> float:
     """The inverse-frequency moment int |g(k)|^2 / |k| d^3k
-    (= int_0^inf r * S(r) dr), finite for p > -1."""
+    (= int_0^inf r * S(r) dr), finite for p > -1: in closed form
+    4*pi*(scale*weight)^2 * Gamma(s) / (m * 2^s), s = (2p + 2)/m."""
     if base.is_zero:
         return 0.0
     if 2.0 * base.radial_exponent + 1.0 <= -1.0:
         raise InfraredDivergent(
             "inverse-frequency moment diverges for radial exponent "
             f"p = {base.radial_exponent} <= -1")
-    from scipy import integrate  # only the diagnostics load scipy
-    val, err = integrate.quad(lambda r: r * angular_square(base, r),
-                              0.0, np.inf, **_QUAD_KW)
-    if err > max(_PV_TOL, _PV_TOL * abs(val)):
-        raise QuadratureNotConverged(
-            f"inverse-frequency moment error estimate {err:.2e} too large")
-    return val
+    m = base.decay_exponent
+    s = (2.0 * base.radial_exponent + 2.0) / m
+    return (base.angular_square_integral * base.overall_scale ** 2
+            * math.gamma(s) / (m * 2.0 ** s))
 
 
 # =====================================================================
@@ -366,7 +358,7 @@ def half_line_transform(base: FormFactor, beta: float,
 
 
 # =====================================================================
-# Glued form factor and the smoothness diagnostic
+# Glued form factor and Condition (A)
 # =====================================================================
 
 def _glue_prefactor(beta: float, u) -> float:
@@ -412,122 +404,44 @@ def glued_form_factor(tf: ThermalFormFactor, u: float, sigma=None) -> complex:
                    * pref * np.conj(float(base.radial(-u))))
 
 
-@lru_cache(maxsize=None)
-def _one_sided_derivative_weights(npts: int = 6, max_order: int = 3):
-    """Exact rational finite-difference weights for the k-th derivative
-    at 0 from one-sided nodes {1, 2, ..., npts} (in units of the
-    spacing), k = 0..max_order.  Solved over Fractions so the weights
-    carry no roundoff of their own."""
-    nodes = [Fraction(i) for i in range(1, npts + 1)]
-    # Vandermonde system: sum_i w_i * nodes[i]^j = j! * delta_{jk}
-    weights = []
-    for k in range(max_order + 1):
-        a = [[nodes[i] ** j for i in range(npts)] for j in range(npts)]
-        b = [Fraction(0)] * npts
-        b[k] = Fraction(1)
-        for j in range(2, k + 1):
-            b[k] *= j
-        # Gaussian elimination over Fractions
-        for col in range(npts):
-            piv = next(r for r in range(col, npts) if a[r][col] != 0)
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            inv = Fraction(1) / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            b[col] = b[col] * inv
-            for r in range(npts):
-                if r != col and a[r][col] != 0:
-                    factor = a[r][col]
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                    b[r] = b[r] - factor * b[col]
-        weights.append(tuple(b))
-    return weights
-
-
 def check_condition_A(tf: ThermalFormFactor,
                       omega_prime: float) -> ConditionAReport:
-    """Numeric smoothness diagnostic of the glued form factor at
-    frequency zero.
+    """Decide Condition (A): is the glued form factor analytic at
+    frequency zero for some gluing phase chi?
 
-    The glued function factors as q(u) * V(u) where the thermal
-    prefactor q(u) = sqrt(u / (1 - e^(-beta u))) is analytic and
-    strictly positive near u = 0 and carries no chi dependence, so it
-    is divided out before differencing: only the branch part
-    V(u) = |u|^(1/2) * g(|u|) (conjugated and phased on the left) can
-    break smoothness.  One-sided derivatives of V at orders 0..3 are
-    estimated with exact-rational stencils evaluated in extended
-    precision, which pushes stencil cancellation far below the pass
-    threshold; the residual is pure truncation error, ~1e-10 for
-    genuinely smooth gluings and O(1) (growing as the spacing shrinks)
-    across a derivative jump or fractional power.  The gluing phase chi
-    is scanned over [0, 2*pi) (the left derivatives are linear in
-    -e^(i chi), so the scan is cheap) and the smallest achievable
-    maximum mismatch is reported.  PASS iff that minimum is <= 1e-8.
-    A necessary-condition proxy only: it can confirm a derivative jump,
-    never analyticity.
+    The thermal prefactor sqrt(u / (1 - e^(-beta u))) is analytic and
+    positive near u = 0, so only the real branch V(s) = A s^q e^(-s^m),
+    q = p + 1/2, matters: V(u) on the right, -e^(i chi) V(-u) on the
+    left.  The right branch continues analytically through 0 exactly
+    when q is a non-negative integer (within 1e-12), to A u^q e^(-u^m);
+    on the left that reads A (-1)^q |u|^q e^(-(-1)^m |u|^m).  With
+    m = 2 both sides agree for e^(i chi) = (-1)^(q+1) (chi = pi for
+    even q, 0 for odd q): PASS.  With m = 1 that chi matches orders up
+    to q, and the one-sided derivatives of order q + 1 differ.  A
+    non-integer q >= 0 first fails at order ceil(q), where the right
+    branch's derivative diverges, and q < 0 fails at order 0.
+    ``mismatch_order`` is the lowest one-sided derivative order that no
+    chi matches (None on a PASS); ``best_chi`` is the chi that matches
+    the orders below it, and ``tf.chi`` when every chi does.
     """
     beta = tf.beta
     if not (0.0 < omega_prime < 2.0 * np.pi / beta):
         raise OmegaPrimeOutOfRange(
             f"omega_prime must lie in (0, 2*pi/beta) = "
             f"(0, {2.0 * np.pi / beta:.6g}), got {omega_prime!r}")
-    h = Fraction(1, 256)
-    npts, max_order = 10, 3
     if tf.base.is_zero:
         return ConditionAReport(passed=True, best_chi=tf.chi,
-                                max_mismatch=0.0,
-                                mismatch_by_order=(0.0,) * (max_order + 1),
-                                spacing=float(h), omega_prime=omega_prime)
-
-    import mpmath  # only this diagnostic needs it; kept off the import path
-
-    weights = _one_sided_derivative_weights(npts, max_order)
-    base = tf.base
-
-    with mpmath.workdps(60):
-        hc = mpmath.mpf(h.numerator) / mpmath.mpf(h.denominator)
-        amp = mpmath.mpf(base.overall_scale) * mpmath.mpf(base.angular_weight)
-        q_exp = mpmath.mpf(base.radial_exponent) + mpmath.mpf(1) / 2
-        m_exp = int(base.decay_exponent)
-        # V(s) = s^(1/2) * g(s) = amp * s^(p + 1/2) * exp(-s^m), s > 0
-        vals = [amp * mpmath.power(i * hc, q_exp)
-                * mpmath.exp(-mpmath.power(i * hc, m_exp))
-                for i in range(1, npts + 1)]
-        r_der = np.array([complex(mpmath.fsum(
-            (mpmath.mpf(w.numerator) / mpmath.mpf(w.denominator)) * v
-            for w, v in zip(wk, vals)) / hc ** k)
-            for k, wk in enumerate(weights)])
-    # left side: conjugated branch on mirrored nodes; derivative of
-    # order k picks up (-1)^k
-    l_der = np.array([((-1.0) ** k) * d.conjugate()
-                      for k, d in enumerate(r_der)])
-
-    def mismatch(chi):
-        d = np.abs(-np.exp(1j * chi) * l_der - r_der)
-        return float(d.max())
-
-    grid = np.linspace(0.0, 2.0 * np.pi, 2049)[:-1]
-    grid_vals = np.array([mismatch(c) for c in grid])
-    i0 = int(np.argmin(grid_vals))
-    lo = grid[(i0 - 1) % len(grid)]
-    hi = grid[(i0 + 1) % len(grid)]
-    if hi < lo:
-        hi += 2.0 * np.pi
-    from scipy import optimize  # only the diagnostics load scipy
-    res = optimize.minimize_scalar(mismatch, bounds=(lo, hi),
-                                   method="bounded",
-                                   options={"xatol": 1e-12})
-    candidates = [(mismatch(tf.chi), tf.chi % (2.0 * np.pi)),
-                  (float(res.fun), float(res.x) % (2.0 * np.pi))]
-    best_val, best_chi = min(candidates, key=lambda t: t[0])
-    by_order = tuple(
-        float(abs(-np.exp(1j * best_chi) * l_der[k] - r_der[k]))
-        for k in range(max_order + 1))
-    return ConditionAReport(passed=bool(best_val <= 1e-8),
-                            best_chi=best_chi,
-                            max_mismatch=best_val,
-                            mismatch_by_order=by_order,
-                            spacing=float(h), omega_prime=omega_prime)
+                                mismatch_order=None,
+                                omega_prime=omega_prime)
+    q = tf.base.radial_exponent + 0.5
+    k = round(q)
+    if abs(q - k) > 1e-12 or k < 0:
+        order, chi = max(math.ceil(q), 0), tf.chi
+    else:
+        order = None if tf.base.decay_exponent == 2 else k + 1
+        chi = np.pi if k % 2 == 0 else 0.0
+    return ConditionAReport(passed=order is None, best_chi=chi,
+                            mismatch_order=order, omega_prime=omega_prime)
 
 
 def spectral_profile(base: FormFactor, beta: float, grid) -> SpectralProfile:

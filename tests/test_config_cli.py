@@ -257,9 +257,9 @@ def test_package_provides_only_the_version(tmp_path):
 
 
 def test_scipy_free_commands_load_no_scipy(tmp_path):
-    # only xi, verify and three reservoir diagnostics need scipy: one
-    # interpreter runs the other commands on their demo configurations
-    # without loading any of it
+    # only xi, verify and the xi_lorentzian_check diagnostic need
+    # scipy: one interpreter runs the other commands on their demo
+    # configurations without loading any of it
     commands = [
         ["spectrum", "--config", str(QUBIT_CFG)],
         ["spectrum", "--config", str(CONFIG_DIR / "three_level.json"),
@@ -282,6 +282,23 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
     codes, scipy_modules = proc.stdout.splitlines()
     assert codes == "[0, 0, 0, 0, 0]"
     assert scipy_modules == "[]"
+
+
+def test_closed_form_reservoir_diagnostics_load_no_scipy_or_mpmath():
+    # Condition (A) and the inverse-frequency moment are closed forms
+    probe = ("import sys; "
+             "from resodec.model import FormFactor; "
+             "from resodec.reservoir import ThermalFormFactor, "
+             "check_condition_A, mean_inverse_frequency; "
+             "ff = FormFactor(radial_exponent=0.5, decay_exponent=2); "
+             "print(check_condition_A(ThermalFormFactor(base=ff, beta=1.0), "
+             "1.0).passed, mean_inverse_frequency(ff) > 0.0); "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'mpmath')))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True True", "[]"]
 
 
 def test_verify_import_failure_is_not_exit_1(monkeypatch):
@@ -366,7 +383,9 @@ def test_programming_errors_are_not_relabelled(monkeypatch):
 
 
 def test_verify_section_validation(tmp_path, capsys):
-    with pytest.raises(ValueError, match="method"):
+    # the oracle engine is chosen automatically: "method" is no key of
+    # the section
+    with pytest.raises(TypeError, match="method"):
         VerifyConfig(method="krylov")
     cfg = json.loads(VERIFY_CFG.read_text())
     path = tmp_path / "verify.json"
@@ -375,7 +394,7 @@ def test_verify_section_validation(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert run(["verify", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "ERROR[1]" in err and "krylov" in err
+    assert "ERROR[1]" in err and "unknown key(s) ['method']" in err
 
     # an initial state of the right size reaches the checks (the coarse
     # bath then fails verification); a wrong size is a validation error

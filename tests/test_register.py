@@ -17,6 +17,7 @@ from resodec.model import (
     FormFactor,
     RegisterSpec,
     register_to_system,
+    spin_configuration,
 )
 from resodec.register import (
     RegisterTemplate,
@@ -169,11 +170,11 @@ def test_merged_groups_are_flagged():
     with pytest.warns(UserWarning, match="integer relation"):
         reports = decoherence_rates(reg)
     for rep in reports:
-        jumps = {hamming_and_e0(p.sigma, p.tau)[:2]
-                 for p in rep.group_pairs}
+        jumps = {hamming_and_e0(*spin_configuration(pair, 2))[:2]
+                 for pair in rep.pairs}
         assert rep.merged == (len(jumps) > 1)
         assert (rep.hamming, rep.e0) == hamming_and_e0(
-            rep.group_pairs[0].sigma, rep.group_pairs[0].tau)[:2]
+            *spin_configuration(rep.pairs[0], 2))[:2]
     # e = 0 holds the diagonal pairs (D = 0) and the swapped pairs
     # (+1,-1)/(-1,+1), D = 4, of the degenerate field
     zero = next(rep for rep in reports if rep.e == 0.0)
@@ -209,8 +210,7 @@ def test_exchange_channel_rate_law():
             expected = reg.lambda2 ** 2 * np.pi * min(xi2.values())
         else:
             flipped = [j for j, (s, t) in enumerate(
-                zip(rep.group_pairs[0].sigma, rep.group_pairs[0].tau))
-                if s != t]
+                zip(*spin_configuration(rep.pairs[0], 3))) if s != t]
             assert len(flipped) * 2 == rep.hamming
             expected = reg.lambda2 ** 2 * (np.pi / 2.0) \
                 * sum(xi2[j] for j in flipped)
@@ -229,6 +229,9 @@ def test_channel_attribution_matches_single_channel_registers():
             dataclasses.replace(reg, **{field: 0.0})
         data = resonance_energies(register_to_system(single))
         assert [r.e for r in data] == [rep.e for rep in reports]
+        for r, rep in zip(data, reports):
+            assert np.array_equal(r.pairs, rep.pairs)
+            assert not rep.pairs.flags.writeable
         assert [r.gamma for r in data] == \
             [getattr(rep, attr) for rep in reports]
 
@@ -239,7 +242,7 @@ def test_two_channel_attribution_adds_for_singletons():
     es = [rep.e for rep in reports]
     assert es == sorted(es)
     for rep in reports:
-        if len(rep.group_pairs) == 1:
+        if len(rep.pairs) == 1:
             assert abs(rep.gamma_cross) <= 1e-12 * max(rep.gamma, 1e-30)
 
 
