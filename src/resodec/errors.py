@@ -135,6 +135,5 @@ class VerificationFailure(ResodecError):
 # =====================================================================
 
 class TruncationWarning(UserWarning):
-    """The oracle's bath is truncated more than asked: the per-mode Fock
-    cutoff discards a thermal tail above 1e-4, or the excitation cap is
-    lowered below the requested Fock cutoff to fit the state space."""
+    """The oracle's bath is truncated more than asked: the excitation cap
+    is lowered below the requested Fock cutoff to fit the state space."""

@@ -14,28 +14,29 @@ through the position quadrature, lambda G (x) sum_k (kappa_k/sqrt 2)
 (a_k + a_k^dag).  With this normalization the golden-rule decay rate of
 a qubit reproduces lambda^2 pi |c|^2 xi(Delta) in the continuum limit.
 
-Two evolution engines:
+One evolution engine, the excitation sector: the bath starts in its
+vacuum and the state space is cut at a total excitation number K.  A
+warm bath is first made a vacuum problem by thermofield doubling (de
+Vega and Banuls, PRA 92, 052116 (2015); Tamascelli et al., PRL 123,
+090402 (2019)): a mode at omega_k with thermal occupation n_k is
+exactly a mode at omega_k with coupling kappa_k sqrt(1 + n_k) plus a
+partner mode at -omega_k with coupling kappa_k sqrt(n_k), both started
+in the vacuum.  Modes whose thermal weight kappa_k^2 n_k is negligible
+(their sum within SECTOR_OCCUPANCY_TOL of sum kappa^2) are started in
+the vacuum as they are, without a partner.  H is applied matrix-free.
+Per channel, the real sparse creation half of the ladder operator,
+which raises the states below the top excitation level by one quantum,
+and its transpose act on the bath index; the small coupling matrix acts
+on the system index of the sub-top rows only, never on the top level
+that holds most of the sector.  The state is propagated by Chebyshev
+expansion inside Gershgorin spectral bounds, and each grid state is
+traced down to the system as soon as it is reached.  K is the Fock
+cutoff unless the sector, partner modes included, would exceed
+STATE_SPACE_LIMIT; a lower K is used then and reported with a
+TruncationWarning.
 
-  * dense -- full product-space eigendecomposition with a per-mode
-    truncated thermal initial bath state; exact for the truncated
-    model, feasible for a handful of modes;
-  * sector -- for many modes at low temperature: the bath starts in
-    its vacuum and the state space is cut at a total excitation number
-    K.  H is applied matrix-free.  Per channel, the real sparse creation
-    half of the ladder operator, which raises the states below the top
-    excitation level by one quantum, and its transpose act on the bath
-    index; the small coupling matrix acts on the system index of the
-    sub-top rows only, never on the top level that holds most of the
-    sector.  The state is propagated by Chebyshev expansion inside
-    Gershgorin spectral bounds, and each grid state is traced down to
-    the system as soon as it is reached.  Validity requires the
-    coupling-weighted thermal occupancy of the modes to be negligible;
-    this is checked and refused otherwise.  K is the Fock cutoff unless
-    the sector would exceed STATE_SPACE_LIMIT; a lower K is used then
-    and reported with a TruncationWarning.
-
-Only the dense engine starts from the truncated thermal bath state, so
-only it warns about the thermal weight beyond the Fock cutoff.
+The pure-dephasing envelope of a diagonal coupling is the
+independent-boson closed form, with no Fock cutoff.
 """
 
 from __future__ import annotations
@@ -76,12 +77,13 @@ __all__ = [
 
 #: hard ceiling on the evolved state-space dimension
 STATE_SPACE_LIMIT = 200_000
-#: product-space size up to which the dense engine is chosen automatically
-DENSE_AUTO_LIMIT = 2500
-#: per-mode thermal tail probability beyond the Fock cutoff that
-#: triggers a truncation warning in the dense engine
-TAIL_WARN = 1e-4
-#: ceiling on the coupling-weighted mode occupancy for the sector engine
+#: no engine reads this; it is kept, at 0, only for the benchmark
+#: harness's engine emulation and goes with ROADMAP item 1's rewrite
+#: of that harness
+DENSE_AUTO_LIMIT = 0
+#: share of the summed squared coupling sum kappa^2 that the thermal
+#: weights kappa^2 n of the modes started without a thermofield
+#: partner may add up to
 SECTOR_OCCUPANCY_TOL = 1e-3
 #: bound on the dropped tail of each Chebyshev expansion
 CHEBYSHEV_TOL = 1e-13
@@ -149,11 +151,6 @@ class TruncatedBath:
         """Untruncated thermal occupation number per mode."""
         return 1.0 / np.expm1(self.beta * self.mode_frequencies)
 
-    def truncation_tail(self) -> float:
-        """Largest per-mode thermal weight beyond the Fock cutoff."""
-        return float(np.max(np.exp(
-            -self.beta * self.mode_frequencies * (self.fock_cutoff + 1))))
-
 
 def discretize_bath(form_factor: FormFactor, beta: float, n_modes: int,
                     omega_max: float, fock_cutoff: int) -> TruncatedBath:
@@ -187,32 +184,9 @@ def discretize_bath(form_factor: FormFactor, beta: float, n_modes: int,
     return bath
 
 
-def _warn_truncation(baths) -> None:
-    """Warn when the truncated thermal bath state of the dense engine
-    drops a per-mode tail above TAIL_WARN."""
-    tail = max(b.truncation_tail() for b in baths)
-    if tail > TAIL_WARN:
-        warnings.warn(
-            f"thermal weight {tail:.3e} beyond the Fock cutoff exceeds "
-            f"{TAIL_WARN:g}; the truncated bath underrepresents thermal "
-            "excitation", TruncationWarning, stacklevel=3)
-
-
 # =====================================================================
-# Dense engine
+# Excitation-sector engine
 # =====================================================================
-
-def _mode_operators(cutoff: int):
-    lower = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
-    position = (lower + lower.T) / math.sqrt(2.0)
-    number = np.diag(np.arange(cutoff + 1, dtype=float))
-    return number, position
-
-
-def _thermal_weights(beta: float, omega: float, cutoff: int) -> np.ndarray:
-    w = np.exp(-beta * omega * np.arange(cutoff + 1))
-    return w / w.sum()
-
 
 def _active_channels(spec: SystemSpec, bath) -> list:
     """(coupling term, bath) for every coupling that acts; ``bath`` is
@@ -232,60 +206,6 @@ def _active_channels(spec: SystemSpec, bath) -> list:
             "channels; pass one bath per channel")
     return active
 
-
-def _dense_evolve(spec: SystemSpec, active, rho0, times) -> np.ndarray:
-    """Exact evolution by eigendecomposition of the product-space H."""
-    n_sys = spec.dim
-    # (cutoff, frequency, amplitude, channel matrix) per mode; the
-    # 1/sqrt(2) lives in the position quadrature operator
-    modes = [(bath.fock_cutoff, omega, term.strength * kappa, term.matrix)
-             for term, bath in active
-             for omega, kappa in zip(bath.mode_frequencies,
-                                     bath.mode_couplings)]
-    dims = [cut + 1 for cut, _, _, _ in modes]
-    bath_dim = math.prod(dims)
-    dim = n_sys * bath_dim
-    if dim > STATE_SPACE_LIMIT:
-        raise DimensionTooLarge(
-            f"product space of dimension {dim} exceeds the cap "
-            f"{STATE_SPACE_LIMIT}")
-
-    h_total = np.kron(np.diag(spec.energies).astype(complex),
-                      np.eye(bath_dim))
-    bath_thermal = np.ones(1)
-    for idx, (cut, omega, amp, gmat) in enumerate(modes):
-        number, position = _mode_operators(cut)
-        left = np.eye(math.prod(dims[:idx]))
-        right = np.eye(math.prod(dims[idx + 1:]))
-        lift = np.kron(np.kron(left, number), right)
-        h_total += omega * np.kron(np.eye(n_sys), lift).astype(complex)
-        h_total += amp * np.kron(gmat, np.kron(np.kron(left, position),
-                                               right))
-        bath_thermal = np.kron(bath_thermal,
-                               _thermal_weights(spec.beta, omega, cut))
-
-    energies, vectors = np.linalg.eigh(h_total)
-    rho_full = np.kron(rho0, np.diag(bath_thermal).astype(complex))
-    rho_tilde = vectors.conj().T @ rho_full @ vectors
-
-    phases = np.exp(1j * np.outer(times, energies))       # (T, dim)
-    v3 = vectors.reshape(n_sys, bath_dim, dim)
-    states = np.empty((len(times), n_sys, n_sys), dtype=complex)
-    for m in range(n_sys):
-        for n in range(m, n_sys):
-            overlap = v3[m].T @ v3[n].conj()              # (dim, dim)
-            kernel = rho_tilde * overlap
-            vals = np.einsum("td,dk,tk->t", phases, kernel,
-                             phases.conj(), optimize=True)
-            states[:, m, n] = vals
-            if n != m:
-                states[:, n, m] = vals.conj()
-    return states
-
-
-# =====================================================================
-# Excitation-sector engine
-# =====================================================================
 
 def _sector_dimension(n_sys: int, n_modes: int, cap: int) -> int:
     return n_sys * sum(math.comb(n_modes + j - 1, j)
@@ -318,18 +238,45 @@ def _sector_ladder(freqs: np.ndarray, cap: int):
     return tuple(map(np.concatenate, (energy, target, source, mode, factor)))
 
 
-def _sector_evolve(spec: SystemSpec, active, rho0, times) -> np.ndarray:
-    """Chebyshev evolution in the low-excitation sector of a cold bath."""
-    occupancy = _weighted_occupancy(active)
-    if occupancy > SECTOR_OCCUPANCY_TOL:
-        raise DimensionTooLarge(
-            "state space too large for dense evolution and the bath is "
-            f"too warm for the excitation-sector method (coupling-"
-            f"weighted occupancy {occupancy:.2e} > "
-            f"{SECTOR_OCCUPANCY_TOL:g})")
+def _thermofield_modes(active) -> list:
+    """Per active channel, the frequencies and couplings kappa of the
+    modes that start in the vacuum: the bath's own modes, then the
+    thermofield partners of its warm ones.
 
+    The modes of all channels are sorted stably by their thermal weight
+    kappa_k^2 n_k.  The longest prefix whose summed weight stays within
+    SECTOR_OCCUPANCY_TOL * sum kappa^2 is kept as it is; every other
+    mode k takes the coupling kappa_k sqrt(1 + n_k) and a partner at
+    -omega_k with coupling kappa_k sqrt(n_k), appended to its own
+    channel's modes so that each channel's modes stay contiguous."""
+    weights = np.concatenate([b.mode_couplings ** 2 for _, b in active])
+    occupancies = np.concatenate([b.occupancies() for _, b in active])
+    thermal = weights * occupancies
+    order = np.argsort(thermal, kind="stable")
+    n_cold = np.searchsorted(np.cumsum(thermal[order]),
+                             SECTOR_OCCUPANCY_TOL * weights.sum(),
+                             side="right")
+    warm = np.zeros(thermal.size, dtype=bool)
+    warm[order[n_cold:]] = True
+    modes, start = [], 0
+    for _, bath in active:
+        span = slice(start, start + bath.n_modes)
+        pair, occ, kappa = warm[span], occupancies[span], bath.mode_couplings
+        start += bath.n_modes
+        modes.append((
+            np.concatenate([bath.mode_frequencies,
+                            -bath.mode_frequencies[pair]]),
+            np.concatenate([np.where(pair, kappa * np.sqrt(1.0 + occ), kappa),
+                            kappa[pair] * np.sqrt(occ[pair])])))
+    return modes
+
+
+def _sector_evolve(spec: SystemSpec, active, rho0, times) -> np.ndarray:
+    """Chebyshev evolution in the low-excitation sector of the
+    thermofield-doubled bath vacuum."""
     n_sys = spec.dim
-    freqs = np.concatenate([bath.mode_frequencies for _, bath in active])
+    modes = _thermofield_modes(active)
+    freqs = np.concatenate([f for f, _ in modes])
     requested = min(b.fock_cutoff for _, b in active)
     # the cap is never lowered below 2 (or below a requested 1)
     smallest = min(requested, 2)
@@ -358,14 +305,14 @@ def _sector_evolve(spec: SystemSpec, active, rho0, times) -> np.ndarray:
     n_low = _sector_dimension(1, freqs.size, cap - 1)
     diag = energy[:, None] + spec.energies[None, :]
     terms, radius, coupling_norm, start = [], np.zeros_like(diag), 0.0, 0
-    for term, bath in active:
-        amps = term.strength * bath.mode_couplings / math.sqrt(2.0)
-        own = (mode >= start) & (mode < start + bath.n_modes)
+    for (term, _), (_, kappa) in zip(active, modes):
+        amps = term.strength * kappa / math.sqrt(2.0)
+        own = (mode >= start) & (mode < start + kappa.size)
         # U_r^T, stored as CSR (n_low x n_bath); its transpose is U_r
         up_t = scipy.sparse.csr_matrix(
             (amps[mode[own] - start] * factor[own],
              (source[own], target[own])), shape=(n_low, n_bath))
-        start += bath.n_modes
+        start += kappa.size
         terms.append((up_t, term.matrix))
         # U_r and U_r^T share no entry, so the row sums of |U_r + U_r^T|
         # are the column sums of |U_r^T| plus its row sums on the low rows
@@ -385,10 +332,10 @@ def _sector_evolve(spec: SystemSpec, active, rho0, times) -> np.ndarray:
     return _chebyshev_states(diag, terms, lo, hi, rho0, times)
 
 
-def _real_product(sparse, dense):
+def _real_product(sparse, array):
     """Real sparse matrix times a complex array, as one real product on
     the interleaved real and imaginary parts."""
-    return (sparse @ dense.view(np.float64)).view(np.complex128)
+    return (sparse @ array.view(np.float64)).view(np.complex128)
 
 
 def _chebyshev_states(diag, terms, lo, hi, rho0, times) -> np.ndarray:
@@ -402,7 +349,7 @@ def _chebyshev_states(diag, terms, lo, hi, rho0, times) -> np.ndarray:
     the n_low columns of U_r are the states below the top excitation
     level, stacked first.  H Z is applied as
     diag * Z + sum_r [U_r (Z[:n_low] G_r^T), plus (U_r^T Z) G_r^T on
-    rows :n_low], so the dense system-side products run on the n_low
+    rows :n_low], so the system-side matrix products run on the n_low
     sub-top rows only, never on the top level that holds most of the
     sector.
 
@@ -485,28 +432,17 @@ def _chebyshev_states(diag, terms, lo, hi, rho0, times) -> np.ndarray:
     return states
 
 
-def _weighted_occupancy(active) -> float:
-    weights = np.concatenate([b.mode_couplings ** 2 for _, b in active])
-    occupancies = np.concatenate([b.occupancies() for _, b in active])
-    total = float(weights.sum())
-    return float(weights @ occupancies) / total if total > 0.0 else 0.0
-
-
 # =====================================================================
 # Entry point
 # =====================================================================
 
-def exact_evolve(spec: SystemSpec, bath, rho0, times,
-                 method: str = "auto") -> Trajectory:
+def exact_evolve(spec: SystemSpec, bath, rho0, times) -> Trajectory:
     """Exact reduced evolution of the system coupled to truncated
-    reservoir modes.
+    reservoir modes in their thermal state.
 
     ``bath`` is a TruncatedBath (single coupling channel) or one bath
-    per coupling term.  ``method`` selects the engine: "dense" for the
-    full product space, "sector" for the low-excitation sparse space,
-    "auto" to pick dense for small products and fall back to the
-    sector engine otherwise.  The trajectory's ergodic mean is the
-    empirical average over the second half of the time grid.
+    per coupling term.  The trajectory's ergodic mean is the empirical
+    average over the second half of the time grid.
     """
     rho0 = _as_state_array(rho0)
     if rho0.shape != (spec.dim, spec.dim):
@@ -515,22 +451,7 @@ def exact_evolve(spec: SystemSpec, bath, rho0, times,
     active = _active_channels(spec, bath)
     if not active:
         return free_evolution(spec, rho0, times)
-
-    if method == "auto":
-        product_dim = spec.dim
-        for _, b in active:
-            product_dim *= (b.fock_cutoff + 1) ** b.n_modes
-            if product_dim > 10 * STATE_SPACE_LIMIT:
-                break
-        method = "dense" if product_dim <= DENSE_AUTO_LIMIT else "sector"
-    if method == "dense":
-        _warn_truncation([b for _, b in active])
-        states = _dense_evolve(spec, active, rho0, times)
-    elif method == "sector":
-        states = _sector_evolve(spec, active, rho0, times)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    states = _sector_evolve(spec, active, rho0, times)
     return Trajectory(times=times, states=states,
                       ergodic_mean=states[len(times) // 2:].mean(axis=0))
 
@@ -544,33 +465,28 @@ def dephasing_envelope(bath: TruncatedBath, g_m: float, g_n: float,
     """Exact bath factor of a coherence under pure dephasing.
 
     When the system coupling matrix is diagonal, the full Hamiltonian
-    is block diagonal in the system index and each mode contributes an
-    independent trace factor,
+    is block diagonal in the system index and each mode, started in its
+    thermal state, contributes an independent-boson factor:
 
-        F(t) = prod_k Tr[ e^{i t H_k(g_m)} rho_k e^{-i t H_k(g_n)} ],
+        F(t) = exp sum_k [ -((g_m - g_n) c_k / omega_k)^2
+                             coth(beta omega_k / 2) (1 - cos omega_k t)
+                           - i (g_m^2 - g_n^2) (c_k / omega_k)^2
+                             (omega_k t - sin omega_k t) ],
 
-    with H_k(g) = omega_k n_k + g (kappa_k/sqrt 2)(a_k + a_k^dag) on
-    the truncated mode space and rho_k the truncated thermal state.
-    ``g_m`` and ``g_n`` are the full diagonal coupling values (strength
-    included) of the two levels.  The coherence itself is
+    with c_k = kappa_k / sqrt 2 and no Fock cutoff.  ``g_m`` and ``g_n``
+    are the full diagonal coupling values (strength included) of the two
+    levels.  The coherence itself is
     [rho_t]_{mn} = e^{i t (E_m - E_n)} F(t) [rho_0]_{mn}.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    envelope = np.ones(len(times), dtype=complex)
-    for omega, kappa in zip(bath.mode_frequencies, bath.mode_couplings):
-        number, position = _mode_operators(bath.fock_cutoff)
-        h_m = omega * number + g_m * kappa * position
-        h_n = omega * number + g_n * kappa * position
-        rho_k = np.diag(_thermal_weights(bath.beta, omega,
-                                         bath.fock_cutoff))
-        em, um = np.linalg.eigh(h_m)
-        en, un = np.linalg.eigh(h_n)
-        weight = (um.conj().T @ rho_k @ un) * (un.conj().T @ um).T
-        phase_m = np.exp(1j * np.outer(times, em))
-        phase_n = np.exp(-1j * np.outer(times, en))
-        envelope *= np.einsum("tp,pq,tq->t", phase_m, weight, phase_n,
-                              optimize=True)
-    return envelope
+    omega = bath.mode_frequencies
+    ratio = (bath.mode_couplings / math.sqrt(2.0) / omega) ** 2
+    phase = np.outer(times, omega)
+    exponent = ((g_m - g_n) ** 2 * (1.0 - np.cos(phase))
+                @ (ratio / np.tanh(0.5 * bath.beta * omega))
+                + 1j * (g_m ** 2 - g_n ** 2)
+                * ((phase - np.sin(phase)) @ ratio))
+    return np.exp(-exponent)
 
 
 # =====================================================================

@@ -224,7 +224,9 @@ def thermal_spectral_density(base: FormFactor, beta: float, u: float) -> float:
 def mean_inverse_frequency(base: FormFactor) -> float:
     """The inverse-frequency moment int |g(k)|^2 / |k| d^3k
     (= int_0^inf r * S(r) dr), finite for p > -1: in closed form
-    4*pi*(scale*weight)^2 * Gamma(s) / (m * 2^s), s = (2p + 2)/m."""
+    4*pi*(scale*weight)^2 * Gamma(s) / (m * 2^s), s = (2p + 2)/m.
+    Where Gamma(s), or its product with the prefactor, overflows (from
+    s ~ 171.6 on), the ratio Gamma(s) / 2^s is taken in log space."""
     if base.is_zero:
         return 0.0
     if 2.0 * base.radial_exponent + 1.0 <= -1.0:
@@ -233,8 +235,14 @@ def mean_inverse_frequency(base: FormFactor) -> float:
             f"p = {base.radial_exponent} <= -1")
     m = base.decay_exponent
     s = (2.0 * base.radial_exponent + 2.0) / m
-    return (base.angular_square_integral * base.overall_scale ** 2
-            * math.gamma(s) / (m * 2.0 ** s))
+    prefactor = base.angular_square_integral * base.overall_scale ** 2
+    try:
+        moment = prefactor * math.gamma(s) / (m * 2.0 ** s)
+    except OverflowError:
+        moment = math.inf
+    if math.isfinite(moment):
+        return moment
+    return prefactor * math.exp(math.lgamma(s) - s * math.log(2.0)) / m
 
 
 # =====================================================================

@@ -247,11 +247,9 @@ def test_pure_dephasing_exactness():
                          mode_couplings=np.sqrt(weights),
                          fock_cutoff=2, beta=1.0)
     times = np.linspace(0.0, 40.0, 81)
-    # the hot bath (beta = 1) is cut at two quanta per mode; pure
-    # dephasing conserves populations in the truncated bath all the same
-    with pytest.warns(TruncationWarning, match=r"thermal weight 4\.066e-01 "
-                      "beyond the Fock cutoff"):
-        traj = exact_evolve(spec, bath, uniform_pure_state(2), times)
+    # the hot bath (beta = 1) is thermofield-doubled and cut at two quanta
+    # in all; pure dephasing conserves populations in that sector exactly
+    traj = exact_evolve(spec, bath, uniform_pure_state(2), times)
     pops = traj.states[:, [0, 1], [0, 1]].real
     pop_drift = float(np.max(np.abs(pops - pops[0])))
 

@@ -19,6 +19,7 @@ from resodec.model import FormFactor, build_system
 from resodec.dynamics import Trajectory, free_evolution, single_qubit_spec
 from resodec.reservoir import thermal_spectral_density, xi
 from resodec.oracle import (
+    SECTOR_OCCUPANCY_TOL,
     TruncatedBath,
     VerificationCheck,
     VerificationReport,
@@ -29,6 +30,7 @@ from resodec.oracle import (
     fit_decay,
     verify,
 )
+from resodec.oracle import _thermofield_modes
 
 from conftest import REPO_ROOT
 
@@ -44,6 +46,51 @@ def tiny_bath(beta=30.0, cutoff=2):
     return TruncatedBath(mode_frequencies=np.array([1.0]),
                          mode_couplings=np.array([0.3]),
                          fock_cutoff=cutoff, beta=beta)
+
+
+def product_space_reference(spec, baths, rho0, times, cutoffs):
+    """Reduced states of the system coupled to the modes of ``baths``
+    (one per coupling term), each mode cut at its entry of ``cutoffs``
+    and started in its normalized truncated thermal state at its bath's
+    beta.  The explicit product-space H is diagonalized by ``eigh``, in
+    this package's convention rho_t = e^{itH} rho e^{-itH}; at converged
+    cutoffs this is the independent reference for the sector engine."""
+    modes = [(omega, term.strength * kappa / np.sqrt(2.0), term.matrix,
+              bath.beta)
+             for term, bath in zip(spec.couplings, baths)
+             for omega, kappa in zip(bath.mode_frequencies,
+                                     bath.mode_couplings)]
+    dims = [cut + 1 for cut in cutoffs]
+    n_sys, n_bath = spec.dim, math.prod(dims)
+
+    def on_mode(op, k):
+        out = np.eye(1)
+        for j, d in enumerate(dims):
+            out = np.kron(out, op if j == k else np.eye(d))
+        return out
+
+    h = np.kron(np.diag(spec.energies), np.eye(n_bath)).astype(complex)
+    thermal = np.ones(1)
+    for k, (omega, amp, g, beta) in enumerate(modes):
+        lower = np.diag(np.sqrt(np.arange(1.0, dims[k])), 1)
+        h += omega * np.kron(np.eye(n_sys), on_mode(lower.T @ lower, k))
+        h += amp * np.kron(g, on_mode(lower + lower.T, k))
+        weights = np.exp(-beta * omega * np.arange(dims[k]))
+        thermal = np.kron(thermal, weights / weights.sum())
+    energies, vectors = np.linalg.eigh(h if h.imag.any() else h.real)
+    v3 = vectors.reshape(n_sys, n_bath, -1)
+    # V^dag (rho0 (x) diag(thermal)) V
+    rho_tilde = vectors.conj().T @ np.einsum(
+        "mn,b,nbd->mbd", rho0, thermal, v3).reshape(n_sys * n_bath, -1)
+    phases = np.exp(1j * np.outer(times, energies))
+    states = np.empty((len(times), n_sys, n_sys), dtype=complex)
+    for m in range(n_sys):
+        for n in range(m, n_sys):
+            kernel = rho_tilde * (v3[m].T @ v3[n].conj())
+            states[:, m, n] = np.einsum("td,dk,tk->t", phases, kernel,
+                                        phases.conj(), optimize=True)
+            states[:, n, m] = states[:, m, n].conj()
+    return states
 
 
 # =====================================================================
@@ -77,7 +124,6 @@ def test_bath_thermal_quantities():
                        1.0 / np.expm1(2.0 * np.array([0.5, 1.25])))
     assert np.isclose(bath.recurrence_time, 2.0 * np.pi / 0.75)
     assert tiny_bath().recurrence_time == np.inf
-    assert np.isclose(bath.truncation_tail(), np.exp(-2.0 * 0.5 * 4))
 
 
 def test_discretize_bath_midpoint_rule():
@@ -109,25 +155,40 @@ def test_discretize_bath_refuses_coarse_grid():
 # =====================================================================
 
 def test_dense_and_sector_engines_agree():
+    # the sector engine against the product-space reference at a
+    # converged cutoff: a cold single-mode bath, and two channels of one
+    # warm mode each (beta = 1, occupations 0.29 and 0.16), which the
+    # engine thermofield-doubles
     spec = single_qubit_spec(a=0.0, b=0.0, c=1.0, delta=1.0, g=FF,
                              beta=30.0, lam=0.05)
-    bath = tiny_bath()
+    bath = tiny_bath(cutoff=4)
     times = np.linspace(0.0, 20.0, 41)
-    dense = exact_evolve(spec, bath, plus_state(), times, method="dense")
-    sector = exact_evolve(spec, bath, plus_state(), times, method="sector")
-    assert np.max(np.abs(dense.states - sector.states)) <= 1e-10
-    with pytest.raises(ValueError):
-        exact_evolve(spec, bath, plus_state(), times, method="magic")
+    sector = exact_evolve(spec, bath, plus_state(), times)
+    want = product_space_reference(spec, [bath], plus_state(), times, [8])
+    assert np.max(np.abs(sector.states - want)) <= 1e-10
+
+    g1 = np.array([[0.3, 0.5 - 0.4j], [0.5 + 0.4j, -0.2]])
+    g2 = np.array([[0.1, 0.2j], [-0.2j, 0.4]])
+    warm_spec = build_system([0.0, 1.1], [(0.3, g1, FF), (0.2, g2, FF)],
+                             beta=1.0)
+    baths = [TruncatedBath(mode_frequencies=np.array([omega]),
+                           mode_couplings=np.array([kappa]),
+                           fock_cutoff=8, beta=1.0)
+             for omega, kappa in ((1.5, 0.3), (2.0, 0.25))]
+    rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    sector = exact_evolve(warm_spec, baths, rho0, times)
+    want = product_space_reference(warm_spec, baths, rho0, times, [16, 12])
+    assert np.max(np.abs(sector.states - want)) <= 1e-10
 
 
 def test_sector_engine_nonuniform_grid():
     spec = single_qubit_spec(a=0.0, b=0.0, c=1.0, delta=1.0, g=FF,
                              beta=30.0, lam=0.05)
-    bath = tiny_bath()
+    bath = tiny_bath(cutoff=4)
     times = np.array([0.0, 0.7, 1.1, 3.0, 9.5])
-    dense = exact_evolve(spec, bath, plus_state(), times, method="dense")
-    sector = exact_evolve(spec, bath, plus_state(), times, method="sector")
-    assert np.max(np.abs(dense.states - sector.states)) <= 1e-10
+    sector = exact_evolve(spec, bath, plus_state(), times)
+    want = product_space_reference(spec, [bath], plus_state(), times, [8])
+    assert np.max(np.abs(sector.states - want)) <= 1e-10
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
@@ -154,7 +215,7 @@ def test_sector_engine_matches_explicit_sector_expm(cap):
                            fock_cutoff=cap, beta=30.0)]
     rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
     times = np.array([0.4, 1.3, 2.0, 5.5, 6.0, 9.7, 10.1])
-    sector = exact_evolve(spec, baths, rho0, times, method="sector")
+    sector = exact_evolve(spec, baths, rho0, times)
 
     # modes (frequency, strength * kappa / sqrt 2, channel matrix)
     modes = [(0.8, 0.3 * 0.5 / np.sqrt(2.0), g1),
@@ -189,14 +250,16 @@ def test_sector_engine_matches_explicit_sector_expm(cap):
 
 
 def test_dephasing_envelope_matches_dense_engine():
+    # the thermofield-doubled sector engine (beta = 4, both modes
+    # doubled) against the independent-boson closed form
     G = np.diag([0.8, -0.5]).astype(complex)
     strength = 0.1
     spec = build_system([0.0, 1.3], [(strength, G, FF)], beta=4.0)
     bath = TruncatedBath(mode_frequencies=np.array([0.7, 1.3]),
                          mode_couplings=np.array([0.4, 0.25]),
-                         fock_cutoff=3, beta=4.0)
+                         fock_cutoff=12, beta=4.0)
     times = np.linspace(0.0, 15.0, 31)
-    traj = exact_evolve(spec, bath, plus_state(), times, method="dense")
+    traj = exact_evolve(spec, bath, plus_state(), times)
 
     envelope = dephasing_envelope(bath, strength * 0.8, strength * -0.5,
                                   times)
@@ -218,8 +281,6 @@ def test_dephasing_rate_fixes_zero_frequency_term():
     beta, lam, a, b = 200.0, 0.05, 0.3, -0.5
     bath = discretize_bath(g, beta, n_modes=500, omega_max=1.25,
                            fock_cutoff=40)
-    # a warm bath cut at its Fock cutoff pulls the fitted rate down
-    assert bath.truncation_tail() <= 1e-4
 
     # a window well past the dressing transient and well before the
     # discrete bath's recurrence 2 pi / d_omega
@@ -248,33 +309,22 @@ def test_zero_coupling_follows_free_evolution():
     assert np.array_equal(traj.states, free.states)
 
 
-def test_truncation_warning_for_hot_bath():
-    spec = single_qubit_spec(a=0.0, b=0.0, c=1.0, delta=1.0, g=FF,
-                             beta=0.1, lam=0.01)
-    bath = TruncatedBath(mode_frequencies=np.array([1.0]),
-                         mode_couplings=np.array([0.1]),
-                         fock_cutoff=1, beta=0.1)
-    with pytest.warns(TruncationWarning):
-        exact_evolve(spec, bath, plus_state(), [0.0, 1.0], method="dense")
-
-
 def test_dimension_guards():
     spec = single_qubit_spec(a=0.0, b=0.0, c=1.0, delta=1.0, g=FF,
                              beta=30.0, lam=0.01)
-    big = TruncatedBath(mode_frequencies=np.linspace(0.5, 2.5, 9),
-                        mode_couplings=np.full(9, 0.1),
-                        fock_cutoff=3, beta=30.0)
-    with pytest.raises(DimensionTooLarge):
-        exact_evolve(spec, big, plus_state(), [0.0, 1.0], method="dense")
-
+    # a warm bath (occupations 3.5 and 1.5) is thermofield-doubled, not
+    # refused; the reference's thermal state, cut at 36 and 18 quanta,
+    # is itself off by 1.8e-9 at t = 1
     warm_spec = single_qubit_spec(a=0.0, b=0.0, c=1.0, delta=1.0, g=FF,
                                   beta=0.5, lam=0.01)
     warm = TruncatedBath(mode_frequencies=np.array([0.5, 1.0]),
                          mode_couplings=np.array([0.1, 0.1]),
                          fock_cutoff=3, beta=0.5)
-    with pytest.raises(DimensionTooLarge):
-        exact_evolve(warm_spec, warm, plus_state(), [0.0, 1.0],
-                     method="sector")
+    times = np.array([0.0, 1.0])
+    got = exact_evolve(warm_spec, warm, plus_state(), times)
+    want = product_space_reference(warm_spec, [warm], plus_state(), times,
+                                   [36, 18])
+    assert np.max(np.abs(got.states - want)) <= 1e-8
 
     # the sector engine lowers the cap to 2 at most (a requested 1 is
     # kept); when even that sector is too large, the error names it
@@ -284,22 +334,81 @@ def test_dimension_guards():
                              fock_cutoff=cap, beta=30.0)
         with pytest.raises(DimensionTooLarge,
                            match=f"even the {min(cap, 2)}-excitation"):
-            exact_evolve(spec, cold, plus_state(), [0.0, 1.0],
-                         method="sector")
+            exact_evolve(spec, cold, plus_state(), [0.0, 1.0])
 
 
 def test_sector_engine_ignores_per_mode_thermal_tail():
-    # the sector engine starts in the bath vacuum: a soft, weakly coupled
-    # mode with a large thermal tail beyond the cutoff is no truncation
+    # a soft, weakly coupled mode with a large thermal occupation adds a
+    # thermal weight kappa^2 n under SECTOR_OCCUPANCY_TOL: it starts in
+    # the vacuum without a thermofield partner, and nothing is reported
     spec = single_qubit_spec(a=0.0, b=0.0, c=1.0, delta=1.0, g=FF,
                              beta=30.0, lam=0.01)
     bath = TruncatedBath(mode_frequencies=np.array([0.05, 1.0, 1.5]),
                          mode_couplings=np.array([1e-3, 0.1, 0.1]),
                          fock_cutoff=3, beta=30.0)
-    assert bath.truncation_tail() > 1e-4
+    assert bath.occupancies()[0] > 0.25
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
-        exact_evolve(spec, bath, plus_state(), [0.0, 1.0], method="sector")
+        exact_evolve(spec, bath, plus_state(), [0.0, 1.0])
+    [(freqs, _)] = _thermofield_modes([(spec.couplings[0], bath)])
+    assert np.array_equal(freqs, bath.mode_frequencies)
+
+
+def test_thermofield_modes_double_past_the_cold_prefix():
+    # pooled over both channels and sorted by kappa^2 n: the soft mode
+    # has the largest occupation (2.0) but the smallest thermal weight
+    # (2.0e-6, under 1e-3 sum kappa^2 = 1.3e-4) and stays single; the
+    # next weight (2.1e-3) breaks the prefix, so both other modes are
+    # doubled, each partner inside its own channel
+    spec = build_system([0.0, 1.1], [(0.3, np.eye(2), FF),
+                                     (0.2, np.eye(2), FF)], beta=2.0)
+    a = TruncatedBath(mode_frequencies=np.array([0.2, 1.0]),
+                      mode_couplings=np.array([1e-3, 0.3]),
+                      fock_cutoff=3, beta=2.0)
+    b = TruncatedBath(mode_frequencies=np.array([1.5]),
+                      mode_couplings=np.array([0.2]),
+                      fock_cutoff=3, beta=2.0)
+    (fa, ka), (fb, kb) = _thermofield_modes(list(zip(spec.couplings,
+                                                     (a, b))))
+    na, nb = a.occupancies(), b.occupancies()
+    assert np.array_equal(fa, [0.2, 1.0, -1.0])
+    assert ka[0] == 1e-3
+    assert np.allclose(ka[1:], 0.3 * np.sqrt([1.0 + na[1], na[1]]),
+                       rtol=1e-15, atol=0.0)
+    assert np.array_equal(fb, [1.5, -1.5])
+    assert np.allclose(kb, 0.2 * np.sqrt([1.0 + nb[0], nb[0]]),
+                       rtol=1e-15, atol=0.0)
+
+
+def test_thermofield_doubling_boundary():
+    # one mode, whose occupation n is the whole weighted occupancy: just
+    # below SECTOR_OCCUPANCY_TOL the run is the vacuum run bit for bit,
+    # just above it the mode is doubled and the run is the thermal one
+    spec = single_qubit_spec(a=0.0, b=0.0, c=1.0, delta=1.0, g=FF,
+                             beta=30.0, lam=0.05)
+    times = np.linspace(0.0, 20.0, 41)
+
+    def bath(occupation):
+        return TruncatedBath(mode_frequencies=np.array([1.0]),
+                             mode_couplings=np.array([0.3]),
+                             fock_cutoff=4,
+                             beta=math.log1p(1.0 / occupation))
+
+    vacuum = exact_evolve(spec, bath(1e-80), plus_state(), times)
+    below = bath(SECTOR_OCCUPANCY_TOL * (1.0 - 1e-6))
+    assert below.occupancies()[0] < SECTOR_OCCUPANCY_TOL
+    got = exact_evolve(spec, below, plus_state(), times)
+    assert np.array_equal(got.states, vacuum.states)
+
+    above = bath(SECTOR_OCCUPANCY_TOL * (1.0 + 1e-6))
+    [(freqs, _)] = _thermofield_modes([(spec.couplings[0], above)])
+    assert np.array_equal(freqs, [1.0, -1.0])
+    got = exact_evolve(spec, above, plus_state(), times)
+    want = product_space_reference(spec, [above], plus_state(), times, [8])
+    assert np.max(np.abs(got.states - want)) <= 1e-10
+    # the vacuum run misses the thermal effect that the partner carries
+    # (2.1e-5 here)
+    assert np.max(np.abs(vacuum.states - want)) > 1e-5
 
 
 def test_sector_engine_reports_lowered_cap():
@@ -312,7 +421,7 @@ def test_sector_engine_reports_lowered_cap():
                          fock_cutoff=3, beta=30.0)
     with pytest.warns(TruncationWarning,
                       match=r"from the requested 3 to 2 .*dimension 8372"):
-        exact_evolve(spec, bath, plus_state(), [0.0, 0.5], method="sector")
+        exact_evolve(spec, bath, plus_state(), [0.0, 0.5])
 
 
 # =====================================================================

@@ -164,6 +164,23 @@ def test_mean_inverse_frequency_matches_quadrature():
                           expected, rtol=1e-10, atol=0.0), (p, m)
 
 
+def test_mean_inverse_frequency_past_gamma_overflow():
+    # Gamma(s) overflows from s ~ 171.6 on (p = 90, m = 1: s = 182), and
+    # 4 pi (100 * 0.7)^2 Gamma(170) overflows at p = 84, m = 1; the moment
+    # Gamma(s) / (m 2^s) is finite in both and comes from log space
+    for p, scale in ((90.0, 1.3), (84.0, 100.0)):
+        s = 2 * p + 2
+        want = 4.0 * math.pi * (scale * 0.7) ** 2 \
+            * math.exp(math.lgamma(s) - s * math.log(2.0))
+        value = mean_inverse_frequency(make_ff(p, 1, scale, 0.7))
+        assert math.isfinite(value)
+        assert np.isclose(value, want, rtol=1e-13, atol=0.0), p
+    # where Gamma(s) is finite (p = 80: s = 162) the value is the
+    # math.gamma closed form to the last bit, as before the fallback
+    assert mean_inverse_frequency(make_ff(80.0, 1, 1.3, 0.7)) \
+        == 1.3511870300296842e+239
+
+
 def test_mean_inverse_frequency_divergence():
     with pytest.raises(InfraredDivergent):
         mean_inverse_frequency(make_ff(-1.2, 1))
