@@ -52,9 +52,11 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-12
-#: largest register that is lowered to a 2**n-level system: the rate
-#: pipeline keeps three arrays of 2^N 3^N complex entries for each of
-#: three channel mixes (1.45 GB at N = 9, 8.7 GB at N = 10)
+#: largest register that is lowered to a 2**n-level system.  The memory
+#: figure is decoherence_rates': its pipeline keeps three arrays of
+#: 2^N 3^N complex entries for each of three channel mixes (1.45 GB at
+#: N = 9, 8.7 GB at N = 10).  scaling_study, which evaluates only two
+#: group sizes, peaks near 116 MB at N = 9
 MAX_QUBITS = 9
 
 

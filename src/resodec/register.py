@@ -14,6 +14,16 @@ with both channels, with the dephasing channel only and with the
 exchange channel only come from one resonance-pipeline pass that shares
 the Bohr groups and each channel's level-shift matrices across the
 three mixes; the cross contribution is the difference.
+
+``decoherence_rates`` evaluates every Bohr group.  ``scaling_study``
+needs only three numbers per size, and with J = 0, a field that passes
+the generic check and the default clustering their groups are known
+beforehand: the group of a flip pattern holds 2^(agreeing qubits)
+pairs, the fastest conserving and exchange rates sit on the
+all-flipped groups (size 1: |e0| = 2N, and the exchange rate adds up
+over the flipped qubits), and gamma0 on the e = 0 group, the only one
+of size 2^N.  It evaluates those two size classes only; any other case
+evaluates every group.
 """
 
 from __future__ import annotations
@@ -137,6 +147,19 @@ def generic_field_check(B) -> GenericFieldReport:
     return GenericFieldReport(passed=True, witness=None)
 
 
+def _field_is_generic(reg: RegisterSpec) -> bool:
+    """``generic_field_check(reg.B).passed``; warns when a register of
+    more than one qubit fails it (its Bohr groups merge)."""
+    field_ok = generic_field_check(reg.B)
+    if not field_ok.passed and reg.n_qubits > 1:
+        warnings.warn(
+            "field values admit the integer relation "
+            f"{field_ok.witness}; Bohr groups merge and rate "
+            "labels use merged-group representatives", UserWarning,
+            stacklevel=3)
+    return field_ok.passed
+
+
 # =====================================================================
 # Decoherence rates with channel attribution
 # =====================================================================
@@ -180,17 +203,10 @@ def decoherence_rates(reg: RegisterSpec, tol: float | None = None,
     compatibility and ignored.
     """
     spec = register_to_system(reg)
-    field_ok = generic_field_check(reg.B)
-    if not field_ok.passed and reg.n_qubits > 1:
-        warnings.warn(
-            "field values admit the integer relation "
-            f"{field_ok.witness}; Bohr groups merge and rate "
-            "labels use merged-group representatives", UserWarning,
-            stacklevel=2)
     # With no pair interaction and the default clustering, a field
     # that passes the check leaves one (D, e0) per group; a merged
     # group is then a grouping error, not a degenerate field.
-    labels_unique = (field_ok.passed and tol is None
+    labels_unique = (_field_is_generic(reg) and tol is None
                      and not np.any(reg.J - np.diag(np.diag(reg.J))))
 
     spins = spin_configuration(np.arange(spec.dim), reg.n_qubits)
@@ -305,10 +321,20 @@ def scaling_study(template: RegisterTemplate, n_list,
     one resonance-pipeline pass yields both single-channel spectra: the
     conserving-only one gives max_e gamma_e, the exchange-only one gives
     max_e gamma_e and the e = 0 thermalization rate gamma0.  Exponents
-    are log-log least-squares fits across the sizes.  A size that is
-    not an integer or integral float raises BadConfiguration, and an
-    ``n_list`` above MAX_QUBITS raises RegisterTooLarge, before any size
-    is computed.  ``parallel`` is accepted for compatibility and ignored.
+    are log-log least-squares fits across the sizes.
+
+    With the default ``tol`` and a drawn field that passes the generic
+    check (J is zero), the pass evaluates only the groups of size 1
+    (the 2^N all-flipped ones, which carry both maxima) and of size
+    2^N (the e = 0 group alone), in the batches a full pass would use,
+    so every value is bit-identical to evaluating all 3^N groups.  A
+    field that fails the check warns, as in ``decoherence_rates``, and
+    every group is evaluated; so is every group when ``tol`` is given.
+
+    A size that is not an integer or integral float raises
+    BadConfiguration, and an ``n_list`` above MAX_QUBITS raises
+    RegisterTooLarge, before any size is computed.  ``parallel`` is
+    accepted for compatibility and ignored.
     """
     n_list = sorted(_integer(n, "n_list") for n in n_list)
     if not n_list:
@@ -319,9 +345,11 @@ def scaling_study(template: RegisterTemplate, n_list,
     rows = []
     for n in n_list:
         reg = template.realize(n, seed, attenuate=attenuate)
+        sizes = {1, 2 ** n} \
+            if _field_is_generic(reg) and tol is None else None
         cons, exch = _resonance_mixes(
             register_to_system(reg),
-            [(reg.lambda1, 0.0), (0.0, reg.lambda2)], tol)
+            [(reg.lambda1, 0.0), (0.0, reg.lambda2)], tol, sizes=sizes)
         rows.append(ScalingRow(
             n_qubits=n,
             max_gamma_conserving=max(r.gamma for r in cons),

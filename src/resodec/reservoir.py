@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import (
     InfraredDivergent,
+    NumericalError,
     OmegaPrimeOutOfRange,
     QuadratureNotConverged,
     ValidationError,
@@ -226,7 +227,8 @@ def mean_inverse_frequency(base: FormFactor) -> float:
     (= int_0^inf r * S(r) dr), finite for p > -1: in closed form
     4*pi*(scale*weight)^2 * Gamma(s) / (m * 2^s), s = (2p + 2)/m.
     Where Gamma(s), or its product with the prefactor, overflows (from
-    s ~ 171.6 on), the ratio Gamma(s) / 2^s is taken in log space."""
+    s ~ 171.6 on), the ratio Gamma(s) / 2^s is taken in log space; a
+    moment beyond the float range raises NumericalError."""
     if base.is_zero:
         return 0.0
     if 2.0 * base.radial_exponent + 1.0 <= -1.0:
@@ -242,7 +244,16 @@ def mean_inverse_frequency(base: FormFactor) -> float:
         moment = math.inf
     if math.isfinite(moment):
         return moment
-    return prefactor * math.exp(math.lgamma(s) - s * math.log(2.0)) / m
+    try:
+        moment = prefactor * math.exp(math.lgamma(s) - s * math.log(2.0)) / m
+    except OverflowError:
+        moment = math.inf
+    if math.isfinite(moment):
+        return moment
+    raise NumericalError(
+        "inverse-frequency moment exceeds the float range for radial "
+        f"exponent p = {base.radial_exponent}, decay exponent m = {m} "
+        f"(s = {s:g})")
 
 
 # =====================================================================

@@ -313,19 +313,23 @@ def _diagonalize_groups(es, groups, lam_mats: np.ndarray,
             for i, e in enumerate(es)]
 
 
-def _resonance_mixes(spec: SystemSpec, mixes, tol: float | None = None) \
-        -> list:
+def _resonance_mixes(spec: SystemSpec, mixes, tol: float | None = None,
+                     sizes=None) -> list:
     """``resonance_energies`` for several channel mixes of one spec.
 
     ``mixes`` is a list of strength vectors, one strength per coupling
     term of ``spec`` (a zero switches the channel off).  The Bohr
     spectrum, the channel tables and each channel's matrices are shared
     by all mixes; only the weighted sums are diagonalized per mix.
+    ``sizes``, when given, is a set of group sizes: only the groups of
+    those sizes are assembled and diagonalized, each size class in the
+    same batch as in a full pass, so their data are bit-identical to it.
     Returns one sorted-e list of ResonanceData per mix.
     """
     spectrum = bohr_spectrum(spec, tol)
     tables = _channel_tables(spec, mixes)
-    keys = sorted(spectrum.groups.keys())
+    keys = [e for e in sorted(spectrum.groups.keys())
+            if sizes is None or len(spectrum.groups[e]) in sizes]
     by_size: dict = {}
     for e in keys:
         by_size.setdefault(len(spectrum.groups[e]), []).append(e)

@@ -28,7 +28,7 @@ from resodec.register import (
     scaling_study,
 )
 from resodec.reservoir import thermal_spectral_density, xi
-from resodec.resonances import resonance_energies
+from resodec.resonances import bohr_spectrum, resonance_energies
 
 G1 = FormFactor(radial_exponent=-0.5, decay_exponent=1)
 G2 = FormFactor(radial_exponent=0.5, decay_exponent=1)
@@ -316,3 +316,89 @@ def test_scaling_study_rejects_oversized_list_before_any_size(monkeypatch):
                                 beta=0.5)
     with pytest.raises(RegisterTooLarge):
         scaling_study(template, [2, MAX_QUBITS + 1])
+
+
+def _all_groups_reference(monkeypatch, *args, **kwargs):
+    """scaling_study with every Bohr group evaluated."""
+    import resodec.register as register
+    import resodec.resonances as resonances
+
+    def all_groups(spec, mixes, tol=None, sizes=None):
+        return resonances._resonance_mixes(spec, mixes, tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(register, "_resonance_mixes", all_groups)
+        return scaling_study(*args, **kwargs)
+
+
+def _spy_diagonalized(monkeypatch):
+    """Record (group size, group count) of every batched
+    diagonalization."""
+    import resodec.resonances as resonances
+
+    calls = []
+    diagonalize = resonances._diagonalize_groups
+
+    def spy(es, groups, lam_mats, lam):
+        calls.append((lam_mats.shape[1], len(es)))
+        return diagonalize(es, groups, lam_mats, lam)
+
+    monkeypatch.setattr(resonances, "_diagonalize_groups", spy)
+    return calls
+
+
+@pytest.mark.parametrize("g1, g2", [
+    (G1, G2),
+    (FormFactor(radial_exponent=-0.5, decay_exponent=2, overall_scale=1.3),
+     FormFactor(radial_exponent=1.5, decay_exponent=2, overall_scale=0.8)),
+])
+def test_scaling_study_group_subset_is_bit_identical(monkeypatch, g1, g2):
+    # the size-1 and size-2^N groups give the same maxima and gamma0 as
+    # all 3^N groups, to the last bit
+    template = RegisterTemplate(lambda1=0.01, lambda2=0.02, g1=g1, g2=g2,
+                                beta=0.5)
+    for seed in (7, 301, 0xD1CE):
+        for attenuate in (False, True):
+            table = scaling_study(template, range(2, 7), seed=seed,
+                                  attenuate=attenuate)
+            assert table == _all_groups_reference(
+                monkeypatch, template, range(2, 7), seed=seed,
+                attenuate=attenuate), (seed, attenuate)
+
+
+def test_scaling_study_diagonalizes_only_the_rate_carrying_sizes(
+        monkeypatch):
+    template = RegisterTemplate(lambda1=0.01, lambda2=0.01, g1=G1, g2=G2,
+                                beta=0.5)
+    calls = _spy_diagonalized(monkeypatch)
+    for n in range(1, 7):
+        calls.clear()
+        scaling_study(template, [n], seed=11)
+        # two mixes, each: 2^N all-flipped groups and the e = 0 group
+        assert sorted(calls) == [(1, 2 ** n), (1, 2 ** n),
+                                 (2 ** n, 1), (2 ** n, 1)], n
+
+
+def test_scaling_study_evaluates_every_group_otherwise(monkeypatch):
+    # with tol given, or a field that fails the generic check, the
+    # group structure is not assumed: every group is diagonalized
+    calls = _spy_diagonalized(monkeypatch)
+    template = RegisterTemplate(lambda1=0.01, lambda2=0.01, g1=G1, g2=G2,
+                                beta=0.5)
+    scaling_study(template, [4], seed=11, tol=1e-9)
+    spec = register_to_system(template.realize(4, 11))
+    assert sum(count for _, count in calls) \
+        == 2 * len(bohr_spectrum(spec, 1e-9).groups) == 2 * 3 ** 4
+    assert {size for size, _ in calls} == {1, 2, 4, 8, 16}
+
+    calls.clear()
+    flat = dataclasses.replace(template, b_interval=(0.5, 0.5 + 1e-14))
+    with pytest.warns(UserWarning, match="integer relation"):
+        table = scaling_study(flat, [4], seed=11)
+    spec = register_to_system(flat.realize(4, 11))
+    groups = bohr_spectrum(spec).groups
+    assert len(groups) == 9        # e depends on the flip count only
+    assert sum(count for _, count in calls) == 2 * len(groups)
+    assert {size for size, _ in calls} \
+        == {len(pairs) for pairs in groups.values()}
+    assert table.rows[0].gamma0 > 0.0

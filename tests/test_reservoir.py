@@ -11,6 +11,7 @@ from scipy import integrate
 from resodec import reservoir
 from resodec.errors import (
     InfraredDivergent,
+    NumericalError,
     OmegaPrimeOutOfRange,
     QuadratureNotConverged,
     ValidationError,
@@ -179,6 +180,16 @@ def test_mean_inverse_frequency_past_gamma_overflow():
     # math.gamma closed form to the last bit, as before the fallback
     assert mean_inverse_frequency(make_ff(80.0, 1, 1.3, 0.7)) \
         == 1.3511870300296842e+239
+
+
+def test_mean_inverse_frequency_beyond_float_range():
+    # the moment is about 2.6e317 at p = 100, m = 1 (exp overflows) and
+    # 5.6e309 at p = 88 with scale 1e20 (the product overflows to inf);
+    # neither is a float
+    for p, scale, s in ((100.0, 1.3, 202), (88.0, 1e20, 178)):
+        with pytest.raises(NumericalError, match=rf"p = {p}, decay "
+                           rf"exponent m = 1 \(s = {s}\)"):
+            mean_inverse_frequency(make_ff(p, 1, scale, 0.7))
 
 
 def test_mean_inverse_frequency_divergence():
