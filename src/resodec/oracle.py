@@ -47,14 +47,15 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse
 
+from ._quadpack import quad
 from .dynamics import Trajectory, _as_state_array, free_evolution, \
     resonance_evolution
 from .errors import (
     DimensionTooLarge,
     PoorFit,
+    QuadratureNotConverged,
     TruncationWarning,
     WeightMismatch,
 )
@@ -172,9 +173,13 @@ def discretize_bath(form_factor: FormFactor, beta: float, n_modes: int,
                          mode_couplings=np.sqrt(weights),
                          fock_cutoff=fock_cutoff, beta=beta)
     if not form_factor.is_zero:
-        target, _ = scipy.integrate.quad(
+        target, _, ier = quad(
             lambda w: float(one_sided_density(form_factor, w)),
             0.0, omega_max, limit=200)
+        if ier:
+            raise QuadratureNotConverged(
+                f"continuum spectral weight on [0, {omega_max:g}] stopped "
+                f"with QUADPACK code {ier}")
         total = float(weights.sum())
         if abs(total - target) > 0.01 * abs(target):
             raise WeightMismatch(

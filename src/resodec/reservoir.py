@@ -22,9 +22,10 @@ For a form factor ``g`` (see model.FormFactor) at inverse temperature
   negative-frequency gluing of the form factor at temperature beta and
   the exact decision whether it is analytic at frequency zero.
 
-Everything is a pure function of immutable inputs.  scipy is loaded
-only by ``xi_lorentzian_check``, its one user, when first called, so
-importing this module costs numpy alone.
+Everything is a pure function of immutable inputs.  Importing this
+module costs numpy alone: ``xi_lorentzian_check`` integrates with the
+package's own port of QUADPACK (``_quadpack``), which returns
+``scipy.integrate.quad``'s bits without loading scipy.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from functools import partial
 
 import numpy as np
 
+from ._quadpack import quad
 from .errors import (
     InfraredDivergent,
     NumericalError,
@@ -184,11 +186,13 @@ def xi_lorentzian_check(base: FormFactor, beta: float, eta: float,
     Used only as a quadrature cross-check oracle for ``xi``; converges
     to xi(eta) as epsilon decreases.
     """
-    if epsilon <= 0.0:
-        raise ValidationError(f"epsilon must be > 0, got {epsilon!r}")
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise ValidationError(f"eta must be finite and >= 0, got {eta!r}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValidationError(
+            f"epsilon must be finite and > 0, got {epsilon!r}")
     if base.is_zero:
         return 0.0
-    from scipy import integrate  # only this diagnostic loads scipy
 
     def f(r):
         return (xi(base, beta, r) * epsilon
@@ -199,7 +203,11 @@ def xi_lorentzian_check(base: FormFactor, beta: float, eta: float,
     total, err = 0.0, 0.0
     edges = [0.0] + [p for p in pts if p > 0.0] + [np.inf]
     for a, b in zip(edges[:-1], edges[1:]):
-        v, e = integrate.quad(f, a, b, **_QUAD_KW)
+        v, e, ier = quad(f, a, b, **_QUAD_KW)
+        if ier:
+            raise QuadratureNotConverged(
+                f"Lorentzian check on [{a:g}, {b:g}] stopped with QUADPACK "
+                f"code {ier}")
         total += v
         err += e
     if err > max(1e-6, 1e-6 * abs(total)):

@@ -257,9 +257,9 @@ def test_package_provides_only_the_version(tmp_path):
 
 
 def test_scipy_free_commands_load_no_scipy(tmp_path):
-    # only xi, verify and the xi_lorentzian_check diagnostic need
-    # scipy: one interpreter runs the other commands on their demo
-    # configurations without loading any of it
+    # only verify needs scipy (sparse products and Bessel coefficients):
+    # one interpreter runs every other command on its demo configuration
+    # without loading any of it
     commands = [
         ["spectrum", "--config", str(QUBIT_CFG)],
         ["spectrum", "--config", str(CONFIG_DIR / "three_level.json"),
@@ -267,6 +267,7 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
         ["rates", "--config", str(REG4_CFG)],
         ["evolve", "--config", str(CONFIG_DIR / "three_level.json")],
         ["scaling", "--config", str(SCALING_CFG)],
+        ["xi", "--config", str(XI_CFG)],
     ]
     commands = [argv + ["-o", str(tmp_path / f"{i}.csv")]
                 for i, argv in enumerate(commands)]
@@ -280,25 +281,39 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = proc.stdout.splitlines()
-    assert codes == "[0, 0, 0, 0, 0]"
+    assert codes == "[0, 0, 0, 0, 0, 0]"
     assert scipy_modules == "[]"
 
 
 def test_closed_form_reservoir_diagnostics_load_no_scipy_or_mpmath():
-    # Condition (A) and the inverse-frequency moment are closed forms
+    # Condition (A) and the inverse-frequency moment are closed forms;
+    # the Lorentzian check integrates with the package's QUADPACK port
     probe = ("import sys; "
              "from resodec.model import FormFactor; "
              "from resodec.reservoir import ThermalFormFactor, "
-             "check_condition_A, mean_inverse_frequency; "
+             "check_condition_A, mean_inverse_frequency, "
+             "xi_lorentzian_check; "
              "ff = FormFactor(radial_exponent=0.5, decay_exponent=2); "
              "print(check_condition_A(ThermalFormFactor(base=ff, beta=1.0), "
-             "1.0).passed, mean_inverse_frequency(ff) > 0.0); "
+             "1.0).passed, mean_inverse_frequency(ff) > 0.0, "
+             "xi_lorentzian_check(ff, 2.0, 1.1, 1e-3) > 0.0); "
              "print(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('scipy', 'mpmath')))")
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["True True", "[]"]
+    assert proc.stdout.splitlines() == ["True True True", "[]"]
+
+
+def test_oracle_loads_no_scipy_integrate():
+    # the oracle's weight check integrates with the QUADPACK port too
+    probe = ("import sys, resodec.oracle; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('scipy.integrate')))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
 
 
 def test_verify_import_failure_is_not_exit_1(monkeypatch):

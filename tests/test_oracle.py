@@ -12,6 +12,7 @@ import scipy.linalg
 from resodec.errors import (
     DimensionTooLarge,
     PoorFit,
+    QuadratureNotConverged,
     TruncationWarning,
     WeightMismatch,
 )
@@ -147,6 +148,15 @@ def test_discretize_bath_refuses_coarse_grid():
                         fock_cutoff=3)
     with pytest.raises(ValueError):
         discretize_bath(FF, beta=2.0, n_modes=0, omega_max=3.0,
+                        fock_cutoff=3)
+
+
+def test_discretize_bath_refuses_unconverged_weight_integral():
+    # J(w) ~ w^-0.9998 near 0: QUADPACK flags the continuum weight as
+    # probably divergent (code 5) and the bath is refused, not built on it
+    g = FormFactor(radial_exponent=-1.4999, decay_exponent=2)
+    with pytest.raises(QuadratureNotConverged, match="QUADPACK code 5"):
+        discretize_bath(g, beta=2.0, n_modes=150, omega_max=3.0,
                         fock_cutoff=3)
 
 

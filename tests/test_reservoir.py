@@ -1,6 +1,7 @@
 """Spectral functions checked against independent integral oracles."""
 
 import math
+import random
 import warnings
 from functools import partial
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from resodec import reservoir
+from resodec import _quadpack, oracle, reservoir
+from resodec.cli import run
+from resodec.config import load_config, system_from_config
 from resodec.errors import (
     InfraredDivergent,
     NumericalError,
@@ -17,6 +20,7 @@ from resodec.errors import (
     ValidationError,
 )
 from resodec.model import FormFactor
+from resodec.oracle import VerifyConfig, discretize_bath
 from resodec.reservoir import (
     ThermalFormFactor,
     _density_array,
@@ -33,6 +37,8 @@ from resodec.reservoir import (
     xi,
     xi_lorentzian_check,
 )
+
+from conftest import CONFIG_DIR
 
 RNG = np.random.default_rng(20240818)
 
@@ -91,6 +97,21 @@ def test_xi_lorentzian_check_converges():
             for eps in (1e-1, 1e-2, 1e-3)]
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] <= 5e-3 * max(1.0, target)
+
+
+@pytest.mark.parametrize("eta, epsilon", [
+    (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -1e-3),
+    (math.nan, 1e-3), (math.inf, 1e-3), (-0.5, 1e-3)])
+def test_xi_lorentzian_check_refuses_bad_input(eta, epsilon):
+    with pytest.raises(ValidationError):
+        xi_lorentzian_check(make_ff(0.5, 2), 2.0, eta, epsilon)
+
+
+def test_xi_lorentzian_check_refuses_unconverged_quadrature(monkeypatch):
+    # one subinterval cannot meet the tolerance: QUADPACK reports ier = 1
+    monkeypatch.setitem(reservoir._QUAD_KW, "limit", 1)
+    with pytest.raises(QuadratureNotConverged, match="QUADPACK code 1"):
+        xi_lorentzian_check(make_ff(0.5, 2), 2.0, 1.1, 1e-3)
 
 
 def test_thermal_density_detailed_balance():
@@ -390,3 +411,104 @@ def test_condition_a_zero_form_factor_and_window():
         check_condition_A(tf, omega_prime=2.0 * np.pi / 2.0)
     with pytest.raises(OmegaPrimeOutOfRange):
         check_condition_A(tf, omega_prime=0.0)
+
+
+# =====================================================================
+# The QUADPACK port against scipy.integrate.quad, bit for bit
+# =====================================================================
+
+QUAD_TOLERANCES = {
+    "default": {},
+    "package": reservoir._QUAD_KW,
+    "limit200": dict(limit=200),
+    "tight": dict(epsabs=0.0, epsrel=1e-13),
+}
+
+
+def _quad_family(name, rng):
+    """One random integral (f, a, b) of the named family."""
+    c = rng.uniform(0.1, 5.0)
+    x0 = rng.uniform(0.0, 3.0)
+    if name == "power-exp":
+        p = rng.uniform(-0.9, 3.0)
+        return (lambda x: x ** p * math.exp(-c * x), 0.0,
+                rng.choice([rng.uniform(0.1, 20.0), math.inf]))
+    if name == "lorentzian":
+        w = 10.0 ** rng.uniform(-4.0, 0.0)
+        return (lambda x: w / ((x - x0) ** 2 + w * w) / math.pi, 0.0,
+                rng.choice([rng.uniform(1.0, 5.0), math.inf]))
+    if name == "log":
+        return lambda x: c * math.log(x), 0.0, rng.uniform(0.1, 3.0)
+    if name == "inverse-sqrt":
+        return (lambda x: 1.0 / math.sqrt(abs(x - x0)) if x != x0 else 0.0,
+                0.0, rng.uniform(3.0, 5.0))
+    # drives the extrapolation table and the roundoff branches
+    return (lambda x: math.sin(30.0 * c * x) / (1.0 + x * x),
+            rng.uniform(0.0, 2.0), math.inf)
+
+
+def _assert_quad_bitwise(f, a, b, **kw):
+    """The port calls f at scipy's nodes in scipy's order, returns its
+    value and error estimate bit for bit and flags the same failures;
+    returns the port's (value, abserr, ier)."""
+    ours, theirs = [], []
+    value, abserr, ier = _quadpack.quad(
+        lambda x: ours.append(x) or f(x), a, b, **kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        out = integrate.quad(lambda x: theirs.append(x) or f(x), a, b,
+                             full_output=1, **kw)
+    assert (value, abserr) == out[:2]
+    assert ours == theirs
+    # scipy appends a message exactly when QUADPACK's code is nonzero
+    assert (ier != 0) == (len(out) == 4)
+    return value, abserr, ier
+
+
+@pytest.mark.parametrize("tol", QUAD_TOLERANCES)
+@pytest.mark.parametrize("family", ["power-exp", "lorentzian", "log",
+                                    "inverse-sqrt", "oscillatory"])
+def test_quadpack_port_is_bitwise_scipy(family, tol):
+    rng = random.Random(f"{family}/{tol}")
+    for _ in range(12):
+        _assert_quad_bitwise(*_quad_family(family, rng),
+                             **QUAD_TOLERANCES[tol])
+
+
+@pytest.mark.parametrize("f, b, code", [
+    (lambda x: 3.89 * math.log(x), 2.88, 2),                   # roundoff
+    (lambda x: x ** -0.48 * math.exp(-2.23 * x), math.inf, 4),  # extrapolation
+], ids=["roundoff", "extrapolation"])
+def test_quadpack_port_failure_codes(f, b, code):
+    # the random draws above reach codes 0, 1, 3 and 5; these two reach
+    # the rarer ones
+    _, _, ier = _assert_quad_bitwise(f, 0.0, b, **QUAD_TOLERANCES["tight"])
+    assert ier == code
+
+
+def test_package_quadratures_are_bitwise_scipy(monkeypatch, tmp_path):
+    # every integral the package evaluates on its shipped configurations:
+    # the xi subcommand's Lorentzian check and the oracle's weight check
+    codes = []
+
+    def spy(f, a, b, **kw):
+        result = _assert_quad_bitwise(f, a, b, **kw)
+        codes.append(result[2])
+        return result
+
+    monkeypatch.setattr(reservoir, "quad", spy)
+    monkeypatch.setattr(oracle, "quad", spy)
+    assert run(["xi", "--config", str(CONFIG_DIR / "xi_grid.json"),
+                "-o", str(tmp_path / "xi.csv")]) == 0
+    n_xi = len(codes)
+    for name in ("verify_qubit", "three_level", "single_qubit"):
+        cfg = load_config(CONFIG_DIR / f"{name}.json")
+        section = cfg.get("verify", {})
+        vconfig = VerifyConfig(**{k: section[k] for k in section
+                                  if k in ("n_modes", "omega_max")})
+        system = system_from_config(cfg)
+        for term in system.couplings:
+            discretize_bath(term.form_factor, system.beta, vconfig.n_modes,
+                            vconfig.omega_max, vconfig.fock_cutoff)
+    assert n_xi == 162 and len(codes) > n_xi
+    assert set(codes) == {0}
