@@ -12,10 +12,10 @@ verify     truncated-reservoir oracle versus resonance theory
 Every CSV starts with a provenance comment header (configuration
 hash, seed, package version — never timestamps), so identical inputs
 produce byte-identical output.  Exit codes: 0 success, 1 validation
-error, 2 numerical failure, 3 verification failure; errors go to
-standard error with the prefix ``ERROR[code]:``.  A malformed
+error, 2 numerical failure, 3 verification failure, 4 a bug; errors 1-3
+go to standard error with the prefix ``ERROR[code]:``.  A malformed
 configuration value is a validation error; any other exception is a
-bug and propagates with its traceback.
+bug: ``run`` propagates it, ``main`` prints its traceback.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import contextlib
 import dataclasses
 import logging
 import sys
+import traceback
 
 import numpy as np
 
@@ -493,4 +494,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Exit with ``run``'s code; a bug prints its traceback and exits 4."""
+    try:
+        sys.exit(run())
+    except Exception:
+        traceback.print_exc()
+        sys.exit(4)

@@ -4,8 +4,9 @@ The continuum reservoir is replaced by M discrete bosonic modes on a
 uniform frequency grid; the coupled system-plus-modes Hamiltonian is
 then evolved exactly and the reduced system state extracted by partial
 trace.  Nothing from the perturbative pipeline enters: this module only
-shares the model types and the spectral weight of the form factor, so
-agreement between the two is a genuine cross-check.
+shares the model types and the spectral weight J of the form factor,
+whose integral (a closed form) gates the grid, so agreement between
+the two is a genuine cross-check.
 
 Discretization: a mode at omega_k carries squared coupling
 kappa_k^2 = J(omega_k) * d_omega, where J is the one-sided emission
@@ -49,19 +50,17 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse
 
-from ._quadpack import quad
 from .dynamics import Trajectory, _as_state_array, free_evolution, \
     resonance_evolution
 from .errors import (
     DimensionTooLarge,
     PoorFit,
-    QuadratureNotConverged,
     TruncationWarning,
     WeightMismatch,
 )
 from .model import FormFactor, RegisterSpec, SystemSpec, register_to_system
 from .resonances import ZERO_RESONANCE_TOL, resonance_energies
-from .reservoir import one_sided_density
+from .reservoir import _radial_moment, one_sided_density
 
 __all__ = [
     "TruncatedBath",
@@ -159,8 +158,8 @@ def discretize_bath(form_factor: FormFactor, beta: float, n_modes: int,
 
     Modes sit at the midpoints of a uniform grid on (0, omega_max] and
     carry kappa_k^2 = J(omega_k) * d_omega.  The summed weight must
-    reproduce the continuum integral of J over (0, omega_max] within
-    1%, otherwise the resolution is refused.
+    reproduce the continuum integral of J over (0, omega_max], a closed
+    form, within 1%, otherwise the resolution is refused.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
@@ -173,13 +172,7 @@ def discretize_bath(form_factor: FormFactor, beta: float, n_modes: int,
                          mode_couplings=np.sqrt(weights),
                          fock_cutoff=fock_cutoff, beta=beta)
     if not form_factor.is_zero:
-        target, _, ier = quad(
-            lambda w: float(one_sided_density(form_factor, w)),
-            0.0, omega_max, limit=200)
-        if ier:
-            raise QuadratureNotConverged(
-                f"continuum spectral weight on [0, {omega_max:g}] stopped "
-                f"with QUADPACK code {ier}")
+        target = _radial_moment(form_factor, 2, omega_max)
         total = float(weights.sum())
         if abs(total - target) > 0.01 * abs(target):
             raise WeightMismatch(

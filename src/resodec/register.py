@@ -1,5 +1,5 @@
 """Qubit-register specialization: Bohr frequencies of configuration
-pairs, Hamming data, generic-field diagnostics, per-group decoherence
+pairs, Hamming data, a generic-field diagnostic, per-group decoherence
 rates with channel attribution, and system-size scaling studies.
 
 A register of N qubits couples collectively to two reservoirs: a
@@ -15,15 +15,16 @@ exchange channel only come from one resonance-pipeline pass that shares
 the Bohr groups and each channel's level-shift matrices across the
 three mixes; the cross contribution is the difference.
 
-``decoherence_rates`` evaluates every Bohr group.  ``scaling_study``
-needs only three numbers per size, and with J = 0, a field that passes
-the generic check and the default clustering their groups are known
-beforehand: the group of a flip pattern holds 2^(agreeing qubits)
-pairs, the fastest conserving and exchange rates sit on the
-all-flipped groups (size 1: |e0| = 2N, and the exchange rate adds up
-over the flipped qubits), and gamma0 on the e = 0 group, the only one
-of size 2^N.  It evaluates those two size classes only; any other case
-evaluates every group.
+``bohr_spectrum``'s clustering alone decides which pairs share a group;
+``generic_field_check`` is a diagnostic the pipeline does not consult.
+``decoherence_rates`` evaluates every group.  ``scaling_study`` needs
+three numbers per size, and with J = 0 a spectrum of 3^N groups is the
+partition into flip patterns (sigma_j - tau_j per qubit): the group of
+a flip pattern holds 2^(agreeing qubits) pairs, the fastest conserving
+and exchange rates sit on the all-flipped groups (size 1: |e0| = 2N,
+and the exchange rate adds up over the flipped qubits), and gamma0 on
+the e = 0 group, the only one of size 2^N.  It evaluates those two size
+classes only; any other group count warns and evaluates every group.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .model import (
     register_to_system,
     spin_configuration,
 )
-from .resonances import _resonance_mixes
+from .resonances import _resonance_mixes, bohr_spectrum
 
 __all__ = [
     "RateReport",
@@ -118,7 +119,8 @@ def _combination_sums(B: np.ndarray) -> np.ndarray:
 
 
 def generic_field_check(B) -> GenericFieldReport:
-    """Exhaustively scan integer combinations of the field values.
+    """Exhaustively scan integer combinations of the field values (a
+    diagnostic the pipeline does not consult).
 
     FAIL with a witness when some nonzero n in {0, +-1, +-2}^N has
     |sum_j B_j n_j| <= 1e-12 max|B|; registers beyond N = 12 are
@@ -145,19 +147,6 @@ def generic_field_check(B) -> GenericFieldReport:
                             for d in np.unravel_index(index, (5,) * n))
             return GenericFieldReport(passed=False, witness=witness)
     return GenericFieldReport(passed=True, witness=None)
-
-
-def _field_is_generic(reg: RegisterSpec) -> bool:
-    """``generic_field_check(reg.B).passed``; warns when a register of
-    more than one qubit fails it (its Bohr groups merge)."""
-    field_ok = generic_field_check(reg.B)
-    if not field_ok.passed and reg.n_qubits > 1:
-        warnings.warn(
-            "field values admit the integer relation "
-            f"{field_ok.witness}; Bohr groups merge and rate "
-            "labels use merged-group representatives", UserWarning,
-            stacklevel=3)
-    return field_ok.passed
 
 
 # =====================================================================
@@ -194,43 +183,39 @@ def decoherence_rates(reg: RegisterSpec, tol: float | None = None,
     """Per-group decay rates of a register, attributed by channel.
 
     The resonance data of both channels, of the conserving channel
-    alone and of the exchange channel alone come from one pass; the
-    Bohr groups coincide because they depend only on the energies.
-    Warns when the field values fail the generic check (groups merge)
-    -- the rates are still computed for the merged groups, which
-    ``RateReport.merged`` flags.  A register above MAX_QUBITS raises
-    RegisterTooLarge before any work.  ``parallel`` is accepted for
-    compatibility and ignored.
+    alone and of the exchange channel alone come from one pass over the
+    groups of ``bohr_spectrum(spec, tol)``.  A group whose pairs do not
+    all share one (D, e0) still gets its rates; ``RateReport.merged``
+    flags it, and a UserWarning is issued exactly when some group is
+    merged.  A register above MAX_QUBITS raises RegisterTooLarge before
+    any work.  ``parallel`` is accepted for compatibility and ignored.
     """
     spec = register_to_system(reg)
-    # With no pair interaction and the default clustering, a field
-    # that passes the check leaves one (D, e0) per group; a merged
-    # group is then a grouping error, not a degenerate field.
-    labels_unique = (_field_is_generic(reg) and tol is None
-                     and not np.any(reg.J - np.diag(np.diag(reg.J))))
-
-    spins = spin_configuration(np.arange(spec.dim), reg.n_qubits)
     lam1, lam2 = reg.lambda1, reg.lambda2
     full, conserving, exchange = _resonance_mixes(
-        spec, [(lam1, lam2), (lam1, 0.0), (0.0, lam2)], tol)
-    reports = []
-    for r, r_cons, r_exch in zip(full, conserving, exchange):
-        diff = spins[r.pairs[:, 0]] - spins[r.pairs[:, 1]]
-        jumps = list(zip(np.abs(diff).sum(axis=1).tolist(),
-                         diff.sum(axis=1).tolist()))
-        d, e0 = jumps[0]
-        merged = len(set(jumps)) > 1
-        if merged and labels_unique:
-            raise RuntimeError(
-                f"Bohr group e = {r.e:.6g} holds pairs with different "
-                f"(D, e0) {sorted(set(jumps))} although the field passed "
-                "the generic check")
-        reports.append(RateReport(
-            e=r.e, gamma=r.gamma, gamma_conserving=r_cons.gamma,
-            gamma_exchange=r_exch.gamma,
-            gamma_cross=r.gamma - r_cons.gamma - r_exch.gamma,
-            e0=e0, hamming=d, pairs=r.pairs, merged=merged))
-    return reports
+        spec, [(lam1, lam2), (lam1, 0.0), (0.0, lam2)],
+        bohr_spectrum(spec, tol))
+
+    # (D, e0) of every pair, group after group: merged where they vary
+    sizes = [len(r.pairs) for r in full]
+    firsts = np.cumsum(sizes) - sizes
+    spins = spin_configuration(np.arange(spec.dim), reg.n_qubits)
+    diff = np.subtract(*spins[np.concatenate([r.pairs for r in full]).T])
+    labels = np.stack([np.abs(diff).sum(axis=1), diff.sum(axis=1)], axis=1)
+    merged = np.any(np.minimum.reduceat(labels, firsts)
+                    != np.maximum.reduceat(labels, firsts), axis=1)
+    if merged.any():
+        warnings.warn(
+            f"{int(merged.sum())} of {len(full)} Bohr groups hold pairs "
+            "with different (D, e0); RateReport.merged flags them",
+            UserWarning, stacklevel=2)
+    return [RateReport(e=r.e, gamma=r.gamma, gamma_conserving=r_cons.gamma,
+                       gamma_exchange=r_exch.gamma,
+                       gamma_cross=r.gamma - r_cons.gamma - r_exch.gamma,
+                       e0=e0, hamming=d, pairs=r.pairs, merged=m)
+            for r, r_cons, r_exch, (d, e0), m in zip(
+                full, conserving, exchange, labels[firsts].tolist(),
+                merged.tolist())]
 
 
 # =====================================================================
@@ -323,13 +308,12 @@ def scaling_study(template: RegisterTemplate, n_list,
     max_e gamma_e and the e = 0 thermalization rate gamma0.  Exponents
     are log-log least-squares fits across the sizes.
 
-    With the default ``tol`` and a drawn field that passes the generic
-    check (J is zero), the pass evaluates only the groups of size 1
-    (the 2^N all-flipped ones, which carry both maxima) and of size
-    2^N (the e = 0 group alone), in the batches a full pass would use,
-    so every value is bit-identical to evaluating all 3^N groups.  A
-    field that fails the check warns, as in ``decoherence_rates``, and
-    every group is evaluated; so is every group when ``tol`` is given.
+    When ``bohr_spectrum(spec, tol)`` has 3^N groups, each is one flip
+    pattern (J is zero), and the pass evaluates only the groups of
+    size 1 (the 2^N all-flipped ones, which carry both maxima) and of
+    size 2^N (the e = 0 group alone), in the batches a full pass would
+    use, so every value is bit-identical to evaluating all 3^N groups.
+    Any other group count warns, and every group is evaluated.
 
     A size that is not an integer or integral float raises
     BadConfiguration, and an ``n_list`` above MAX_QUBITS raises
@@ -345,11 +329,19 @@ def scaling_study(template: RegisterTemplate, n_list,
     rows = []
     for n in n_list:
         reg = template.realize(n, seed, attenuate=attenuate)
-        sizes = {1, 2 ** n} \
-            if _field_is_generic(reg) and tol is None else None
+        spec = register_to_system(reg)
+        spectrum = bohr_spectrum(spec, tol)
+        sizes = {1, 2 ** n}
+        if len(spectrum.groups) != 3 ** n:
+            warnings.warn(
+                f"the Bohr spectrum of the N = {n} field has "
+                f"{len(spectrum.groups)} groups, not one per flip pattern "
+                f"(3^{n}); every group is evaluated", UserWarning,
+                stacklevel=2)
+            sizes = None
         cons, exch = _resonance_mixes(
-            register_to_system(reg),
-            [(reg.lambda1, 0.0), (0.0, reg.lambda2)], tol, sizes=sizes)
+            spec, [(reg.lambda1, 0.0), (0.0, reg.lambda2)], spectrum,
+            sizes=sizes)
         rows.append(ScalingRow(
             n_qubits=n,
             max_gamma_conserving=max(r.gamma for r in cons),

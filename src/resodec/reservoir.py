@@ -30,6 +30,7 @@ package's own port of QUADPACK (``_quadpack``), which returns
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -230,38 +231,45 @@ def thermal_spectral_density(base: FormFactor, beta: float, u: float) -> float:
     return 0.5 * x * (1.0 + t if u > 0.0 else 1.0 - t)
 
 
+def _radial_moment(base: FormFactor, k: int,
+                   upper: float = math.inf) -> float:
+    """int_0^upper r^k S(r) dr = 4*pi*(scale*weight)^2 * Gamma(s)
+    P(s, 2 upper^m) / (m * 2^s), s = (2p + 1 + k)/m, P = gammainc (1,
+    and no scipy, for upper = inf).  Past an overflow (of Gamma(s) from
+    s ~ 171.6 on) Gamma(s) P / 2^s is taken in log space; a moment
+    outside the float range raises NumericalError."""
+    m = base.decay_exponent
+    s = (2.0 * base.radial_exponent + 1.0 + k) / m
+    share = 1.0
+    if math.isfinite(upper):
+        from scipy.special import gammainc
+        share = float(gammainc(s, 2.0 * upper ** m))
+    prefactor = base.angular_square_integral * base.overall_scale ** 2
+    moment = math.inf
+    with contextlib.suppress(OverflowError):
+        moment = prefactor * math.gamma(s) * share / (m * 2.0 ** s)
+    if not math.isfinite(moment):
+        with contextlib.suppress(OverflowError, ValueError):
+            moment = prefactor * math.exp(
+                math.lgamma(s) - s * math.log(2.0) + math.log(share)) / m
+    if not math.isfinite(moment):
+        raise NumericalError(
+            f"moment int_0^{upper:g} r^{k} S(r) dr is outside the float "
+            f"range for radial exponent p = {base.radial_exponent}, "
+            f"decay exponent m = {m} (s = {s:g})")
+    return moment
+
+
 def mean_inverse_frequency(base: FormFactor) -> float:
     """The inverse-frequency moment int |g(k)|^2 / |k| d^3k
-    (= int_0^inf r * S(r) dr), finite for p > -1: in closed form
-    4*pi*(scale*weight)^2 * Gamma(s) / (m * 2^s), s = (2p + 2)/m.
-    Where Gamma(s), or its product with the prefactor, overflows (from
-    s ~ 171.6 on), the ratio Gamma(s) / 2^s is taken in log space; a
-    moment beyond the float range raises NumericalError."""
+    (= int_0^inf r * S(r) dr), finite for p > -1, in closed form."""
     if base.is_zero:
         return 0.0
     if 2.0 * base.radial_exponent + 1.0 <= -1.0:
         raise InfraredDivergent(
             "inverse-frequency moment diverges for radial exponent "
             f"p = {base.radial_exponent} <= -1")
-    m = base.decay_exponent
-    s = (2.0 * base.radial_exponent + 2.0) / m
-    prefactor = base.angular_square_integral * base.overall_scale ** 2
-    try:
-        moment = prefactor * math.gamma(s) / (m * 2.0 ** s)
-    except OverflowError:
-        moment = math.inf
-    if math.isfinite(moment):
-        return moment
-    try:
-        moment = prefactor * math.exp(math.lgamma(s) - s * math.log(2.0)) / m
-    except OverflowError:
-        moment = math.inf
-    if math.isfinite(moment):
-        return moment
-    raise NumericalError(
-        "inverse-frequency moment exceeds the float range for radial "
-        f"exponent p = {base.radial_exponent}, decay exponent m = {m} "
-        f"(s = {s:g})")
+    return _radial_moment(base, 1)
 
 
 # =====================================================================
@@ -398,19 +406,18 @@ def _glue_prefactor(beta: float, u) -> float:
     return np.sqrt(ratio)
 
 
-def glued_form_factor(tf: ThermalFormFactor, u: float, sigma=None) -> complex:
+def glued_form_factor(tf: ThermalFormFactor, u: float) -> complex:
     """The two-sided (emission/absorption) form factor at temperature
     beta:
 
         sqrt(u / (1 - e^(-beta u))) * |u|^(1/2) *
-            { g(u, sigma)                   for u >= 0,
-              -e^(i chi) * conj(g)(-u, sigma) for u < 0 }.
+            { g(u)                   for u >= 0,
+              -e^(i chi) * conj(g)(-u) for u < 0 }
 
-    ``sigma`` is accepted for interface symmetry; only isotropic angular
-    weights exist, so it is ignored.  At u = 0 the u -> 0+ limit is
-    returned: 0 for p > -1/2, scale*weight/sqrt(beta) for p = -1/2
-    (the two-sided limit then exists only for the smoothly gluing chi,
-    which is check_condition_A's concern), divergent below.
+    (isotropic: g has no angular argument).  At u = 0 the u -> 0+
+    limit is returned: 0 for p > -1/2, scale*weight/sqrt(beta) for
+    p = -1/2 (the two-sided limit then exists only for the smoothly
+    gluing chi, which is check_condition_A's concern), divergent below.
     """
     base, beta = tf.base, tf.beta
     if base.is_zero:

@@ -215,7 +215,7 @@ def _mixed_level_shift(parts: dict, tables, strengths, shape) -> tuple:
     return lam, out
 
 
-def level_shift_operator(spec: SystemSpec, e: float, group,
+def level_shift_operator(spec: SystemSpec, group,
                          tol: float | None = None) -> np.ndarray:
     """The second-order level-shift matrix on one Bohr group.
 
@@ -313,20 +313,20 @@ def _diagonalize_groups(es, groups, lam_mats: np.ndarray,
             for i, e in enumerate(es)]
 
 
-def _resonance_mixes(spec: SystemSpec, mixes, tol: float | None = None,
+def _resonance_mixes(spec: SystemSpec, mixes, spectrum: BohrSpectrum,
                      sizes=None) -> list:
     """``resonance_energies`` for several channel mixes of one spec.
 
     ``mixes`` is a list of strength vectors, one strength per coupling
-    term of ``spec`` (a zero switches the channel off).  The Bohr
-    spectrum, the channel tables and each channel's matrices are shared
-    by all mixes; only the weighted sums are diagonalized per mix.
+    term of ``spec`` (a zero switches the channel off).  The groups of
+    ``spectrum`` (the caller's ``bohr_spectrum(spec)``), the channel
+    tables and each channel's matrices are shared by all mixes; only
+    the weighted sums are diagonalized per mix.
     ``sizes``, when given, is a set of group sizes: only the groups of
     those sizes are assembled and diagonalized, each size class in the
     same batch as in a full pass, so their data are bit-identical to it.
     Returns one sorted-e list of ResonanceData per mix.
     """
-    spectrum = bohr_spectrum(spec, tol)
     tables = _channel_tables(spec, mixes)
     keys = [e for e in sorted(spectrum.groups.keys())
             if sizes is None or len(spectrum.groups[e]) in sizes]
@@ -357,7 +357,7 @@ def resonance_energies(spec: SystemSpec, tol: float | None = None,
     are diagonalized in batches in one thread.
     """
     strengths = [term.strength for term in spec.couplings]
-    return _resonance_mixes(spec, [strengths], tol)[0]
+    return _resonance_mixes(spec, [strengths], bohr_spectrum(spec, tol))[0]
 
 
 # =====================================================================

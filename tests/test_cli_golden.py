@@ -56,6 +56,20 @@ def test_cli_output_matches_golden_hash(monkeypatch, name, subcommand, args):
     assert digest == GOLDEN[name]
 
 
+def test_scaling_with_given_tol_matches_golden_hash(monkeypatch):
+    # --tol 1e-9 clusters the demo fields into the same 3^N groups as
+    # the default tolerance, so the subset pass gives the same CSV
+    monkeypatch.chdir(REPO_ROOT)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(WORKLOADS.cli_argv(
+            "scaling", ["--config", "demos/configs/scaling.json",
+                        "--tol", "1e-9"]))
+    assert code == 0
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == GOLDEN["scaling:scaling"]
+
+
 def test_verify_qubit_csv_is_pinned(monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     out = io.StringIO()

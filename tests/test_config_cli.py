@@ -23,7 +23,7 @@ from resodec.model import RegisterSpec, SystemSpec
 from resodec.oracle import VerifyConfig
 from resodec.reservoir import thermal_spectral_density, xi
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, NARROW_B_INTERVAL, NEAR_RELATION_FIELDS
 
 QUBIT_CFG = CONFIG_DIR / "single_qubit.json"
 REG4_CFG = CONFIG_DIR / "reg4.json"
@@ -218,6 +218,46 @@ def test_scaling_output(tmp_path):
     assert any(f.startswith("# gamma0_spread: ") for f in footers)
 
 
+def test_merged_groups_exit_0_from_the_module(tmp_path):
+    # fields the generic check passes but the clustering merges: rates
+    # and scaling finish with a warning, not a traceback
+    reg4 = json.loads(REG4_CFG.read_text())
+    reg4["register"]["B"] = [0.5, -0.4999999999, 0.484295, 0.542906]
+    scaling = json.loads(SCALING_CFG.read_text())
+    scaling["scaling"].update(b_interval=list(NARROW_B_INTERVAL),
+                              n_list=[2, 3, 4])
+    for command, cfg, warning in (
+            ("rates", reg4, "hold pairs with different (D, e0)"),
+            ("scaling", scaling, "not one per flip pattern")):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(cfg))
+        proc = invoke(command, "--config", str(path), "-o",
+                      str(tmp_path / f"{command}.csv"))
+        assert proc.returncode == 0, proc.stderr
+        assert "UserWarning" in proc.stderr and warning in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("B, n_merged", NEAR_RELATION_FIELDS)
+def test_rates_on_near_relation_fields(tmp_path, B, n_merged):
+    from resodec.register import decoherence_rates
+
+    cfg = json.loads(REG4_CFG.read_text())
+    n = len(B)
+    cfg["register"].update(n=n, B=B, J=np.zeros((n, n)).tolist())
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "near.csv"
+    with pytest.warns(UserWarning, match=f"^{n_merged} of "):
+        assert run(["rates", "--config", str(path), "-o", str(out)]) == 0
+    with pytest.warns(UserWarning, match=f"^{n_merged} of "):
+        reports = decoherence_rates(register_from_config(cfg))
+    _, _, rows, _ = read_csv(out)
+    assert [(r[0], int(r[5]), int(r[6]), int(r[7])) for r in rows] \
+        == [(format(rep.e, ".12e"), rep.e0, rep.hamming, len(rep.pairs))
+            for rep in reports]
+
+
 def test_xi_grid_output(tmp_path):
     out = tmp_path / "xi.csv"
     proc = invoke("xi", "--config", str(XI_CFG), "-o", str(out))
@@ -395,6 +435,30 @@ def test_programming_errors_are_not_relabelled(monkeypatch):
     monkeypatch.setattr(cli, "resonance_energies", broken)
     with pytest.raises(TypeError, match="bug in a handler"):
         run(["spectrum", "--config", str(QUBIT_CFG)])
+
+
+def test_main_exits_4_on_a_bug(tmp_path, monkeypatch, capsys):
+    # an exception that run lets through leaves main with its traceback
+    # and exit 4, never with a configuration error's 1
+    import resodec.cli as cli
+
+    def broken(args):
+        raise TypeError("bug in a handler")
+
+    monkeypatch.setattr(cli, "_cmd_spectrum", broken)
+    monkeypatch.setattr(sys, "argv",
+                        ["resodec", "spectrum", "--config", str(QUBIT_CFG)])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: bug in a handler" in err
+
+    monkeypatch.setattr(sys, "argv", ["resodec", "rates", "--config",
+                                      str(tmp_path / "missing.json")])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 1
 
 
 def test_verify_section_validation(tmp_path, capsys):

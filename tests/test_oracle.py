@@ -12,13 +12,17 @@ import scipy.linalg
 from resodec.errors import (
     DimensionTooLarge,
     PoorFit,
-    QuadratureNotConverged,
     TruncationWarning,
     WeightMismatch,
 )
 from resodec.model import FormFactor, build_system
 from resodec.dynamics import Trajectory, free_evolution, single_qubit_spec
-from resodec.reservoir import thermal_spectral_density, xi
+from resodec.reservoir import (
+    _radial_moment,
+    one_sided_density,
+    thermal_spectral_density,
+    xi,
+)
 from resodec.oracle import (
     SECTOR_OCCUPANCY_TOL,
     TruncatedBath,
@@ -128,7 +132,6 @@ def test_bath_thermal_quantities():
 
 
 def test_discretize_bath_midpoint_rule():
-    from resodec.reservoir import one_sided_density
     bath = discretize_bath(FF, beta=2.0, n_modes=200, omega_max=2.0,
                            fock_cutoff=3)
     step = 2.0 / 200
@@ -152,12 +155,31 @@ def test_discretize_bath_refuses_coarse_grid():
 
 
 def test_discretize_bath_refuses_unconverged_weight_integral():
-    # J(w) ~ w^-0.9998 near 0: QUADPACK flags the continuum weight as
-    # probably divergent (code 5) and the bath is refused, not built on it
+    # J(w) ~ w^-0.9998 near 0: the continuum weight is finite (a closed
+    # form), but a midpoint grid cannot carry the weight of the
+    # near-singular edge, and the bath is refused
     g = FormFactor(radial_exponent=-1.4999, decay_exponent=2)
-    with pytest.raises(QuadratureNotConverged, match="QUADPACK code 5"):
+    with pytest.raises(WeightMismatch):
         discretize_bath(g, beta=2.0, n_modes=150, omega_max=3.0,
                         fock_cutoff=3)
+
+
+def test_discretize_bath_weight_target_is_the_closed_form():
+    # nodes that miss J altogether carry no weight; the closed-form
+    # target, pi/2 for p = 1/2, m = 2, refuses such a grid
+    g = FormFactor(radial_exponent=0.5, decay_exponent=2)
+    assert _radial_moment(g, 2, 1e4) == pytest.approx(np.pi / 2, rel=1e-15)
+    with pytest.raises(WeightMismatch, match="deviates from the "
+                       "continuum integral 1.5708"):
+        discretize_bath(g, beta=1.0, n_modes=150, omega_max=1e4,
+                        fock_cutoff=3)
+    for g, omega_max in ((FF, 2.0), (FormFactor(-0.5, 1), 3.0),
+                         (FormFactor(1.5, 2, overall_scale=0.8), 3.0),
+                         (FormFactor(0.5, 1, angular_weight=0.7), 1.25)):
+        target, _ = scipy.integrate.quad(
+            lambda w: float(one_sided_density(g, w)), 0.0, omega_max)
+        assert _radial_moment(g, 2, omega_max) \
+            == pytest.approx(target, rel=1e-14)
 
 
 # =====================================================================

@@ -30,6 +30,8 @@ from resodec.register import (
 from resodec.reservoir import thermal_spectral_density, xi
 from resodec.resonances import bohr_spectrum, resonance_energies
 
+from conftest import NARROW_B_INTERVAL, NEAR_RELATION_FIELDS
+
 G1 = FormFactor(radial_exponent=-0.5, decay_exponent=1)
 G2 = FormFactor(radial_exponent=0.5, decay_exponent=1)
 
@@ -161,13 +163,15 @@ def test_generic_field_check_size_limit():
 
 def test_degenerate_field_warns_in_rates():
     reg = make_register(2, B=np.array([0.5, 0.5]), lambda2=0.0)
-    with pytest.warns(UserWarning, match="integer relation"):
+    with pytest.warns(UserWarning,
+                      match=r"hold pairs with different \(D, e0\)"):
         decoherence_rates(reg)
 
 
 def test_merged_groups_are_flagged():
     reg = make_register(2, B=np.array([0.5, 0.5]))
-    with pytest.warns(UserWarning, match="integer relation"):
+    with pytest.warns(UserWarning,
+                      match=r"hold pairs with different \(D, e0\)"):
         reports = decoherence_rates(reg)
     for rep in reports:
         jumps = {hamming_and_e0(*spin_configuration(pair, 2))[:2]
@@ -323,8 +327,8 @@ def _all_groups_reference(monkeypatch, *args, **kwargs):
     import resodec.register as register
     import resodec.resonances as resonances
 
-    def all_groups(spec, mixes, tol=None, sizes=None):
-        return resonances._resonance_mixes(spec, mixes, tol)
+    def all_groups(spec, mixes, spectrum, sizes=None):
+        return resonances._resonance_mixes(spec, mixes, spectrum)
 
     with monkeypatch.context() as patch:
         patch.setattr(register, "_resonance_mixes", all_groups)
@@ -354,46 +358,45 @@ def _spy_diagonalized(monkeypatch):
 ])
 def test_scaling_study_group_subset_is_bit_identical(monkeypatch, g1, g2):
     # the size-1 and size-2^N groups give the same maxima and gamma0 as
-    # all 3^N groups, to the last bit
+    # all 3^N groups, to the last bit, at the default and a given tol
     template = RegisterTemplate(lambda1=0.01, lambda2=0.02, g1=g1, g2=g2,
                                 beta=0.5)
     for seed in (7, 301, 0xD1CE):
         for attenuate in (False, True):
-            table = scaling_study(template, range(2, 7), seed=seed,
-                                  attenuate=attenuate)
-            assert table == _all_groups_reference(
-                monkeypatch, template, range(2, 7), seed=seed,
-                attenuate=attenuate), (seed, attenuate)
+            for tol in (None, 1e-9):
+                table = scaling_study(template, range(2, 7), seed=seed,
+                                      attenuate=attenuate, tol=tol)
+                assert table == _all_groups_reference(
+                    monkeypatch, template, range(2, 7), seed=seed,
+                    attenuate=attenuate, tol=tol), (seed, attenuate, tol)
 
 
 def test_scaling_study_diagonalizes_only_the_rate_carrying_sizes(
         monkeypatch):
+    # a spectrum of 3^N groups is the flip-pattern partition, with tol
+    # given or not
     template = RegisterTemplate(lambda1=0.01, lambda2=0.01, g1=G1, g2=G2,
                                 beta=0.5)
     calls = _spy_diagonalized(monkeypatch)
-    for n in range(1, 7):
-        calls.clear()
-        scaling_study(template, [n], seed=11)
-        # two mixes, each: 2^N all-flipped groups and the e = 0 group
-        assert sorted(calls) == [(1, 2 ** n), (1, 2 ** n),
-                                 (2 ** n, 1), (2 ** n, 1)], n
+    for tol in (None, 1e-9):
+        for n in range(1, 7):
+            calls.clear()
+            scaling_study(template, [n], seed=11, tol=tol)
+            # two mixes, each: 2^N all-flipped groups and the e = 0 group
+            assert sorted(calls) == [(1, 2 ** n), (1, 2 ** n),
+                                     (2 ** n, 1), (2 ** n, 1)], (n, tol)
 
 
 def test_scaling_study_evaluates_every_group_otherwise(monkeypatch):
-    # with tol given, or a field that fails the generic check, the
-    # group structure is not assumed: every group is diagonalized
+    # a spectrum of fewer than 3^N groups (the field merges flip
+    # patterns) is not assumed to have any structure: every group is
+    # diagonalized
     calls = _spy_diagonalized(monkeypatch)
     template = RegisterTemplate(lambda1=0.01, lambda2=0.01, g1=G1, g2=G2,
                                 beta=0.5)
-    scaling_study(template, [4], seed=11, tol=1e-9)
-    spec = register_to_system(template.realize(4, 11))
-    assert sum(count for _, count in calls) \
-        == 2 * len(bohr_spectrum(spec, 1e-9).groups) == 2 * 3 ** 4
-    assert {size for size, _ in calls} == {1, 2, 4, 8, 16}
-
-    calls.clear()
     flat = dataclasses.replace(template, b_interval=(0.5, 0.5 + 1e-14))
-    with pytest.warns(UserWarning, match="integer relation"):
+    with pytest.warns(UserWarning, match=r"N = 4 field has 9 groups, "
+                      r"not one per flip pattern \(3\^4\)"):
         table = scaling_study(flat, [4], seed=11)
     spec = register_to_system(flat.realize(4, 11))
     groups = bohr_spectrum(spec).groups
@@ -402,3 +405,81 @@ def test_scaling_study_evaluates_every_group_otherwise(monkeypatch):
     assert {size for size, _ in calls} \
         == {len(pairs) for pairs in groups.values()}
     assert table.rows[0].gamma0 > 0.0
+
+
+# =====================================================================
+# One judge of group structure: the clustering
+# =====================================================================
+
+def _labels_disagree(rep, n):
+    """True when the pairs of a RateReport do not share one (D, e0)."""
+    return len({hamming_and_e0(*spin_configuration(pair, n))[:2]
+                for pair in rep.pairs}) > 1
+
+
+@pytest.mark.parametrize("B, n_merged", NEAR_RELATION_FIELDS)
+def test_near_relation_fields_flag_merged_groups(monkeypatch, B, n_merged):
+    # the generic check passes these fields, the clustering merges
+    # their flip patterns: the rates are computed, merged groups flagged
+    n = len(B)
+    reg = make_register(n, B=np.array(B))
+    assert generic_field_check(reg.B).passed
+    with pytest.warns(UserWarning, match=rf"^{n_merged} of \d+ Bohr groups "
+                      r"hold pairs with different \(D, e0\)"):
+        reports = decoherence_rates(reg)
+    assert [rep.merged for rep in reports] \
+        == [_labels_disagree(rep, n) for rep in reports]
+    assert sum(rep.merged for rep in reports) == n_merged
+
+    # scaling_study on the same field evaluates every group
+    monkeypatch.setattr(RegisterTemplate, "realize",
+                        lambda self, n_qubits, seed, attenuate=False: reg)
+    template = RegisterTemplate(lambda1=reg.lambda1, lambda2=reg.lambda2,
+                                g1=G1, g2=G2, beta=reg.beta)
+    with pytest.warns(UserWarning, match="not one per flip pattern"):
+        row, = scaling_study(template, [n]).rows
+    assert row.max_gamma_exchange \
+        == max(rep.gamma_exchange for rep in reports)
+    assert row.gamma0 \
+        == next(rep.gamma_exchange for rep in reports if rep.e == 0.0)
+
+
+def test_scaling_study_on_a_narrow_field_interval():
+    # draws from [0.5, 0.5 + 1e-10] merge flip patterns at every size,
+    # whether or not they pass the generic check; every group is
+    # evaluated, and the rows agree with decoherence_rates'
+    template = RegisterTemplate(lambda1=0.01, lambda2=0.01, g1=G1, g2=G2,
+                                beta=0.5, b_interval=NARROW_B_INTERVAL)
+    with pytest.warns(UserWarning, match="not one per flip pattern"):
+        table = scaling_study(template, range(2, 5), seed=0xD1CE)
+    assert generic_field_check(template.realize(2, 0xD1CE).B).passed
+    for row in table.rows:
+        n = row.n_qubits
+        with pytest.warns(UserWarning, match="hold pairs with different"):
+            reports = decoherence_rates(template.realize(n, 0xD1CE))
+        assert [rep.merged for rep in reports] \
+            == [_labels_disagree(rep, n) for rep in reports]
+        assert row.max_gamma_conserving \
+            == max(rep.gamma_conserving for rep in reports)
+        assert row.max_gamma_exchange \
+            == max(rep.gamma_exchange for rep in reports)
+        assert row.gamma0 \
+            == next(rep.gamma_exchange for rep in reports if rep.e == 0.0)
+
+
+def test_pipeline_does_not_consult_the_generic_field_check(monkeypatch):
+    import resodec.register as register
+
+    def no_scan(*args, **kwargs):
+        pytest.fail("a pipeline function ran the generic-field scan")
+
+    monkeypatch.setattr(register, "generic_field_check", no_scan)
+    template = RegisterTemplate(lambda1=0.01, lambda2=0.01, g1=G1, g2=G2,
+                                beta=0.5)
+    scaling_study(template, [2, 3])
+    scaling_study(template, [2, 3], tol=1e-9)
+    decoherence_rates(make_register(3))
+    with pytest.warns(UserWarning):
+        decoherence_rates(make_register(2, B=np.array([0.5, 0.5])))
+        scaling_study(dataclasses.replace(
+            template, b_interval=NARROW_B_INTERVAL), [2])

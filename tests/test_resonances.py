@@ -136,7 +136,7 @@ def test_population_block_matches_density_matrix_form():
     delta, g, beta = QUBIT["delta"], QUBIT["g"], QUBIT["beta"]
     spec = single_qubit_spec(**QUBIT)
     bs = bohr_spectrum(spec)
-    lam0 = level_shift_operator(spec, 0.0, bs.groups[0.0])
+    lam0 = level_shift_operator(spec, bs.groups[0.0])
 
     c2 = abs(c) ** 2
     d_plus = thermal_spectral_density(g, beta, delta)
@@ -180,7 +180,7 @@ def test_coherence_shift_matches_transform_combination():
 def test_trace_and_gibbs_null_vectors():
     spec = random_spec(3, channels=1, seed=11)
     bs = bohr_spectrum(spec)
-    lam0 = level_shift_operator(spec, 0.0, bs.groups[0.0])
+    lam0 = level_shift_operator(spec, bs.groups[0.0])
     scale = np.max(np.abs(lam0))
     # the all-ones row (trace functional) annihilates the population
     # block from the left ...
@@ -285,7 +285,7 @@ def test_level_shift_operator_is_the_pipeline_matrix():
         assert any(len(r.pairs) > 1 for r in data)
         for r in data:
             assert np.array_equal(
-                level_shift_operator(spec, r.e, r.pairs), r.Lambda)
+                level_shift_operator(spec, r.pairs), r.Lambda)
             assert not r.pairs.flags.writeable
 
 
