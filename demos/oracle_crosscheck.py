@@ -18,11 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from resodec.config import load_config, system_from_config
+from resodec.config import load_config, verify_from_config
 from resodec.model import CouplingTerm, DensityMatrix, FormFactor, SystemSpec
 from resodec.oracle import (
     TruncatedBath,
-    VerifyConfig,
     dephasing_envelope,
     exact_evolve,
     verify,
@@ -34,17 +33,7 @@ CONFIG = Path(__file__).parent / "configs" / "verify_qubit.json"
 
 def main() -> int:
     """Print the scorecard; return the exit status, 1 on a FAIL."""
-    cfg = load_config(CONFIG)
-    spec = system_from_config(cfg)
-    section = cfg["verify"]
-    vconfig = VerifyConfig(
-        n_modes=section["n_modes"],
-        omega_max=section["omega_max"],
-        fock_cutoff=section["fock_cutoff"],
-        lambdas=tuple(section["lambdas"]),
-        rate_tolerance=section["rate_tolerance"],
-        num_times=section["num_times"],
-        horizon_factor=section["horizon_factor"])
+    spec, vconfig, _ = verify_from_config(load_config(CONFIG))
 
     # =================================================================
     # The benchmark: perturbative reconstruction vs exact evolution

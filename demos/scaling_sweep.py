@@ -15,23 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from resodec.config import form_factor_from_config, load_config
-from resodec.register import RegisterTemplate, scaling_study
+from resodec.config import load_config, scaling_from_config
+from resodec.register import scaling_study
 
 CONFIG = Path(__file__).parent / "configs" / "scaling.json"
 
 
 def main() -> None:
-    cfg = load_config(CONFIG)
-    section = cfg["scaling"]
-    template = RegisterTemplate(
-        lambda1=section["lambda1"],
-        lambda2=section["lambda2"],
-        g1=form_factor_from_config(section["g1"], "scaling.g1"),
-        g2=form_factor_from_config(section["g2"], "scaling.g2"),
-        beta=cfg["beta"],
-        b_interval=tuple(section["b_interval"]))
-    n_list = section["n_list"]
+    template, n_list = scaling_from_config(load_config(CONFIG))
     print(f"template: lam1 = {template.lambda1}, lam2 = "
           f"{template.lambda2}, beta = {template.beta}, fields drawn "
           f"from {template.b_interval}")

@@ -13,17 +13,19 @@ Every CSV starts with a provenance comment header (configuration
 hash, seed, package version — never timestamps), so identical inputs
 produce byte-identical output.  Exit codes: 0 success, 1 validation
 error, 2 numerical failure, 3 verification failure, 4 a bug; errors 1-3
-go to standard error with the prefix ``ERROR[code]:``.  A malformed
-configuration value is a validation error; any other exception is a
-bug: ``run`` propagates it, ``main`` prints its traceback.
+go to standard error with the prefix ``ERROR[code]:``.  Each handler
+loads its inputs with a ``resodec.config`` section loader (this module
+reads no configuration key), computes and writes.  A malformed value
+raises ValidationError in the loader; any other exception is a bug:
+``run`` propagates it, ``main`` prints its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import logging
+import math
 import sys
 import traceback
 
@@ -32,13 +34,13 @@ import numpy as np
 from . import __version__
 from .config import (
     config_hash,
-    form_factor_from_config,
+    evolve_from_config,
     load_config,
-    matrix_from_config,
     register_from_config,
+    scaling_from_config,
     system_from_config,
-    _integer,
-    _require,
+    verify_from_config,
+    xi_from_config,
 )
 from .errors import (
     BadConfiguration,
@@ -46,9 +48,8 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .model import DensityMatrix
 from .dynamics import resonance_evolution
-from .register import RegisterTemplate, decoherence_rates, scaling_study
+from .register import decoherence_rates, scaling_study
 from .reservoir import xi, xi_lorentzian_check
 from .resonances import check_nonoverlap, resonance_energies
 
@@ -74,16 +75,6 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".12e")
-
-
-@contextlib.contextmanager
-def _parsing():
-    """Report a malformed configuration value (a TypeError, ValueError or
-    KeyError while the configuration is read) as BadConfiguration."""
-    try:
-        yield
-    except (TypeError, ValueError, KeyError) as exc:
-        raise BadConfiguration(f"invalid configuration: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -132,8 +123,8 @@ def _parse_tol(text: str) -> float:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"tolerance must be a number, got {text!r}")
-    if not tol > 0.0:
-        raise argparse.ArgumentTypeError("tolerance must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError("tolerance must be finite and > 0")
     return tol
 
 
@@ -162,40 +153,17 @@ def _parse_elements(text: str, dim: int) -> list:
     return pairs
 
 
-def _grid_from_config(section: dict, context: str) -> np.ndarray:
-    start = float(_require(section, "start", context))
-    stop = float(_require(section, "stop", context))
-    num = _integer(_require(section, "num", context), f"{context}.num")
-    if not (np.isfinite(start) and np.isfinite(stop)) or num < 1:
-        raise BadConfiguration(
-            f"{context} must have finite start/stop and num >= 1")
-    return np.linspace(start, stop, num)
-
-
-def _parse_times(text: str) -> np.ndarray:
+def _parse_times(text: str) -> tuple:
+    """``start:stop:num`` as (start, stop, num); evolve_from_config
+    checks the grid."""
     parts = text.split(":")
-    if len(parts) != 3:
-        raise BadConfiguration(
-            f"--times must be start:stop:num, got {text!r}")
     try:
-        return _grid_from_config(
-            {"start": float(parts[0]), "stop": float(parts[1]),
-             "num": int(parts[2])}, "--times")
+        if len(parts) == 3:
+            return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise BadConfiguration(
-            f"--times must be start:stop:num with numeric fields, "
-            f"got {text!r}")
-
-
-def _initial_state(section: dict, context: str, dim: int) -> DensityMatrix:
-    rho0 = DensityMatrix.from_array(matrix_from_config(
-        _require(section, "initial_state", context),
-        f"{context}.initial_state"))
-    if rho0.dim != dim:
-        raise BadConfiguration(
-            f"{context}.initial_state is {rho0.dim}x{rho0.dim}, but the "
-            f"system has dimension {dim}")
-    return rho0
+        pass
+    raise BadConfiguration(
+        f"--times must be start:stop:num with numeric fields, got {text!r}")
 
 
 # =====================================================================
@@ -203,24 +171,16 @@ def _initial_state(section: dict, context: str, dim: int) -> DensityMatrix:
 # =====================================================================
 
 def _cmd_spectrum(args) -> int:
-    with _parsing():
-        cfg = load_config(args.config)
-        spec = system_from_config(cfg)
+    cfg = load_config(args.config)
+    spec = system_from_config(cfg)
     data = resonance_energies(spec, tol=args.tol)
-    rows = []
-    for r in data:
-        for s, eps in enumerate(r.epsilons):
-            rows.append((r.e, s, eps.real, eps.imag, r.nu, r.gamma,
-                         len(r.pairs)))
+    rows = [(r.e, s, eps.real, eps.imag, r.nu, r.gamma, len(r.pairs))
+            for r in data for s, eps in enumerate(r.epsilons)]
     footer = []
     if args.check_nonoverlap:
         rep = check_nonoverlap(spec, tol=args.tol, resonances=data)
-        footer = [
-            f"# nonoverlap_margin: {_fmt(rep.margin)}",
-            f"# nonoverlap_min_gap: {_fmt(rep.min_gap)}",
-            f"# nonoverlap_max_shift: {_fmt(rep.max_shift)}",
-            f"# nonoverlap_passed: {_fmt(rep.passed)}",
-        ]
+        footer = [f"# nonoverlap_{name}: {_fmt(getattr(rep, name))}"
+                  for name in ("margin", "min_gap", "max_shift", "passed")]
     with _open_output(args.output) as out:
         _write_csv(out, cfg, args.seed,
                    ["e", "s", "Re(epsilon)", "Im(epsilon)", "nu",
@@ -230,10 +190,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    with _parsing():
-        cfg = load_config(args.config)
-        reg = register_from_config(cfg)
-    reports = decoherence_rates(reg, tol=args.tol)
+    cfg = load_config(args.config)
+    reports = decoherence_rates(register_from_config(cfg), tol=args.tol)
     rows = [(r.e, r.gamma, r.gamma_conserving, r.gamma_exchange,
              r.gamma_cross, r.e0, r.hamming, len(r.pairs))
             for r in reports]
@@ -246,76 +204,39 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    with _parsing():
-        cfg = load_config(args.config)
-        spec = system_from_config(cfg)
-        section = cfg.get("evolve")
-        if not isinstance(section, dict):
-            raise BadConfiguration(
-                "missing 'evolve' section in configuration")
-        rho0 = _initial_state(section, "evolve", spec.dim)
-        if args.times is not None:
-            times = _parse_times(args.times)
-        else:
-            times = _grid_from_config(
-                _require(section, "times", "evolve"), "evolve.times")
+    cfg = load_config(args.config)
+    spec, rho0, times = evolve_from_config(
+        cfg, None if args.times is None else _parse_times(args.times))
     if args.elements is not None:
         elements = _parse_elements(args.elements, spec.dim)
     else:
         elements = [(m, n) for m in range(spec.dim)
                     for n in range(spec.dim)]
     traj = resonance_evolution(spec, rho0, times, tol=args.tol)
-    columns = ["t"]
-    for m, n in elements:
-        columns += [f"re_{m}_{n}", f"im_{m}_{n}"]
-    rows = []
-    for k, t in enumerate(traj.times):
-        row = [t]
-        for m, n in elements:
-            v = traj.states[k, m, n]
-            row += [v.real, v.imag]
-        rows.append(row)
-    footer_cells = ["# ergodic_mean"]
-    for m, n in elements:
-        v = traj.ergodic_mean[m, n]
-        footer_cells += [_fmt(v.real), _fmt(v.imag)]
+    def cells(matrix):
+        return [part for m, n in elements
+                for part in (matrix[m, n].real, matrix[m, n].imag)]
+
+    columns = ["t"] + [f"{part}_{m}_{n}" for m, n in elements
+                       for part in ("re", "im")]
+    rows = [[t, *cells(state)] for t, state in zip(traj.times, traj.states)]
+    footer = ",".join(["# ergodic_mean", *map(_fmt, cells(traj.ergodic_mean))])
     with _open_output(args.output) as out:
-        _write_csv(out, cfg, args.seed, columns, rows,
-                   [",".join(footer_cells)])
+        _write_csv(out, cfg, args.seed, columns, rows, [footer])
     log.info("evolve: %d times, %d elements, max trace drift %.3e",
              len(times), len(elements), traj.max_trace_deviation)
     return 0
 
 
 def _cmd_scaling(args) -> int:
-    with _parsing():
-        cfg = load_config(args.config)
-        section = cfg.get("scaling")
-        if not isinstance(section, dict):
-            raise BadConfiguration(
-                "missing 'scaling' section in configuration")
-        n_list = _require(section, "n_list", "scaling")
-        if not isinstance(n_list, list) or not n_list:
-            raise BadConfiguration("scaling.n_list must be a nonempty array")
-        n_list = [_integer(n, "scaling.n_list") for n in n_list]
-        template = RegisterTemplate(
-            lambda1=float(_require(section, "lambda1", "scaling")),
-            lambda2=float(_require(section, "lambda2", "scaling")),
-            g1=form_factor_from_config(
-                _require(section, "g1", "scaling"), "scaling.g1"),
-            g2=form_factor_from_config(
-                _require(section, "g2", "scaling"), "scaling.g2"),
-            beta=float(_require(cfg, "beta", "configuration")),
-            b_interval=tuple(section.get("b_interval", (0.45, 0.55))))
+    cfg = load_config(args.config)
+    template, n_list = scaling_from_config(cfg)
     table = scaling_study(template, n_list, seed=args.seed,
                           attenuate=args.attenuate, tol=args.tol)
     rows = [(row.n_qubits, row.max_gamma_conserving,
              row.max_gamma_exchange, row.gamma0) for row in table.rows]
-    footer = [
-        f"# conserving_exponent: {_fmt(table.conserving_exponent)}",
-        f"# exchange_exponent: {_fmt(table.exchange_exponent)}",
-        f"# gamma0_spread: {_fmt(table.gamma0_spread)}",
-    ]
+    footer = [f"# {name}: {_fmt(getattr(table, name))}" for name in
+              ("conserving_exponent", "exchange_exponent", "gamma0_spread")]
     with _open_output(args.output) as out:
         _write_csv(out, cfg, args.seed,
                    ["N", "max_gamma_conserving", "max_gamma_exchange",
@@ -325,13 +246,8 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_xi(args) -> int:
-    with _parsing():
-        cfg = load_config(args.config)
-        ff = form_factor_from_config(
-            _require(cfg, "form_factor", "configuration"), "form_factor")
-        beta = float(_require(cfg, "beta", "configuration"))
-        grid = _grid_from_config(
-            _require(cfg, "xi_grid", "configuration"), "xi_grid")
+    cfg = load_config(args.config)
+    ff, beta, grid = xi_from_config(cfg)
     rows = []
     for eta in grid:
         value = xi(ff, beta, float(eta))
@@ -347,34 +263,9 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # the oracle loads scipy; only this command pays for it.  Imported
-    # outside _parsing() so that an import failure is not exit 1.
-    from .oracle import VerifyConfig, verify
-    with _parsing():
-        cfg = load_config(args.config)
-        system = system_from_config(cfg)
-        section = cfg.get("verify", {})
-        if not isinstance(section, dict):
-            raise BadConfiguration("'verify' section must be an object")
-        # each field is coerced to the type of its default (int, float;
-        # VerifyConfig turns the lambdas into floats itself)
-        kwargs = {f.name: _integer(section[f.name], f"verify.{f.name}")
-                  if type(f.default) is int
-                  else type(f.default)(section[f.name])
-                  for f in dataclasses.fields(VerifyConfig)
-                  if f.name in section}
-        unknown = sorted(set(section) - set(kwargs) - {"initial_state"})
-        if unknown:
-            raise BadConfiguration(
-                f"unknown key(s) {unknown} in the 'verify' section")
-        vconfig = VerifyConfig(**kwargs)
-        if system.overall_coupling == 0.0 and any(vconfig.lambdas):
-            raise BadConfiguration(
-                "verify rescales the coupling to each lambda, but every "
-                "coupling strength is zero")
-        rho0 = None
-        if "initial_state" in section:
-            rho0 = _initial_state(section, "verify", system.dim)
+    from .oracle import verify    # scipy: only this command pays for it
+    cfg = load_config(args.config)
+    system, vconfig, rho0 = verify_from_config(cfg)
     report = verify(system, vconfig, rho0=rho0)
 
     rows = [(c.name, c.deviation, c.tolerance,

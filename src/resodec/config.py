@@ -1,6 +1,7 @@
 """JSON configuration files: schema, loaders, and hashing.
 
-A configuration is one JSON object.  System specifications use
+This module is the only reader of configuration files.  A
+configuration is one JSON object.  System specifications use
 
     {
       "dim": 2,
@@ -25,23 +26,28 @@ and register specifications use
     }
 
 Complex matrices are nested row-major arrays whose leaves are
-[re, im] pairs.  Real arrays (J, B, energies) are plain numbers.
-Subcommand-specific sections (evolve, verify, scaling, xi_grid) ride
-in the same object; loaders ignore sections they do not need.  The
-configuration hash is over the canonical (sorted-key, compact) JSON
-serialization, so semantically identical files hash identically.
+[re, im] pairs.  Real arrays (J, B, energies) are plain numbers.  The
+subcommand sections (evolve, verify, scaling, xi_grid) ride in the
+same object; each section has a loader, which ignores the others.
+Every value passes one checked conversion per type: a number must be a
+finite JSON number (a string, boolean or null raises BadConfiguration),
+an integer integral, an array rectangular.  The configuration hash is
+over the canonical (sorted-key, compact) JSON serialization.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import sys
 
 import numpy as np
 
 from .errors import BadConfiguration
 from .model import (
     CouplingTerm,
+    DensityMatrix,
     FormFactor,
     RegisterSpec,
     SystemSpec,
@@ -56,6 +62,10 @@ __all__ = [
     "matrix_to_config",
     "system_from_config",
     "register_from_config",
+    "evolve_from_config",
+    "scaling_from_config",
+    "xi_from_config",
+    "verify_from_config",
 ]
 
 
@@ -80,10 +90,21 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
-def _require(cfg: dict, key: str, context: str):
+def _require(cfg, key: str, context: str = "configuration"):
+    """cfg[key]; a cfg that is not an object, or lacks the key, raises
+    BadConfiguration."""
+    if not isinstance(cfg, dict):
+        raise BadConfiguration(f"{context} must be an object")
     if key not in cfg:
         raise BadConfiguration(f"missing key {key!r} in {context}")
     return cfg[key]
+
+
+def _read(section, key: str, convert, context: str = ""):
+    """convert(section[key]), naming the value context.key (key alone
+    at the top level)."""
+    return convert(_require(section, key, context or "configuration"),
+                   f"{context}.{key}" if context else key)
 
 
 def _integer(value, context: str) -> int:
@@ -96,30 +117,62 @@ def _integer(value, context: str) -> int:
     raise BadConfiguration(f"{context} must be an integer, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """A number, not a boolean, that a finite float holds."""
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _real(value, context: str) -> float:
+    """A finite number as a float; anything else (true, null, "1", NaN,
+    10**400) raises BadConfiguration instead of being coerced."""
+    if not _is_real(value):
+        raise BadConfiguration(
+            f"{context} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _reals(value, context: str, ndim: int | None = None) -> np.ndarray:
+    """A rectangular nested array of finite numbers (of ``ndim``
+    dimensions when given) as a float array.  Entries that ``_real``
+    refuses, and ragged nesting, raise BadConfiguration; an object array
+    holds a ragged level's lists as entries, so one check covers both."""
+    entries = np.array(value, dtype=object)
+    if not all(map(_is_real, entries.flat)) \
+            or ndim not in (None, entries.ndim):
+        shape = "an array" if ndim is None else f"a {ndim}-d array"
+        raise BadConfiguration(
+            f"{context} must be {shape} of finite numbers")
+    return entries.astype(float)
+
+
+def _tuple(value, context: str) -> tuple:
+    return tuple(_reals(value, context, ndim=1).tolist())
+
+
+def _grid(section, context: str) -> np.ndarray:
+    """The grid of a {"start", "stop", "num"} object."""
+    start = _read(section, "start", _real, context)
+    stop = _read(section, "stop", _real, context)
+    num = _read(section, "num", _integer, context)
+    if num < 1:
+        raise BadConfiguration(f"{context}.num must be >= 1, got {num}")
+    return np.linspace(start, stop, num)
+
+
 def form_factor_from_config(d: dict, context: str = "form_factor") \
         -> FormFactor:
     """Build a FormFactor from {"p": ..., "m": ..., "scale": ...}."""
-    if not isinstance(d, dict):
-        raise BadConfiguration(f"{context} must be an object")
-    p = _require(d, "p", context)
-    m = _integer(_require(d, "m", context), f"{context}.m")
-    scale = d.get("scale", 1.0)
-    weight = d.get("weight", 1.0)
-    try:
-        return FormFactor(radial_exponent=float(p), decay_exponent=m,
-                          overall_scale=float(scale),
-                          angular_weight=float(weight))
-    except (TypeError, ValueError) as exc:
-        raise BadConfiguration(f"invalid {context}: {exc}") from exc
+    return FormFactor(
+        radial_exponent=_read(d, "p", _real, context),
+        decay_exponent=_read(d, "m", _integer, context),
+        overall_scale=_real(d.get("scale", 1.0), f"{context}.scale"),
+        angular_weight=_real(d.get("weight", 1.0), f"{context}.weight"))
 
 
 def matrix_from_config(rows, context: str = "matrix") -> np.ndarray:
     """Nested [re, im] leaves -> complex matrix."""
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise BadConfiguration(
-            f"{context} must be a nested array of [re, im] pairs") from exc
+    arr = _reals(rows, context)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise BadConfiguration(
             f"{context} must be a matrix of [re, im] pairs, got shape "
@@ -134,6 +187,20 @@ def matrix_to_config(matrix: np.ndarray) -> list:
             for row in matrix]
 
 
+def _initial_state(section, context: str, dim: int) -> DensityMatrix:
+    rho0 = DensityMatrix.from_array(
+        _read(section, "initial_state", matrix_from_config, context))
+    if rho0.dim != dim:
+        raise BadConfiguration(
+            f"{context}.initial_state is {rho0.dim}x{rho0.dim}, but the "
+            f"system has dimension {dim}")
+    return rho0
+
+
+# =====================================================================
+# Section loaders
+# =====================================================================
+
 def system_from_config(cfg: dict) -> SystemSpec:
     """Build a SystemSpec from the top-level configuration object.
 
@@ -143,48 +210,109 @@ def system_from_config(cfg: dict) -> SystemSpec:
     """
     if "register" in cfg:
         return register_to_system(register_from_config(cfg))
-    dim = _integer(_require(cfg, "dim", "configuration"), "dim")
-    energies = np.asarray(_require(cfg, "energies", "configuration"),
-                          dtype=float)
-    beta = float(_require(cfg, "beta", "configuration"))
-    couplings = []
-    raw = _require(cfg, "couplings", "configuration")
+    dim = _read(cfg, "dim", _integer)
+    energies = _read(cfg, "energies", _reals)
+    beta = _read(cfg, "beta", _real)
+    raw = _require(cfg, "couplings")
     if not isinstance(raw, list):
         raise BadConfiguration("couplings must be an array")
+    couplings = []
     for i, entry in enumerate(raw):
         ctx = f"couplings[{i}]"
-        strength = float(_require(entry, "strength", ctx))
-        matrix = matrix_from_config(_require(entry, "matrix", ctx),
-                                    f"{ctx}.matrix")
-        ff = form_factor_from_config(_require(entry, "form_factor", ctx),
-                                     f"{ctx}.form_factor")
-        couplings.append(CouplingTerm(strength=strength, matrix=matrix,
-                                      form_factor=ff))
-    try:
-        return SystemSpec(dim=dim, energies=energies, couplings=couplings,
-                          beta=beta)
-    except ValueError as exc:
-        raise BadConfiguration(str(exc)) from exc
+        couplings.append(CouplingTerm(
+            strength=_read(entry, "strength", _real, ctx),
+            matrix=_read(entry, "matrix", matrix_from_config, ctx),
+            form_factor=_read(entry, "form_factor", form_factor_from_config,
+                              ctx)))
+    return SystemSpec(dim=dim, energies=energies, couplings=couplings,
+                      beta=beta)
 
 
 def register_from_config(cfg: dict) -> RegisterSpec:
     """Build a RegisterSpec from the "register" section plus beta."""
-    reg = _require(cfg, "register", "configuration")
-    if not isinstance(reg, dict):
-        raise BadConfiguration("register must be an object")
-    n = _integer(_require(reg, "n", "register"), "register.n")
-    J = np.asarray(_require(reg, "J", "register"), dtype=float)
-    B = np.asarray(_require(reg, "B", "register"), dtype=float)
-    beta = float(_require(cfg, "beta", "configuration"))
-    g1 = form_factor_from_config(_require(reg, "g1", "register"),
-                                 "register.g1")
-    g2 = form_factor_from_config(_require(reg, "g2", "register"),
-                                 "register.g2")
-    try:
-        return RegisterSpec(
-            n_qubits=n, J=J, B=B,
-            lambda1=float(_require(reg, "lambda1", "register")),
-            lambda2=float(_require(reg, "lambda2", "register")),
-            g1=g1, g2=g2, beta=beta)
-    except ValueError as exc:
-        raise BadConfiguration(str(exc)) from exc
+    reg = _require(cfg, "register")
+    return RegisterSpec(
+        n_qubits=_read(reg, "n", _integer, "register"),
+        J=_read(reg, "J", _reals, "register"),
+        B=_read(reg, "B", _reals, "register"),
+        lambda1=_read(reg, "lambda1", _real, "register"),
+        lambda2=_read(reg, "lambda2", _real, "register"),
+        g1=_read(reg, "g1", form_factor_from_config, "register"),
+        g2=_read(reg, "g2", form_factor_from_config, "register"),
+        beta=_read(cfg, "beta", _real))
+
+
+def evolve_from_config(cfg: dict, times: tuple | None = None) -> tuple:
+    """(SystemSpec, initial DensityMatrix, time grid) for ``evolve``.
+
+    The "evolve" section holds "initial_state" and a "times" grid; a
+    (start, stop, num) ``times`` overrides that grid, which may then be
+    absent.
+    """
+    spec = system_from_config(cfg)
+    section = _require(cfg, "evolve")
+    rho0 = _initial_state(section, "evolve", spec.dim)
+    if times is None:
+        return spec, rho0, _read(section, "times", _grid, "evolve")
+    return spec, rho0, _grid(dict(zip(("start", "stop", "num"), times)),
+                             "--times")
+
+
+def scaling_from_config(cfg: dict) -> tuple:
+    """(RegisterTemplate, register sizes) from the "scaling" section
+    plus beta; without "b_interval", RegisterTemplate's default holds."""
+    from .register import RegisterTemplate    # register imports _integer
+    section = _require(cfg, "scaling")
+    n_list = _require(section, "n_list", "scaling")
+    if not isinstance(n_list, list):
+        raise BadConfiguration("scaling.n_list must be an array")
+    optional = {"b_interval": _read(section, "b_interval", _tuple,
+                                    "scaling")} \
+        if "b_interval" in section else {}
+    template = RegisterTemplate(
+        lambda1=_read(section, "lambda1", _real, "scaling"),
+        lambda2=_read(section, "lambda2", _real, "scaling"),
+        g1=_read(section, "g1", form_factor_from_config, "scaling"),
+        g2=_read(section, "g2", form_factor_from_config, "scaling"),
+        beta=_read(cfg, "beta", _real), **optional)
+    return template, [_integer(n, "scaling.n_list") for n in n_list]
+
+
+def xi_from_config(cfg: dict) -> tuple:
+    """(FormFactor, beta, frequency grid) for ``xi``."""
+    return (_read(cfg, "form_factor", form_factor_from_config),
+            _read(cfg, "beta", _real), _read(cfg, "xi_grid", _grid))
+
+
+def verify_from_config(cfg: dict) -> tuple:
+    """(SystemSpec, VerifyConfig, initial DensityMatrix or None) for
+    ``verify``.
+
+    The "verify" section is optional.  Its keys are VerifyConfig's
+    fields, each read as the type of its default, plus
+    "initial_state"; any other key, and nonzero lambdas on a system
+    whose coupling strengths are all zero, raise BadConfiguration.
+    """
+    from .oracle import VerifyConfig      # scipy: only verify pays
+    system = system_from_config(cfg)
+    section = cfg.get("verify", {})
+    if not isinstance(section, dict):
+        raise BadConfiguration("'verify' section must be an object")
+    readers = {int: _integer, float: _real, tuple: _tuple}
+    kwargs = {f.name: _read(section, f.name, readers[type(f.default)],
+                            "verify")
+              for f in dataclasses.fields(VerifyConfig)
+              if f.name in section}
+    unknown = sorted(set(section) - set(kwargs) - {"initial_state"})
+    if unknown:
+        raise BadConfiguration(
+            f"unknown key(s) {unknown} in the 'verify' section")
+    vconfig = VerifyConfig(**kwargs)
+    if system.overall_coupling == 0.0 and any(vconfig.lambdas):
+        raise BadConfiguration(
+            "verify rescales the coupling to each lambda, but every "
+            "coupling strength is zero")
+    rho0 = None
+    if "initial_state" in section:
+        rho0 = _initial_state(section, "verify", system.dim)
+    return system, vconfig, rho0

@@ -3,7 +3,8 @@
 Two error families matter for the command-line exit contract:
 
 * ``ValidationError`` — the input specification itself is malformed
-  (exit code 1 from the CLI).
+  (exit code 1 from the CLI).  It is also a ``ValueError``, so callers
+  that catch ValueError for bad arguments keep working.
 * ``NumericalError`` — the inputs were well-formed but a numerical
   procedure could not produce a trustworthy result (exit code 2).
 
@@ -44,8 +45,9 @@ class ResodecError(Exception):
 # Input-validation errors (CLI exit code 1)
 # =====================================================================
 
-class ValidationError(ResodecError):
-    """A specification or argument fails its structural invariants."""
+class ValidationError(ResodecError, ValueError):
+    """A specification or argument fails its structural invariants
+    (also a ValueError)."""
 
 
 class NonHermitianCoupling(ValidationError):

@@ -209,6 +209,8 @@ class DensityMatrix:
         if m.shape != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"expected shape ({self.dim}, {self.dim}), got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValidationError("density matrix must be Hermitian")
         tr = np.trace(m).real

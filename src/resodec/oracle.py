@@ -56,6 +56,7 @@ from .errors import (
     DimensionTooLarge,
     PoorFit,
     TruncationWarning,
+    ValidationError,
     WeightMismatch,
 )
 from .model import FormFactor, RegisterSpec, SystemSpec, register_to_system
@@ -584,21 +585,21 @@ class VerifyConfig:
 
     def __post_init__(self):
         if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
+            raise ValidationError("n_modes must be >= 1")
         if self.fock_cutoff < 1:
-            raise ValueError("fock_cutoff must be >= 1")
+            raise ValidationError("fock_cutoff must be >= 1")
         if self.num_times < 20:
-            raise ValueError("num_times must be >= 20")
+            raise ValidationError("num_times must be >= 20")
         for name in ("omega_max", "rate_tolerance", "horizon_factor"):
             value = getattr(self, name)
             if not (0.0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {value!r}")
+                raise ValidationError(
+                    f"{name} must be positive and finite, got {value!r}")
         lambdas = tuple(float(v) for v in self.lambdas)
         if not lambdas:
-            raise ValueError("lambdas must hold at least one coupling")
+            raise ValidationError("lambdas must hold at least one coupling")
         if not all(map(math.isfinite, lambdas)):
-            raise ValueError(f"lambdas must be finite, got {lambdas!r}")
+            raise ValidationError(f"lambdas must be finite, got {lambdas!r}")
         object.__setattr__(self, "lambdas", lambdas)
 
 

@@ -23,8 +23,10 @@ partition into flip patterns (sigma_j - tau_j per qubit): the group of
 a flip pattern holds 2^(agreeing qubits) pairs, the fastest conserving
 and exchange rates sit on the all-flipped groups (size 1: |e0| = 2N,
 and the exchange rate adds up over the flipped qubits), and gamma0 on
-the e = 0 group, the only one of size 2^N.  It evaluates those two size
-classes only; any other group count warns and evaluates every group.
+the e = 0 group, the only one of size 2^N.  It evaluates only the
+size-1 class for the conserving channel and both classes for the
+exchange channel; any other group count warns and evaluates every
+group.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .config import _integer
 from .errors import BadConfiguration, RegisterTooLarge, \
-    TooLargeForExhaustiveCheck
+    TooLargeForExhaustiveCheck, ValidationError
 from .model import (
     MAX_QUBITS,
     FormFactor,
@@ -46,7 +48,7 @@ from .model import (
     register_to_system,
     spin_configuration,
 )
-from .resonances import _resonance_mixes, bohr_spectrum
+from .resonances import BohrSpectrum, _resonance_mixes, bohr_spectrum
 
 __all__ = [
     "RateReport",
@@ -239,10 +241,11 @@ class RegisterTemplate:
     b_interval: tuple = (0.45, 0.55)
 
     def __post_init__(self):
-        lo, hi = self.b_interval
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError("b_interval must be a finite (low, high) "
-                             "pair with low < high")
+        interval = tuple(self.b_interval)
+        if not (len(interval) == 2 and np.all(np.isfinite(interval))
+                and interval[0] < interval[1]):
+            raise ValidationError("b_interval must be a finite (low, high) "
+                                  "pair with low < high")
 
     def realize(self, n_qubits: int, seed: int,
                 attenuate: bool = False) -> RegisterSpec:
@@ -296,6 +299,14 @@ def _loglog_slope(ns, values) -> float:
     return float(slope)
 
 
+def _size_classes(spectrum: BohrSpectrum, sizes) -> BohrSpectrum:
+    """The groups of ``spectrum`` whose sizes are in ``sizes``."""
+    return BohrSpectrum(
+        groups={e: pairs for e, pairs in spectrum.groups.items()
+                if len(pairs) in sizes},
+        tolerance=spectrum.tolerance)
+
+
 def scaling_study(template: RegisterTemplate, n_list,
                   seed: int = 0xD1CE, attenuate: bool = False,
                   tol: float | None = None,
@@ -303,26 +314,33 @@ def scaling_study(template: RegisterTemplate, n_list,
     """Decay-rate scaling with register size.
 
     For each N the template is realized with freshly drawn fields and
-    one resonance-pipeline pass yields both single-channel spectra: the
-    conserving-only one gives max_e gamma_e, the exchange-only one gives
-    max_e gamma_e and the e = 0 thermalization rate gamma0.  Exponents
+    one resonance-pipeline pass per channel yields its single-channel
+    spectrum: the conserving-only one gives max_e gamma_e, the
+    exchange-only one gives max_e gamma_e and the e = 0 thermalization
+    rate gamma0.  Exponents
     are log-log least-squares fits across the sizes.
 
     When ``bohr_spectrum(spec, tol)`` has 3^N groups, each is one flip
-    pattern (J is zero), and the pass evaluates only the groups of
-    size 1 (the 2^N all-flipped ones, which carry both maxima) and of
-    size 2^N (the e = 0 group alone), in the batches a full pass would
-    use, so every value is bit-identical to evaluating all 3^N groups.
-    Any other group count warns, and every group is evaluated.
+    pattern (J is zero), and each mix gets only the groups it reads:
+    the conserving one the groups of size 1 (the 2^N all-flipped ones,
+    which carry its maximum), the exchange one those and the group of
+    size 2^N (the e = 0 group alone).  The channels share no table and
+    each size class is the batch a full pass would use, so every value
+    is bit-identical to evaluating all 3^N groups.  Any other group
+    count warns, and every group is evaluated.
 
-    A size that is not an integer or integral float raises
-    BadConfiguration, and an ``n_list`` above MAX_QUBITS raises
-    RegisterTooLarge, before any size is computed.  ``parallel`` is
-    accepted for compatibility and ignored.
+    A size that is not an integer or integral float, below 1 or
+    repeated raises BadConfiguration (a log-log fit needs distinct
+    sizes), and an ``n_list`` above MAX_QUBITS raises RegisterTooLarge,
+    before any size is computed.  ``parallel`` is accepted for
+    compatibility and ignored.
     """
     n_list = sorted(_integer(n, "n_list") for n in n_list)
     if not n_list:
-        raise ValueError("n_list must be nonempty")
+        raise BadConfiguration("n_list must be nonempty")
+    if n_list[0] < 1 or len(set(n_list)) < len(n_list):
+        raise BadConfiguration(
+            f"n_list must hold distinct sizes >= 1, got {n_list}")
     if n_list[-1] > MAX_QUBITS:
         raise RegisterTooLarge(
             f"n_list reaches {n_list[-1]} qubits, maximum is {MAX_QUBITS}")
@@ -330,18 +348,18 @@ def scaling_study(template: RegisterTemplate, n_list,
     for n in n_list:
         reg = template.realize(n, seed, attenuate=attenuate)
         spec = register_to_system(reg)
-        spectrum = bohr_spectrum(spec, tol)
-        sizes = {1, 2 ** n}
-        if len(spectrum.groups) != 3 ** n:
+        cons_groups = exch_groups = spectrum = bohr_spectrum(spec, tol)
+        if len(spectrum.groups) == 3 ** n:
+            cons_groups = _size_classes(spectrum, {1})
+            exch_groups = _size_classes(spectrum, {1, 2 ** n})
+        else:
             warnings.warn(
                 f"the Bohr spectrum of the N = {n} field has "
                 f"{len(spectrum.groups)} groups, not one per flip pattern "
                 f"(3^{n}); every group is evaluated", UserWarning,
                 stacklevel=2)
-            sizes = None
-        cons, exch = _resonance_mixes(
-            spec, [(reg.lambda1, 0.0), (0.0, reg.lambda2)], spectrum,
-            sizes=sizes)
+        (cons,) = _resonance_mixes(spec, [(reg.lambda1, 0.0)], cons_groups)
+        (exch,) = _resonance_mixes(spec, [(0.0, reg.lambda2)], exch_groups)
         rows.append(ScalingRow(
             n_qubits=n,
             max_gamma_conserving=max(r.gamma for r in cons),

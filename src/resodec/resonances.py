@@ -36,6 +36,7 @@ import numpy as np
 from .errors import (
     AmbiguousClustering,
     DefectiveLevelShift,
+    ValidationError,
 )
 from .model import SystemSpec
 from .reservoir import _half_line_transforms, thermal_spectral_density
@@ -97,12 +98,12 @@ def bohr_spectrum(spec: SystemSpec, tol: float | None = None) -> BohrSpectrum:
     mean, snapped to exactly 0.0 for the cluster containing the
     diagonal pairs (whose differences are exactly 0.0).  Raises
     AmbiguousClustering when two distinct clusters approach each other
-    within 10*tol.
+    within 10*tol, and ValidationError when tol is not finite and > 0.
     """
     if tol is None:
         tol = default_cluster_tolerance(spec.energies)
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
     n = spec.dim
     e_vals = spec.energies
     diffs = (e_vals[:, None] - e_vals[None, :]).ravel()
@@ -313,23 +314,21 @@ def _diagonalize_groups(es, groups, lam_mats: np.ndarray,
             for i, e in enumerate(es)]
 
 
-def _resonance_mixes(spec: SystemSpec, mixes, spectrum: BohrSpectrum,
-                     sizes=None) -> list:
+def _resonance_mixes(spec: SystemSpec, mixes, spectrum: BohrSpectrum) \
+        -> list:
     """``resonance_energies`` for several channel mixes of one spec.
 
     ``mixes`` is a list of strength vectors, one strength per coupling
     term of ``spec`` (a zero switches the channel off).  The groups of
     ``spectrum`` (the caller's ``bohr_spectrum(spec)``), the channel
     tables and each channel's matrices are shared by all mixes; only
-    the weighted sums are diagonalized per mix.
-    ``sizes``, when given, is a set of group sizes: only the groups of
-    those sizes are assembled and diagonalized, each size class in the
-    same batch as in a full pass, so their data are bit-identical to it.
-    Returns one sorted-e list of ResonanceData per mix.
+    the weighted sums are diagonalized per mix.  The groups of one size
+    are one batch, so a ``spectrum`` that keeps whole size classes of
+    ``bohr_spectrum(spec)`` gives their data bit-identical to a full
+    pass.  Returns one sorted-e list of ResonanceData per mix.
     """
     tables = _channel_tables(spec, mixes)
-    keys = [e for e in sorted(spectrum.groups.keys())
-            if sizes is None or len(spectrum.groups[e]) in sizes]
+    keys = sorted(spectrum.groups.keys())
     by_size: dict = {}
     for e in keys:
         by_size.setdefault(len(spectrum.groups[e]), []).append(e)

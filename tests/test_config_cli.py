@@ -9,12 +9,16 @@ import pytest
 
 from resodec.config import (
     config_hash,
+    evolve_from_config,
     form_factor_from_config,
     load_config,
     matrix_from_config,
     matrix_to_config,
     register_from_config,
+    scaling_from_config,
     system_from_config,
+    verify_from_config,
+    xi_from_config,
     _integer,
 )
 from resodec.cli import run
@@ -585,3 +589,167 @@ def test_rates_rejects_large_register_before_field_scan(
     assert run(["rates", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "ERROR[1]" in err and "11 qubits" in err
+
+
+# =====================================================================
+# Section loaders: every value checked
+# =====================================================================
+
+def _leaves(node, path=()):
+    """Key paths of the values of a JSON document that are neither
+    objects nor arrays."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+def _commands_reading(cfg, key):
+    """Subcommands that read the top-level ``key`` of ``cfg``: a
+    section is read by its own subcommand only, system or register data
+    and beta by every subcommand the file serves."""
+    sections = {"evolve": "evolve", "verify": "verify",
+                "scaling": "scaling", "xi_grid": "xi"}
+    served = [command for section, command in sections.items()
+              if section in cfg]
+    if key in sections:
+        return [sections[key]]
+    if "scaling" in cfg or "xi_grid" in cfg:
+        return served
+    return ["spectrum", *(["rates"] if "register" in cfg else []), *served]
+
+
+def test_every_leaf_of_the_shipped_configs_is_checked(tmp_path, capsys):
+    # a string, boolean, null or object in place of any value is exit 1:
+    # true is never read as 1.0, null never as NaN
+    path = tmp_path / "mutated.json"
+    runs = 0
+    for source in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = json.loads(source.read_text())
+        for *keys, last in _leaves(cfg):
+            for value in ("x", True, None, {}):
+                mutated = json.loads(source.read_text())
+                _set(*keys, last, value)(mutated)
+                path.write_text(json.dumps(mutated))
+                for command in _commands_reading(cfg, (*keys, last)[0]):
+                    code = run([command, "--config", str(path)])
+                    err = capsys.readouterr().err
+                    where = (source.name, *keys, last, value, command)
+                    assert code == 1 and "ERROR[1]" in err, where
+                    runs += 1
+    assert runs == 1520
+
+
+@pytest.mark.parametrize("loader, path, mutate, message", [
+    (register_from_config, REG4_CFG, _set("register", "lambda1", "0.01"),
+     "register.lambda1 must be a finite number"),
+    (register_from_config, REG4_CFG, _set("register", "B", 0, 10 ** 400),
+     "register.B must be an array of finite numbers"),
+    (system_from_config, QUBIT_CFG, _set("beta", True),
+     "beta must be a finite number"),
+    (system_from_config, QUBIT_CFG, _set("beta", float("inf")),
+     "beta must be a finite number"),
+    (system_from_config, QUBIT_CFG, _set("energies", [0.0, [1.0]]),
+     "energies must be an array of finite numbers"),
+    (evolve_from_config, QUBIT_CFG,
+     _set("evolve", "initial_state", 0, 1, 0, None),
+     "evolve.initial_state must be an array of finite numbers"),
+    (evolve_from_config, QUBIT_CFG, _set("evolve", [1]),
+     "evolve must be an object"),
+    (scaling_from_config, SCALING_CFG, _set("scaling", "lambda1", "0.01"),
+     "scaling.lambda1 must be a finite number"),
+    (scaling_from_config, SCALING_CFG,
+     _set("scaling", "b_interval", [0.45, True]),
+     "scaling.b_interval must be a 1-d array of finite numbers"),
+    (scaling_from_config, SCALING_CFG,
+     _set("scaling", "b_interval", [0.45, 0.5, 0.55]),
+     r"b_interval must be a finite \(low, high\) pair"),
+    (xi_from_config, XI_CFG, _set("xi_grid", "stop", None),
+     "xi_grid.stop must be a finite number"),
+    (xi_from_config, XI_CFG, _set("form_factor", "scale", "1"),
+     "form_factor.scale must be a finite number"),
+    (verify_from_config, VERIFY_CFG, _set("verify", "omega_max", False),
+     "verify.omega_max must be a finite number"),
+    (verify_from_config, VERIFY_CFG, _set("verify", "lambdas", [[0.01]]),
+     "verify.lambdas must be a 1-d array of finite numbers"),
+    (verify_from_config, VERIFY_CFG, _set("verify", "n_modes", 0),
+     "n_modes must be >= 1"),
+])
+def test_section_loaders_raise_bad_configuration(loader, path, mutate,
+                                                 message):
+    cfg = json.loads(path.read_text())
+    mutate(cfg)
+    with pytest.raises(ValidationError, match=message):
+        loader(cfg)
+
+
+def test_section_loaders_read_the_shipped_configs():
+    spec, rho0, times = evolve_from_config(load_config(QUBIT_CFG))
+    assert spec.dim == 2 and rho0.dim == 2
+    assert np.array_equal(times, np.linspace(0.0, 50.0, 201))
+    # the override replaces evolve.times, which may then be absent
+    cfg = load_config(QUBIT_CFG)
+    del cfg["evolve"]["times"]
+    with pytest.raises(BadConfiguration, match="missing key 'times'"):
+        evolve_from_config(cfg)
+    assert np.array_equal(evolve_from_config(cfg, (0.0, 10.0, 41))[2],
+                          np.linspace(0.0, 10.0, 41))
+
+    template, n_list = scaling_from_config(load_config(SCALING_CFG))
+    assert n_list == [2, 3, 4, 5, 6] and template.b_interval == (0.45, 0.55)
+    cfg = load_config(SCALING_CFG)
+    del cfg["scaling"]["b_interval"]
+    from resodec.register import RegisterTemplate
+    assert scaling_from_config(cfg)[0].b_interval \
+        == RegisterTemplate.b_interval
+
+    ff, beta, grid = xi_from_config(load_config(XI_CFG))
+    assert (ff.decay_exponent, beta, len(grid)) == (2, 2.0, 41)
+
+    system, vconfig, rho0 = verify_from_config(load_config(VERIFY_CFG))
+    assert vconfig == VerifyConfig(n_modes=200, lambdas=(0.01,))
+    assert rho0 is None and system.dim == 2
+    # the section is optional
+    cfg = load_config(VERIFY_CFG)
+    del cfg["verify"]
+    assert verify_from_config(cfg)[1] == VerifyConfig()
+
+
+def test_evolve_times_override_without_config_grid(tmp_path, capsys):
+    cfg = json.loads(QUBIT_CFG.read_text())
+    del cfg["evolve"]["times"]
+    path = tmp_path / "no_times.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["evolve", "--config", str(path)]) == 1
+    assert "missing key 'times'" in capsys.readouterr().err
+    out = tmp_path / "evolve.csv"
+    assert run(["evolve", "--config", str(path), "--times", "0:10:41",
+                "-o", str(out)]) == 0
+    assert len(read_csv(out)[2]) == 41
+    for times, message in (("0:10", "start:stop:num"),
+                           ("0:x:41", "numeric fields"),
+                           ("0:inf:41", "--times.stop must be a finite"),
+                           ("0:10:0", "--times.num must be >= 1")):
+        assert run(["evolve", "--config", str(path), "--times", times]) == 1
+        assert message in capsys.readouterr().err, times
+
+
+@pytest.mark.parametrize("n_list", [[-1], [2, 2]])
+def test_scaling_rejects_sizes_below_1_or_repeated(tmp_path, capsys,
+                                                   n_list):
+    cfg = json.loads(SCALING_CFG.read_text())
+    cfg["scaling"]["n_list"] = n_list
+    path = tmp_path / "scaling.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["scaling", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "ERROR[1]" in err and "distinct sizes >= 1" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-9"])
+def test_tol_must_be_finite_and_positive(tol):
+    # --tol inf merged the qubit's four pairs into one e = 0 group and
+    # printed a negative decay rate with exit 0
+    assert run(["spectrum", "--config", str(QUBIT_CFG), "--tol", tol]) == 1

@@ -158,6 +158,15 @@ def test_density_matrix_rejects_invalid_states():
         DensityMatrix.from_array(np.array([[0.0, 0.5], [0.5, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    # NaN compares false with every bound, so the Hermiticity, trace and
+    # positivity checks alone would let it through
+    for entries in ([[bad, 0.0], [0.0, 1.0]], [[0.5, bad], [bad, 0.5]]):
+        with pytest.raises(ValidationError, match="finite"):
+            DensityMatrix.from_array(entries)
+
+
 # =====================================================================
 # Spin configurations and register assembly
 # =====================================================================

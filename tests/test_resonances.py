@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from resodec.errors import AmbiguousClustering, DefectiveLevelShift
+from resodec.errors import (
+    AmbiguousClustering,
+    DefectiveLevelShift,
+    ValidationError,
+)
 from resodec.model import CouplingTerm, FormFactor, SystemSpec, build_system
 from resodec.reservoir import (
     half_line_transform,
@@ -107,6 +111,14 @@ def test_ambiguous_clustering_raises():
                         [(0.01, np.eye(3, dtype=complex), ff)], beta=1.0)
     with pytest.raises(AmbiguousClustering):
         bohr_spectrum(spec, tol=1e-3)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.inf, np.nan])
+def test_bohr_spectrum_rejects_non_finite_or_nonpositive_tol(tol):
+    # tol = inf would merge every pair into one e = 0 group and give
+    # the qubit a negative decay rate
+    with pytest.raises(ValidationError, match="tol must be finite"):
+        bohr_spectrum(single_qubit_spec(**QUBIT), tol=tol)
 
 
 def test_channel_tables_share_entries_of_rounded_gaps():
