@@ -12,12 +12,13 @@ verify     truncated-reservoir oracle versus resonance theory
 Every CSV starts with a provenance comment header (configuration
 hash, seed, package version — never timestamps), so identical inputs
 produce byte-identical output.  Exit codes: 0 success, 1 validation
-error, 2 numerical failure, 3 verification failure, 4 a bug; errors 1-3
-go to standard error with the prefix ``ERROR[code]:``.  Each handler
-loads its inputs with a ``resodec.config`` section loader (this module
-reads no configuration key), computes and writes.  A malformed value
-raises ValidationError in the loader; any other exception is a bug:
-``run`` propagates it, ``main`` prints its traceback.
+error (a malformed command line included), 2 numerical failure, 3
+verification failure, 4 a bug; errors 1-3 go to standard error with the
+prefix ``ERROR[code]:``.  Each handler loads its inputs with a
+``resodec.config`` section loader (this module reads no configuration
+key), computes and writes.  A malformed value raises ValidationError in
+the loader, and a malformed flag in the parser; any other exception is
+a bug: ``run`` propagates it, ``main`` prints its traceback.
 """
 
 from __future__ import annotations
@@ -291,8 +292,16 @@ def _cmd_verify(args) -> int:
 # Parser and dispatch
 # =====================================================================
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise BadConfiguration, which ``run`` reports like
+    any other validation error; the subcommand parsers share the class."""
+
+    def error(self, message):
+        raise BadConfiguration(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="resodec",
         description="Resonance theory of decoherence: spectra, rates, "
                     "reduced dynamics, and oracle verification.")
@@ -307,28 +316,32 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                         help="64-bit unsigned seed (default 0x%X)"
                              % DEFAULT_SEED)
-    common.add_argument("--tol", type=_parse_tol, default=None,
-                        help="Bohr-frequency clustering tolerance override")
     common.add_argument("--parallel", type=int, default=None,
                         help="accepted for compatibility and ignored: "
                              "runs are single-threaded (numpy's BLAS "
                              "may still use several threads)")
     common.add_argument("--verbose", "-v", action="store_true",
                         help="log progress to standard error")
+    # xi forms no Bohr groups and verify keeps the default clustering
+    clustered = argparse.ArgumentParser(add_help=False)
+    clustered.add_argument("--tol", type=_parse_tol, default=None,
+                           help="Bohr-frequency clustering tolerance "
+                                "override")
 
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command",
+                                required=True)
 
-    p = sub.add_parser("spectrum", parents=[common],
+    p = sub.add_parser("spectrum", parents=[common, clustered],
                        help="resonance energies per Bohr group")
     p.add_argument("--check-nonoverlap", action="store_true",
                    help="append the resonance-separation margin report")
     p.set_defaults(handler=_cmd_spectrum)
 
-    p = sub.add_parser("rates", parents=[common],
+    p = sub.add_parser("rates", parents=[common, clustered],
                        help="register decay rates by channel")
     p.set_defaults(handler=_cmd_rates)
 
-    p = sub.add_parser("evolve", parents=[common],
+    p = sub.add_parser("evolve", parents=[common, clustered],
                        help="reduced density matrix on a time grid")
     p.add_argument("--elements", default=None,
                    help="matrix elements to emit, e.g. '0,1;1,1' "
@@ -337,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="time grid start:stop:num (overrides the config)")
     p.set_defaults(handler=_cmd_evolve)
 
-    p = sub.add_parser("scaling", parents=[common],
+    p = sub.add_parser("scaling", parents=[common, clustered],
                        help="decay-rate scaling with register size")
     p.add_argument("--attenuate", action="store_true",
                    help="scale couplings down with register size "
@@ -357,21 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Execute one CLI invocation and return the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; the contract maps every
-        # validation problem, unknown subcommands included, to 1.
-        return 0 if not exc.code else 1
-    if getattr(args, "handler", None) is None:
-        parser.print_usage(sys.stderr)
-        print("ERROR[1]: a subcommand is required", file=sys.stderr)
-        return 1
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:   # --help and --version exit 0
+            return exc.code
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
         return args.handler(args)
     except ValidationError as exc:
         print(f"ERROR[1]: {exc}", file=sys.stderr)

@@ -115,11 +115,12 @@ def _block_from_resonance(data: ResonanceData) -> PropagatorBlock:
     """Merge eigenmodes with coinciding shift into one spectral weight."""
     d = len(data.pairs)
     classes = data.classes
+    left_vectors = np.linalg.inv(data.right_vectors)
     epsilons = np.empty(len(classes), dtype=complex)
     weights = np.empty((len(classes), d, d), dtype=complex)
     for s, idx in enumerate(classes):
         epsilons[s] = np.mean(data.epsilons[idx])
-        weights[s] = data.right_vectors[:, idx] @ data.left_vectors[idx, :]
+        weights[s] = data.right_vectors[:, idx] @ left_vectors[idx, :]
     return PropagatorBlock(e=data.e, pairs=data.pairs,
                            epsilons=epsilons, weights=weights)
 

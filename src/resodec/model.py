@@ -53,10 +53,11 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 #: largest register that is lowered to a 2**n-level system.  The memory
-#: figure is decoherence_rates': its pipeline keeps three arrays of
-#: 2^N 3^N complex entries for each of three channel mixes (1.45 GB at
-#: N = 9, 8.7 GB at N = 10).  scaling_study, which evaluates only two
-#: group sizes, peaks near 116 MB at N = 9
+#: figure is decoherence_rates': its pipeline keeps one array of
+#: 2^N 3^N complex entries (the eigenvectors of every group) for each
+#: of three channel mixes (0.48 GB at N = 9, 2.9 GB at N = 10), and a
+#: 9-qubit run peaks at 0.83 GB.  scaling_study, which evaluates only
+#: two group sizes, peaks near 90 MB at N = 9
 MAX_QUBITS = 9
 
 

@@ -301,10 +301,9 @@ def _loglog_slope(ns, values) -> float:
 
 def _size_classes(spectrum: BohrSpectrum, sizes) -> BohrSpectrum:
     """The groups of ``spectrum`` whose sizes are in ``sizes``."""
-    return BohrSpectrum(
-        groups={e: pairs for e, pairs in spectrum.groups.items()
-                if len(pairs) in sizes},
-        tolerance=spectrum.tolerance)
+    return BohrSpectrum(groups={
+        e: pairs for e, pairs in spectrum.groups.items()
+        if len(pairs) in sizes})
 
 
 def scaling_study(template: RegisterTemplate, n_list,

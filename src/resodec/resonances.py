@@ -19,6 +19,11 @@ delta_e^(s) of L_e give resonance energies
 eps_e^(s) = e + lam^2 delta_e^(s); the group decay rate is the smallest
 Im eps over the nonzero resonance energies.
 
+Inside a group the brackets are implied: pairs (m,n) and (k,n) of one
+group have E_m = E_k, and pairs (m,n) and (m,l) have E_n = E_l.  So the
+K terms read group membership alone, and the clustering of
+``bohr_spectrum`` is the one judge of equal energies.
+
 Each channel's K and D tables are built once per spec, each channel's
 matrices are assembled once per group, and all groups of one size are
 diagonalized in one batched call.  Channel mixes of the same spec
@@ -76,7 +81,6 @@ class BohrSpectrum:
     """
 
     groups: dict
-    tolerance: float
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -135,7 +139,7 @@ def bohr_spectrum(spec: SystemSpec, tol: float | None = None) -> BohrSpectrum:
     for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
         e_rep = 0.0 if i == zero else float(sorted_diffs[a:b].mean())
         groups[e_rep] = pairs[a:b]
-    return BohrSpectrum(groups=groups, tolerance=float(tol))
+    return BohrSpectrum(groups=groups)
 
 
 # =====================================================================
@@ -172,27 +176,21 @@ def _channel_tables(spec: SystemSpec, mixes) -> list:
     return tables
 
 
-def _channel_level_shifts(energies, tables, pairs: np.ndarray,
-                          deg_tol: float) -> dict:
+def _channel_level_shifts(tables, pairs: np.ndarray) -> dict:
     """Level-shift matrices of each channel on a stack of same-size Bohr
     groups.  ``pairs`` has shape (groups, d, 2); returns
     {r: (groups, d, d) array} keyed like ``_channel_tables``."""
-    E = np.asarray(energies, dtype=float)
     m_idx, n_idx = pairs[..., 0], pairs[..., 1]
     mm = (m_idx[:, :, None], m_idx[:, None, :])
     nn = (n_idx[:, :, None], n_idx[:, None, :])
-    Em = E[m_idx]
-    En = E[n_idx]
     same_m = mm[0] == mm[1]
     same_n = nn[0] == nn[1]
-    em_equal = np.abs(Em[:, :, None] - Em[:, None, :]) <= deg_tol
-    en_equal = np.abs(En[:, :, None] - En[:, None, :]) <= deg_tol
 
     out = {}
     for r, G, K, D in tables:
         lam_mat = np.zeros(same_m.shape, dtype=complex)
-        lam_mat += 1j * K[mm] * (same_n & em_equal)
-        lam_mat += 1j * np.conj(K[nn]) * (same_m & en_equal)
+        lam_mat += 1j * K[mm] * same_n
+        lam_mat += 1j * np.conj(K[nn]) * same_m
         # amp[g, p, q] = G[m_p, m_q] * G[n_q, n_p]
         amp = G[mm] * G[nn[::-1]]
         nzj = np.abs(amp) > 0.0
@@ -216,21 +214,19 @@ def _mixed_level_shift(parts: dict, tables, strengths, shape) -> tuple:
     return lam, out
 
 
-def level_shift_operator(spec: SystemSpec, group,
-                         tol: float | None = None) -> np.ndarray:
+def level_shift_operator(spec: SystemSpec, group) -> np.ndarray:
     """The second-order level-shift matrix on one Bohr group.
 
-    ``group`` is a (d, 2) array of index pairs, such as a group of
-    ``bohr_spectrum``.  Channels are summed with weights
+    ``group`` is a (d, 2) array of index pairs and must be a group of
+    ``bohr_spectrum(spec)``: its membership decides which levels count
+    as degenerate.  Channels are summed with weights
     (strength_r / lam)^2, lam = max_r |strength_r|.
     """
-    if tol is None:
-        tol = default_cluster_tolerance(spec.energies)
     strengths = [term.strength for term in spec.couplings]
     tables = _channel_tables(spec, [strengths])
     pairs = np.asarray(group, dtype=int).reshape(1, -1, 2)
     d = pairs.shape[1]
-    parts = _channel_level_shifts(spec.energies, tables, pairs, tol)
+    parts = _channel_level_shifts(tables, pairs)
     return _mixed_level_shift(parts, tables, strengths, (1, d, d))[1][0]
 
 
@@ -243,20 +239,18 @@ class ResonanceData:
     """Spectral data of one Bohr group.
 
     ``pairs`` is the group's read-only (d, 2) array of index pairs;
-    epsilons[s] = e + lam^2 * deltas[s]; right_vectors (columns) and
-    left_vectors (rows, = inverse of right_vectors) biorthogonally
-    diagonalize Lambda; gamma = min Im eps over resonance energies with
-    |eps| > 1e-12, or 0.0 when there is none.  ``classes`` groups the
-    indices of coinciding deltas and ``nu`` counts them.
+    epsilons[s] = e + lam^2 * deltas[s]; the columns of right_vectors
+    are eigenvectors of ``level_shift_operator(spec, pairs)``; gamma =
+    min Im eps over resonance energies with |eps| > 1e-12, or 0.0 when
+    there is none.  ``classes`` groups the indices of coinciding deltas
+    and ``nu`` counts them.
     """
 
     e: float
     pairs: np.ndarray
-    Lambda: np.ndarray
     deltas: np.ndarray
     epsilons: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray
     gamma: float
 
     @cached_property
@@ -302,14 +296,12 @@ def _diagonalize_groups(es, groups, lam_mats: np.ndarray,
                        axis=-1)
     deltas = np.take_along_axis(deltas, order, axis=-1)
     vr = np.take_along_axis(vr, order[:, None, :], axis=-1)
-    vl = np.linalg.inv(vr)
     epsilons = np.asarray(es, dtype=float)[:, None] + lam ** 2 * deltas
     nonzero = np.abs(epsilons) > ZERO_RESONANCE_TOL
     gammas = np.where(nonzero, epsilons.imag, np.inf).min(axis=1)
     gammas[~nonzero.any(axis=1)] = 0.0
-    return [ResonanceData(e=e, pairs=groups[i], Lambda=lam_mats[i],
-                          deltas=deltas[i], epsilons=epsilons[i],
-                          right_vectors=vr[i], left_vectors=vl[i],
+    return [ResonanceData(e=e, pairs=groups[i], deltas=deltas[i],
+                          epsilons=epsilons[i], right_vectors=vr[i],
                           gamma=float(gammas[i]))
             for i, e in enumerate(es)]
 
@@ -336,8 +328,7 @@ def _resonance_mixes(spec: SystemSpec, mixes, spectrum: BohrSpectrum) \
     for es in by_size.values():
         groups = [spectrum.groups[e] for e in es]
         pairs = np.stack(groups)
-        parts = _channel_level_shifts(spec.energies, tables, pairs,
-                                      spectrum.tolerance)
+        parts = _channel_level_shifts(tables, pairs)
         shape = (len(es), pairs.shape[1], pairs.shape[1])
         for found, strengths in zip(results, mixes):
             lam, lam_mats = _mixed_level_shift(parts, tables, strengths,

@@ -21,7 +21,7 @@ from resodec.config import (
     xi_from_config,
     _integer,
 )
-from resodec.cli import run
+from resodec.cli import build_parser, run
 from resodec.errors import BadConfiguration, ValidationError
 from resodec.model import RegisterSpec, SystemSpec
 from resodec.oracle import VerifyConfig
@@ -753,3 +753,46 @@ def test_tol_must_be_finite_and_positive(tol):
     # --tol inf merged the qubit's four pairs into one e = 0 group and
     # printed a negative decay rate with exit 0
     assert run(["spectrum", "--config", str(QUBIT_CFG), "--tol", tol]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--config", str(QUBIT_CFG), "--tol", "inf"],
+     "resodec spectrum: argument --tol: tolerance must be finite and > 0"),
+    (["spectrum", "--config", str(QUBIT_CFG), "--seed", "x"],
+     "resodec spectrum: argument --seed: seed must be an integer"),
+    (["bogus"], "resodec: argument command: invalid choice: 'bogus'"),
+    (["spectrum", "--config", str(QUBIT_CFG), "--bogus"],
+     "resodec: unrecognized arguments: --bogus"),
+    (["spectrum"], "the following arguments are required: --config"),
+    ([], "resodec: the following arguments are required: command"),
+])
+def test_flag_errors_print_one_error_line(argv, message, capsys):
+    # a usage error is a validation error like any other: exit 1 and one
+    # ERROR[1] line, not argparse's usage block
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ERROR[1]: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_flag_errors_from_the_module():
+    proc = invoke("spectrum", "--config", str(QUBIT_CFG), "--tol", "inf")
+    assert proc.returncode == 1
+    assert proc.stderr == ("ERROR[1]: resodec spectrum: argument --tol: "
+                           "tolerance must be finite and > 0\n")
+    for flag in ("--help", "--version"):
+        proc = invoke(flag)
+        assert proc.returncode == 0 and proc.stdout and not proc.stderr
+
+
+def test_tol_is_offered_only_where_groups_are_clustered(capsys):
+    parser = build_parser()
+    for command in ("spectrum", "rates", "evolve", "scaling"):
+        args = parser.parse_args([command, "--config", "c.json",
+                                  "--tol", "1e-9"])
+        assert args.tol == 1e-9
+    for command, cfg in (("xi", XI_CFG), ("verify", VERIFY_CFG)):
+        assert run([command, "--config", str(cfg), "--tol", "1e-3"]) == 1
+        err = capsys.readouterr().err
+        assert err == "ERROR[1]: resodec: unrecognized arguments: --tol 1e-3\n"

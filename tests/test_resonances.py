@@ -95,7 +95,8 @@ def test_bohr_spectrum_partitions_pairs_lexicographically():
             assert not pairs.flags.writeable
             assert pairs.tolist() == sorted(pairs.tolist())
             diffs = energies[pairs[:, 0]] - energies[pairs[:, 1]]
-            assert np.all(np.abs(diffs - e) <= bs.tolerance)
+            assert np.all(np.abs(diffs - e)
+                          <= default_cluster_tolerance(energies))
         diagonal = [[m, m] for m in range(n)]
         assert all(p in bs.groups[0.0].tolist() for p in diagonal)
 
@@ -215,14 +216,15 @@ def test_resonance_energies_sorted_and_consistent():
     for r in data:
         assert np.allclose(r.epsilons, r.e + lam ** 2 * r.deltas,
                            rtol=0.0, atol=1e-15)
-        # biorthogonality of the stored eigenvector pair
+        # the stored eigenvectors are a well-conditioned basis ...
         d = len(r.pairs)
-        assert np.allclose(r.left_vectors @ r.right_vectors, np.eye(d),
-                           atol=1e-9)
-        # reconstruction of Lambda from its spectral data
-        recon = (r.right_vectors * r.deltas) @ r.left_vectors
-        assert np.allclose(recon, r.Lambda, atol=1e-9 * max(
-            1.0, float(np.max(np.abs(r.Lambda)))))
+        left = np.linalg.inv(r.right_vectors)
+        assert np.allclose(left @ r.right_vectors, np.eye(d), atol=1e-9)
+        # ... that rebuilds the group's level-shift matrix
+        lam_mat = level_shift_operator(spec, r.pairs)
+        recon = (r.right_vectors * r.deltas) @ left
+        assert np.allclose(recon, lam_mat, atol=1e-9 * max(
+            1.0, float(np.max(np.abs(lam_mat)))))
 
 
 def test_conjugate_pairing_of_blocks_and_energies():
@@ -242,8 +244,11 @@ def test_conjugate_pairing_of_blocks_and_energies():
             idx = {p: i for i, p in
                    enumerate(map(tuple, partner.pairs.tolist()))}
             perm = [idx[(n, m)] for m, n in r.pairs.tolist()]
-            block = partner.Lambda[np.ix_(perm, perm)]
-            assert np.allclose(block, -np.conj(r.Lambda), atol=1e-12)
+            block = level_shift_operator(spec, partner.pairs)
+            block = block[np.ix_(perm, perm)]
+            assert np.allclose(block,
+                               -np.conj(level_shift_operator(spec, r.pairs)),
+                               atol=1e-12)
 
 
 def test_imaginary_parts_nonnegative():
@@ -261,7 +266,7 @@ def test_parallel_resonances_are_deterministic():
     for r1, r2 in zip(serial, threaded):
         assert r1.e == r2.e
         assert np.array_equal(r1.epsilons, r2.epsilons)
-        assert np.array_equal(r1.Lambda, r2.Lambda)
+        assert np.array_equal(r1.right_vectors, r2.right_vectors)
 
 
 def test_defective_level_shift_raises():
@@ -290,15 +295,48 @@ def test_defective_matrix_in_batched_stack_is_named():
 
 def test_level_shift_operator_is_the_pipeline_matrix():
     # the single-group entry point and the batched pipeline share one
-    # assembly path, so their matrices agree bit for bit
+    # assembly path, so diagonalizing its matrix reproduces the
+    # pipeline's spectral data bit for bit
     for seed, channels in ((5, 2), (12, 3)):
         spec = random_spec(4, channels=channels, seed=seed)
         data = resonance_energies(spec)
         assert any(len(r.pairs) > 1 for r in data)
         for r in data:
-            assert np.array_equal(
-                level_shift_operator(spec, r.pairs), r.Lambda)
+            lam_mat = level_shift_operator(spec, r.pairs)
+            (again,) = _diagonalize_groups([r.e], [r.pairs], lam_mat[None],
+                                           spec.overall_coupling)
+            assert np.array_equal(again.deltas, r.deltas)
+            assert np.array_equal(again.right_vectors, r.right_vectors)
+            assert np.array_equal(again.epsilons, r.epsilons)
+            assert again.gamma == r.gamma
             assert not r.pairs.flags.writeable
+
+
+def test_chained_near_degenerate_levels_match_the_degenerate_limit():
+    # levels 0.9e-9 apart chain within the default tolerance 1e-9 into
+    # one Bohr group although the outer two differ by 1.8e-9; the group
+    # alone decides which levels count as equal, so the spectrum is a
+    # small perturbation of the exactly degenerate one
+    def spec_of(energies):
+        rng = np.random.default_rng(3)
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        ff = FormFactor(radial_exponent=0.5, decay_exponent=1)
+        return build_system(np.array(energies),
+                            [(0.02, (raw + raw.conj().T) / 2.0, ff)],
+                            beta=1.0)
+
+    chained = spec_of([0.0, 0.9e-9, 1.8e-9, 1.0])
+    exact = spec_of([0.0, 0.0, 0.0, 1.0])
+    got = {round(r.e, 6): r for r in resonance_energies(chained)}
+    want = {round(r.e, 6): r for r in resonance_energies(exact)}
+    assert sorted(got) == sorted(want) == [-1.0, 0.0, 1.0]
+    assert len(got[0.0].pairs) == len(want[0.0].pairs) == 10
+    assert got[0.0].gamma > 0.0
+    assert got[0.0].gamma == pytest.approx(want[0.0].gamma, rel=1e-6)
+    lam_got = level_shift_operator(chained, got[1.0].pairs)
+    lam_want = level_shift_operator(exact, want[1.0].pairs)
+    assert np.max(np.abs(lam_got - lam_want)) \
+        <= 1e-6 * np.max(np.abs(lam_want))
 
 
 # =====================================================================
