@@ -179,7 +179,7 @@ def _cmd_spectrum(args) -> int:
             for r in data for s, eps in enumerate(r.epsilons)]
     footer = []
     if args.check_nonoverlap:
-        rep = check_nonoverlap(spec, tol=args.tol, resonances=data)
+        rep = check_nonoverlap(spec, resonances=data)
         footer = [f"# nonoverlap_{name}: {_fmt(getattr(rep, name))}"
                   for name in ("margin", "min_gap", "max_shift", "passed")]
     with _open_output(args.output) as out:
@@ -213,7 +213,8 @@ def _cmd_evolve(args) -> int:
     else:
         elements = [(m, n) for m in range(spec.dim)
                     for n in range(spec.dim)]
-    traj = resonance_evolution(spec, rho0, times, tol=args.tol)
+    traj = resonance_evolution(
+        spec, rho0, times, resonances=resonance_energies(spec, args.tol))
     def cells(matrix):
         return [part for m, n in elements
                 for part in (matrix[m, n].real, matrix[m, n].imag)]

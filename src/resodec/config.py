@@ -29,10 +29,13 @@ Complex matrices are nested row-major arrays whose leaves are
 [re, im] pairs.  Real arrays (J, B, energies) are plain numbers.  The
 subcommand sections (evolve, verify, scaling, xi_grid) ride in the
 same object; each section has a loader, which ignores the others.
-Every value passes one checked conversion per type: a number must be a
-finite JSON number (a string, boolean or null raises BadConfiguration),
-an integer integral, an array rectangular.  The configuration hash is
-over the canonical (sorted-key, compact) JSON serialization.
+Below the top level, a key that the loader does not read raises
+BadConfiguration.  Every value passes one checked conversion per type:
+a number must be a
+finite JSON number (a string, boolean or null raises
+BadConfiguration), an integer integral, an array rectangular.  The
+configuration hash is over the canonical (sorted-key, compact) JSON
+serialization.
 """
 
 from __future__ import annotations
@@ -100,6 +103,17 @@ def _require(cfg, key: str, context: str = "configuration"):
     return cfg[key]
 
 
+def _known(section, keys, context: str):
+    """section itself; a section that is not an object, or that holds a
+    key outside ``keys``, raises BadConfiguration."""
+    if not isinstance(section, dict):
+        raise BadConfiguration(f"{context} must be an object")
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise BadConfiguration(f"unknown key(s) {unknown} in {context}")
+    return section
+
+
 def _read(section, key: str, convert, context: str = ""):
     """convert(section[key]), naming the value context.key (key alone
     at the top level)."""
@@ -152,6 +166,7 @@ def _tuple(value, context: str) -> tuple:
 
 def _grid(section, context: str) -> np.ndarray:
     """The grid of a {"start", "stop", "num"} object."""
+    _known(section, ("start", "stop", "num"), context)
     start = _read(section, "start", _real, context)
     stop = _read(section, "stop", _real, context)
     num = _read(section, "num", _integer, context)
@@ -162,12 +177,12 @@ def _grid(section, context: str) -> np.ndarray:
 
 def form_factor_from_config(d: dict, context: str = "form_factor") \
         -> FormFactor:
-    """Build a FormFactor from {"p": ..., "m": ..., "scale": ...}."""
+    """Build a FormFactor from {"p": ..., "m": ..., "scale": 1.0}."""
+    _known(d, ("p", "m", "scale"), context)
     return FormFactor(
         radial_exponent=_read(d, "p", _real, context),
         decay_exponent=_read(d, "m", _integer, context),
-        overall_scale=_real(d.get("scale", 1.0), f"{context}.scale"),
-        angular_weight=_real(d.get("weight", 1.0), f"{context}.weight"))
+        overall_scale=_real(d.get("scale", 1.0), f"{context}.scale"))
 
 
 def matrix_from_config(rows, context: str = "matrix") -> np.ndarray:
@@ -219,6 +234,7 @@ def system_from_config(cfg: dict) -> SystemSpec:
     couplings = []
     for i, entry in enumerate(raw):
         ctx = f"couplings[{i}]"
+        _known(entry, ("strength", "matrix", "form_factor"), ctx)
         couplings.append(CouplingTerm(
             strength=_read(entry, "strength", _real, ctx),
             matrix=_read(entry, "matrix", matrix_from_config, ctx),
@@ -230,7 +246,9 @@ def system_from_config(cfg: dict) -> SystemSpec:
 
 def register_from_config(cfg: dict) -> RegisterSpec:
     """Build a RegisterSpec from the "register" section plus beta."""
-    reg = _require(cfg, "register")
+    reg = _known(_require(cfg, "register"),
+                 ("n", "J", "B", "lambda1", "lambda2", "g1", "g2"),
+                 "register")
     return RegisterSpec(
         n_qubits=_read(reg, "n", _integer, "register"),
         J=_read(reg, "J", _reals, "register"),
@@ -250,7 +268,8 @@ def evolve_from_config(cfg: dict, times: tuple | None = None) -> tuple:
     absent.
     """
     spec = system_from_config(cfg)
-    section = _require(cfg, "evolve")
+    section = _known(_require(cfg, "evolve"), ("initial_state", "times"),
+                     "evolve")
     rho0 = _initial_state(section, "evolve", spec.dim)
     if times is None:
         return spec, rho0, _read(section, "times", _grid, "evolve")
@@ -262,7 +281,9 @@ def scaling_from_config(cfg: dict) -> tuple:
     """(RegisterTemplate, register sizes) from the "scaling" section
     plus beta; without "b_interval", RegisterTemplate's default holds."""
     from .register import RegisterTemplate    # register imports _integer
-    section = _require(cfg, "scaling")
+    section = _known(_require(cfg, "scaling"),
+                     ("n_list", "lambda1", "lambda2", "g1", "g2",
+                      "b_interval"), "scaling")
     n_list = _require(section, "n_list", "scaling")
     if not isinstance(n_list, list):
         raise BadConfiguration("scaling.n_list must be an array")
@@ -295,18 +316,13 @@ def verify_from_config(cfg: dict) -> tuple:
     """
     from .oracle import VerifyConfig      # scipy: only verify pays
     system = system_from_config(cfg)
-    section = cfg.get("verify", {})
-    if not isinstance(section, dict):
-        raise BadConfiguration("'verify' section must be an object")
+    fields = dataclasses.fields(VerifyConfig)
+    section = _known(cfg.get("verify", {}),
+                     [f.name for f in fields] + ["initial_state"], "verify")
     readers = {int: _integer, float: _real, tuple: _tuple}
     kwargs = {f.name: _read(section, f.name, readers[type(f.default)],
                             "verify")
-              for f in dataclasses.fields(VerifyConfig)
-              if f.name in section}
-    unknown = sorted(set(section) - set(kwargs) - {"initial_state"})
-    if unknown:
-        raise BadConfiguration(
-            f"unknown key(s) {unknown} in the 'verify' section")
+              for f in fields if f.name in section}
     vconfig = VerifyConfig(**kwargs)
     if system.overall_coupling == 0.0 and any(vconfig.lambdas):
         raise BadConfiguration(

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .model import CouplingTerm, DensityMatrix, FormFactor, SystemSpec
 from .reservoir import (
     mean_inverse_frequency,
@@ -111,11 +112,12 @@ class PropagatorBlock:
         return out
 
 
-def _block_from_resonance(data: ResonanceData) -> PropagatorBlock:
-    """Merge eigenmodes with coinciding shift into one spectral weight."""
+def _block_from_resonance(data: ResonanceData,
+                          left_vectors: np.ndarray) -> PropagatorBlock:
+    """Merge eigenmodes with coinciding shift into one spectral weight;
+    ``left_vectors`` is the inverse of ``data.right_vectors``."""
     d = len(data.pairs)
     classes = data.classes
-    left_vectors = np.linalg.inv(data.right_vectors)
     epsilons = np.empty(len(classes), dtype=complex)
     weights = np.empty((len(classes), d, d), dtype=complex)
     for s, idx in enumerate(classes):
@@ -126,8 +128,15 @@ def _block_from_resonance(data: ResonanceData) -> PropagatorBlock:
 
 
 def propagator_blocks(resonances: list) -> list:
-    """One PropagatorBlock per Bohr group, in sorted-e order."""
-    return [_block_from_resonance(r) for r in resonances]
+    """One PropagatorBlock per Bohr group, in sorted-e order; the
+    eigenvector bases of one group size are inverted in one batch."""
+    left: dict = {}
+    for size in {len(r.pairs) for r in resonances}:
+        idx = [i for i, r in enumerate(resonances) if len(r.pairs) == size]
+        left.update(zip(idx, np.linalg.inv(
+            np.stack([resonances[i].right_vectors for i in idx]))))
+    return [_block_from_resonance(r, left[i])
+            for i, r in enumerate(resonances)]
 
 
 # =====================================================================
@@ -210,20 +219,20 @@ def _reconstruct(resonances: list, rho0: np.ndarray, n: int,
 
 
 def resonance_evolution(spec: SystemSpec, rho0, times,
-                        tol: float | None = None,
                         resonances: list | None = None) -> Trajectory:
     """Second-order resonance reconstruction of the reduced dynamics.
 
     Each Bohr group's element vector is propagated by its explicit
-    exponential sum; groups never mix.  Warns when the scale separation
+    exponential sum; groups never mix.  ``resonances`` defaults to
+    ``resonance_energies(spec)``.  Warns when the scale separation
     between Bohr gaps and second-order shifts drops below 10 (the
     expansion assumes well-separated resonances).
     """
     rho0 = _as_state_array(rho0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if resonances is None:
-        resonances = resonance_energies(spec, tol)
-    report = check_nonoverlap(spec, tol, resonances=resonances)
+        resonances = resonance_energies(spec)
+    report = check_nonoverlap(spec, resonances=resonances)
     if not report.passed:
         warnings.warn(
             "resonance separation margin %.3g is below 10; the "
@@ -234,21 +243,16 @@ def resonance_evolution(spec: SystemSpec, rho0, times,
     return Trajectory(times=times, states=states, ergodic_mean=mean)
 
 
-def ergodic_mean(source, rho0=None, tol: float | None = None) -> np.ndarray:
-    """Infinite-time average of the reconstructed evolution.
-
-    Accepts either a Trajectory (returns its stored mean) or a
-    SystemSpec together with an initial state, in which case the mean
-    is assembled directly from the zero-resonance modes without
-    evaluating a trajectory.
+def ergodic_mean(spec: SystemSpec, rho0,
+                 resonances: list | None = None) -> np.ndarray:
+    """Infinite-time average of the reconstructed evolution, assembled
+    directly from the zero-resonance modes without evaluating a
+    trajectory.  ``resonances`` defaults to ``resonance_energies(spec)``.
     """
-    if isinstance(source, Trajectory):
-        return source.ergodic_mean
-    spec = source
-    if rho0 is None:
-        raise ValueError("an initial state is required with a SystemSpec")
-    return _reconstruct(resonance_energies(spec, tol),
-                        _as_state_array(rho0), spec.dim, np.empty(0))[1]
+    if resonances is None:
+        resonances = resonance_energies(spec)
+    return _reconstruct(resonances, _as_state_array(rho0), spec.dim,
+                        np.empty(0))[1]
 
 
 # =====================================================================
@@ -280,7 +284,7 @@ def single_qubit_closed_form(a: float, b: float, c: complex, delta: float,
     """
     rho0 = _as_state_array(rho0)
     if rho0.shape != (2, 2):
-        raise ValueError("single-qubit closed form needs a 2x2 state")
+        raise DimensionMismatch("single-qubit closed form needs a 2x2 state")
     times = np.atleast_1d(np.asarray(times, dtype=float))
 
     x = xi(g, beta, delta)

@@ -22,8 +22,6 @@ __all__ = [
     "BadConfiguration",
     "RegisterTooLarge",
     "TooLargeForExhaustiveCheck",
-    "OmegaPrimeOutOfRange",
-    "UnsupportedAnisotropy",
     "NumericalError",
     "InfraredDivergent",
     "QuadratureNotConverged",
@@ -65,7 +63,8 @@ class NonPositiveBeta(ValidationError):
 class BadConfiguration(ValidationError):
     """A configuration value is malformed (missing, of the wrong type or
     shape, a non-integer where an integer is required, an unreadable
-    file or output path, a spin entry other than +1 or -1)."""
+    file or output path, a spin entry other than +1 or -1), or an
+    object holds a key that its loader does not read."""
 
 
 class RegisterTooLarge(ValidationError):
@@ -74,14 +73,6 @@ class RegisterTooLarge(ValidationError):
 
 class TooLargeForExhaustiveCheck(ValidationError):
     """The exhaustive integer-combination scan would be too large."""
-
-
-class OmegaPrimeOutOfRange(ValidationError):
-    """The smoothness-check window must satisfy 0 < omega' < 2*pi/beta."""
-
-
-class UnsupportedAnisotropy(ValidationError):
-    """Only isotropic angular weights are supported."""
 
 
 # =====================================================================

@@ -4,9 +4,9 @@ bosonic thermal reservoirs.
 The system Hamiltonian is diagonal, ``H_S = diag(E_1, ..., E_N)`` (units
 hbar = k_B = 1).  Each reservoir coupling term contributes
 ``strength * G (x) field(g)`` where ``G`` is an N x N Hermitian matrix
-acting on the system and ``g`` is a momentum-space form factor
-``g(u, sigma) = scale * u**p * exp(-u**m) * angular_weight``.  Multiple
-coupling terms model statistically independent reservoir channels.
+acting on the system and ``g`` is an isotropic momentum-space form
+factor ``g(u) = scale * u**p * exp(-u**m)``.  Multiple coupling terms
+model statistically independent reservoir channels.
 
 Qubit registers (all-to-all pair interactions ``J`` and local fields
 ``B``) of at most MAX_QUBITS qubits are lowered to plain N-level
@@ -31,7 +31,6 @@ from .errors import (
     NonHermitianCoupling,
     NonPositiveBeta,
     RegisterTooLarge,
-    UnsupportedAnisotropy,
     ValidationError,
 )
 
@@ -73,29 +72,23 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FormFactor:
-    """Radial momentum-space coupling profile
-    ``g(u) = overall_scale * u**radial_exponent * exp(-u**decay_exponent)``
-    with a constant (isotropic) angular weight.
+    """Isotropic momentum-space coupling profile
+    ``g(u) = overall_scale * u**radial_exponent * exp(-u**decay_exponent)``,
+    the same in every direction, so integrating |g|^2 over directions
+    gives the factor 4*pi, and ``overall_scale`` is the one amplitude.
 
     Square integrability on R^3 requires ``2*radial_exponent + 2 > -1``.
-    Only constant angular weights are supported; anything callable or
-    non-scalar is rejected.
     """
 
     radial_exponent: float
     decay_exponent: int
     overall_scale: float = 1.0
-    angular_weight: float = 1.0
 
     def __post_init__(self):
         if self.decay_exponent not in (1, 2):
             raise ValidationError(
                 f"decay_exponent must be 1 or 2, got {self.decay_exponent!r}")
-        if not np.isscalar(self.angular_weight) or isinstance(
-                self.angular_weight, (complex,)):
-            raise UnsupportedAnisotropy(
-                "only constant real angular weights are supported")
-        for name in ("radial_exponent", "overall_scale", "angular_weight"):
+        for name in ("radial_exponent", "overall_scale"):
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValidationError(f"{name} must be finite, got {v!r}")
@@ -107,20 +100,14 @@ class FormFactor:
     # -- evaluation ----------------------------------------------------
 
     def radial(self, r):
-        """g(r) for r > 0 (angular weight included)."""
+        """g(r) for r > 0."""
         r = np.asarray(r, dtype=float)
-        return (self.overall_scale * self.angular_weight
-                * r ** self.radial_exponent
+        return (self.overall_scale * r ** self.radial_exponent
                 * np.exp(-(r ** self.decay_exponent)))
 
     @property
-    def angular_square_integral(self) -> float:
-        """Integral of |angular part|^2 over the unit sphere (= 4*pi*w^2)."""
-        return 4.0 * np.pi * float(self.angular_weight) ** 2
-
-    @property
     def is_zero(self) -> bool:
-        return self.overall_scale == 0.0 or self.angular_weight == 0.0
+        return self.overall_scale == 0.0
 
 
 # =====================================================================

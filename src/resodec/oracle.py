@@ -53,6 +53,7 @@ import scipy.sparse
 from .dynamics import Trajectory, _as_state_array, free_evolution, \
     resonance_evolution
 from .errors import (
+    DimensionMismatch,
     DimensionTooLarge,
     PoorFit,
     TruncationWarning,
@@ -121,16 +122,17 @@ class TruncatedBath:
         freqs = np.asarray(self.mode_frequencies, dtype=float)
         coups = np.asarray(self.mode_couplings, dtype=float)
         if freqs.ndim != 1 or freqs.size < 1:
-            raise ValueError("at least one mode is required")
+            raise ValidationError("at least one mode is required")
         if np.any(freqs <= 0.0) or not np.all(np.isfinite(freqs)):
-            raise ValueError("mode frequencies must be positive and finite")
+            raise ValidationError(
+                "mode frequencies must be positive and finite")
         if coups.shape != freqs.shape or not np.all(np.isfinite(coups)):
-            raise ValueError("mode couplings must be finite and match "
-                             "the frequency grid")
+            raise ValidationError("mode couplings must be finite and "
+                                  "match the frequency grid")
         if int(self.fock_cutoff) < 1:
-            raise ValueError("fock_cutoff must be >= 1")
+            raise ValidationError("fock_cutoff must be >= 1")
         if not (self.beta > 0.0):
-            raise ValueError("beta must be > 0")
+            raise ValidationError("beta must be > 0")
         object.__setattr__(self, "mode_frequencies", freqs)
         object.__setattr__(self, "mode_couplings", coups)
         object.__setattr__(self, "fock_cutoff", int(self.fock_cutoff))
@@ -163,9 +165,9 @@ def discretize_bath(form_factor: FormFactor, beta: float, n_modes: int,
     form, within 1%, otherwise the resolution is refused.
     """
     if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
+        raise ValidationError("n_modes must be >= 1")
     if not (omega_max > 0.0):
-        raise ValueError("omega_max must be > 0")
+        raise ValidationError("omega_max must be > 0")
     step = omega_max / n_modes
     freqs = (np.arange(n_modes) + 0.5) * step
     weights = one_sided_density(form_factor, freqs) * step
@@ -194,13 +196,13 @@ def _active_channels(spec: SystemSpec, bath) -> list:
     single = isinstance(bath, TruncatedBath)
     baths = [bath] * len(spec.couplings) if single else list(bath)
     if len(baths) != len(spec.couplings):
-        raise ValueError(
+        raise ValidationError(
             f"{len(baths)} baths supplied for {len(spec.couplings)} "
             "coupling channels")
     active = [(t, b) for t, b in zip(spec.couplings, baths)
               if t.strength != 0.0 and not t.form_factor.is_zero]
     if single and len(active) > 1:
-        raise ValueError(
+        raise ValidationError(
             "a single bath cannot serve several active coupling "
             "channels; pass one bath per channel")
     return active
@@ -445,7 +447,8 @@ def exact_evolve(spec: SystemSpec, bath, rho0, times) -> Trajectory:
     """
     rho0 = _as_state_array(rho0)
     if rho0.shape != (spec.dim, spec.dim):
-        raise ValueError("initial state dimension does not match the system")
+        raise DimensionMismatch(
+            "initial state dimension does not match the system")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     active = _active_channels(spec, bath)
     if not active:
@@ -638,8 +641,8 @@ def _scaled_spec(spec: SystemSpec, lam: float) -> SystemSpec:
     if lam == 0.0:
         factor = 0.0
     elif base == 0.0:
-        raise ValueError("cannot rescale a spec with zero coupling to a "
-                         "nonzero lambda")
+        raise ValidationError("cannot rescale a spec with zero coupling "
+                              "to a nonzero lambda")
     else:
         factor = lam / base
     return replace(spec, couplings=[replace(t, strength=t.strength * factor)

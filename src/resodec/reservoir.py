@@ -41,7 +41,6 @@ from ._quadpack import quad
 from .errors import (
     InfraredDivergent,
     NumericalError,
-    OmegaPrimeOutOfRange,
     QuadratureNotConverged,
     ValidationError,
 )
@@ -53,6 +52,7 @@ __all__ = [
     "ConditionAReport",
     "glued_form_factor",
     "check_condition_A",
+    "angular_square",
     "xi",
     "xi_lorentzian_check",
     "pv_energy_shift",
@@ -67,6 +67,8 @@ __all__ = [
 #: zero for p above it, divergent below
 IR_CRITICAL = -0.5
 
+#: the solid angle, over which an isotropic |g|^2 is integrated
+_FOUR_PI = 4.0 * np.pi
 _QUAD_KW = dict(epsabs=1e-11, epsrel=1e-11, limit=400)
 _PV_TOL = 1e-8
 #: first step of the principal-value rules, and the steps tried in all
@@ -123,7 +125,6 @@ class ConditionAReport:
     passed: bool
     best_chi: float
     mismatch_order: int | None
-    omega_prime: float
 
 
 # =====================================================================
@@ -133,16 +134,16 @@ class ConditionAReport:
 def _square_scalar(base: FormFactor, eta: float) -> float:
     """S(eta) for scalar eta > 0, on the fast pure-Python path (xi runs
     once per table entry and inside scalar quadrature integrands)."""
-    return (base.angular_square_integral * base.overall_scale ** 2
+    return (_FOUR_PI * base.overall_scale ** 2
             * eta ** (2.0 * base.radial_exponent)
             * math.exp(-2.0 * eta ** base.decay_exponent))
 
 
 def angular_square(base: FormFactor, eta):
     """S(eta): the angular integral of |g(eta, .)|^2 (isotropic closed
-    form: 4*pi*(scale*weight)^2 * eta^(2p) * exp(-2 eta^m))."""
+    form: 4*pi*scale^2 * eta^(2p) * exp(-2 eta^m))."""
     eta = np.asarray(eta, dtype=float)
-    return (base.angular_square_integral * base.overall_scale ** 2
+    return (_FOUR_PI * base.overall_scale ** 2
             * eta ** (2.0 * base.radial_exponent)
             * np.exp(-2.0 * eta ** base.decay_exponent))
 
@@ -158,7 +159,7 @@ def xi(base: FormFactor, beta: float, eta: float) -> float:
 
     eta > 0: eta^2 * coth(beta*eta/2) * S(eta).
     eta = 0: the eta -> 0+ limit — 0 for p > -1/2, the finite value
-    (2/beta) * 4*pi*(scale*weight)^2 for p = -1/2, divergent otherwise.
+    (2/beta) * 4*pi*scale^2 for p = -1/2, divergent otherwise.
     """
     if not (beta > 0.0):
         raise ValidationError(f"beta must be > 0, got {beta!r}")
@@ -171,8 +172,7 @@ def xi(base: FormFactor, beta: float, eta: float) -> float:
         if p > IR_CRITICAL + 1e-12:
             return 0.0
         if abs(p - IR_CRITICAL) <= 1e-12:
-            return (2.0 / beta) * base.angular_square_integral \
-                * base.overall_scale ** 2
+            return (2.0 / beta) * _FOUR_PI * base.overall_scale ** 2
         raise InfraredDivergent(
             f"xi(0) diverges for radial exponent p = {p} < -1/2")
     eta = float(eta)
@@ -233,7 +233,7 @@ def thermal_spectral_density(base: FormFactor, beta: float, u: float) -> float:
 
 def _radial_moment(base: FormFactor, k: int,
                    upper: float = math.inf) -> float:
-    """int_0^upper r^k S(r) dr = 4*pi*(scale*weight)^2 * Gamma(s)
+    """int_0^upper r^k S(r) dr = 4*pi*scale^2 * Gamma(s)
     P(s, 2 upper^m) / (m * 2^s), s = (2p + 1 + k)/m, P = gammainc (1,
     and no scipy, for upper = inf).  Past an overflow (of Gamma(s) from
     s ~ 171.6 on) Gamma(s) P / 2^s is taken in log space; a moment
@@ -244,7 +244,7 @@ def _radial_moment(base: FormFactor, k: int,
     if math.isfinite(upper):
         from scipy.special import gammainc
         share = float(gammainc(s, 2.0 * upper ** m))
-    prefactor = base.angular_square_integral * base.overall_scale ** 2
+    prefactor = _FOUR_PI * base.overall_scale ** 2
     moment = math.inf
     with contextlib.suppress(OverflowError):
         moment = prefactor * math.gamma(s) * share / (m * 2.0 ** s)
@@ -415,7 +415,7 @@ def glued_form_factor(tf: ThermalFormFactor, u: float) -> complex:
               -e^(i chi) * conj(g)(-u) for u < 0 }
 
     (isotropic: g has no angular argument).  At u = 0 the u -> 0+
-    limit is returned: 0 for p > -1/2, scale*weight/sqrt(beta) for
+    limit is returned: 0 for p > -1/2, scale/sqrt(beta) for
     p = -1/2 (the two-sided limit then exists only for the smoothly
     gluing chi, which is check_condition_A's concern), divergent below.
     """
@@ -427,8 +427,7 @@ def glued_form_factor(tf: ThermalFormFactor, u: float) -> complex:
         if p > IR_CRITICAL + 1e-12:
             return 0.0 + 0.0j
         if abs(p - IR_CRITICAL) <= 1e-12:
-            return complex(base.overall_scale * base.angular_weight
-                           / np.sqrt(beta))
+            return complex(base.overall_scale / np.sqrt(beta))
         raise InfraredDivergent(
             f"glued form factor diverges at u=0 for p = {p} < -1/2")
     pref = float(_glue_prefactor(beta, u)) * np.sqrt(abs(u))
@@ -438,8 +437,7 @@ def glued_form_factor(tf: ThermalFormFactor, u: float) -> complex:
                    * pref * np.conj(float(base.radial(-u))))
 
 
-def check_condition_A(tf: ThermalFormFactor,
-                      omega_prime: float) -> ConditionAReport:
+def check_condition_A(tf: ThermalFormFactor) -> ConditionAReport:
     """Decide Condition (A): is the glued form factor analytic at
     frequency zero for some gluing phase chi?
 
@@ -456,17 +454,13 @@ def check_condition_A(tf: ThermalFormFactor,
     branch's derivative diverges, and q < 0 fails at order 0.
     ``mismatch_order`` is the lowest one-sided derivative order that no
     chi matches (None on a PASS); ``best_chi`` is the chi that matches
-    the orders below it, and ``tf.chi`` when every chi does.
+    the orders below it, and ``tf.chi`` when every chi does.  The
+    decision is exact and the same at every beta, so no frequency
+    window enters.
     """
-    beta = tf.beta
-    if not (0.0 < omega_prime < 2.0 * np.pi / beta):
-        raise OmegaPrimeOutOfRange(
-            f"omega_prime must lie in (0, 2*pi/beta) = "
-            f"(0, {2.0 * np.pi / beta:.6g}), got {omega_prime!r}")
     if tf.base.is_zero:
         return ConditionAReport(passed=True, best_chi=tf.chi,
-                                mismatch_order=None,
-                                omega_prime=omega_prime)
+                                mismatch_order=None)
     q = tf.base.radial_exponent + 0.5
     k = round(q)
     if abs(q - k) > 1e-12 or k < 0:
@@ -475,7 +469,7 @@ def check_condition_A(tf: ThermalFormFactor,
         order = None if tf.base.decay_exponent == 2 else k + 1
         chi = np.pi if k % 2 == 0 else 0.0
     return ConditionAReport(passed=order is None, best_chi=chi,
-                            mismatch_order=order, omega_prime=omega_prime)
+                            mismatch_order=order)
 
 
 def spectral_profile(base: FormFactor, beta: float, grid) -> SpectralProfile:

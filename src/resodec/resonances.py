@@ -365,11 +365,12 @@ class NonoverlapReport:
     passed: bool
 
 
-def check_nonoverlap(spec: SystemSpec, tol: float | None = None,
+def check_nonoverlap(spec: SystemSpec,
                      resonances: list | None = None) -> NonoverlapReport:
-    """Measure the non-overlapping-resonances margin for a spec."""
+    """The non-overlapping-resonances margin of ``resonances``
+    (default ``resonance_energies(spec)``)."""
     if resonances is None:
-        resonances = resonance_energies(spec, tol)
+        resonances = resonance_energies(spec)
     es = np.array([r.e for r in resonances])
     if len(es) < 2:
         min_gap = np.inf

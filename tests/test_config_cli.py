@@ -91,7 +91,7 @@ def test_config_hash_is_order_insensitive():
 
 def test_form_factor_from_config_defaults_and_errors():
     ff = form_factor_from_config({"p": 0.5, "m": 2})
-    assert ff.overall_scale == 1.0 and ff.angular_weight == 1.0
+    assert ff.overall_scale == 1.0
     with pytest.raises(BadConfiguration, match="missing key 'p'"):
         form_factor_from_config({"m": 1})
     with pytest.raises(ValidationError):
@@ -300,6 +300,29 @@ def test_package_provides_only_the_version(tmp_path):
     assert f"# version: {version}" in comments
 
 
+def test_every_module_lists_exactly_its_public_names():
+    # each name of a submodule's __all__ resolves, and each public
+    # function or class defined there is listed
+    import importlib
+    import inspect
+    import pkgutil
+
+    import resodec
+
+    for info in pkgutil.iter_modules(resodec.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"resodec.{info.name}")
+        listed = module.__all__
+        assert [n for n in listed if not hasattr(module, n)] == [], \
+            info.name
+        defined = [name for name, value in vars(module).items()
+                   if not name.startswith("_")
+                   and (inspect.isfunction(value) or inspect.isclass(value))
+                   and value.__module__ == module.__name__]
+        assert sorted(set(defined) - set(listed)) == [], info.name
+
+
 def test_scipy_free_commands_load_no_scipy(tmp_path):
     # only verify needs scipy (sparse products and Bessel coefficients):
     # one interpreter runs every other command on its demo configuration
@@ -338,8 +361,8 @@ def test_closed_form_reservoir_diagnostics_load_no_scipy_or_mpmath():
              "check_condition_A, mean_inverse_frequency, "
              "xi_lorentzian_check; "
              "ff = FormFactor(radial_exponent=0.5, decay_exponent=2); "
-             "print(check_condition_A(ThermalFormFactor(base=ff, beta=1.0), "
-             "1.0).passed, mean_inverse_frequency(ff) > 0.0, "
+             "print(check_condition_A(ThermalFormFactor(base=ff, beta=1.0))"
+             ".passed, mean_inverse_frequency(ff) > 0.0, "
              "xi_lorentzian_check(ff, 2.0, 1.1, 1e-3) > 0.0); "
              "print(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('scipy', 'mpmath')))")
@@ -640,6 +663,46 @@ def test_every_leaf_of_the_shipped_configs_is_checked(tmp_path, capsys):
                     assert code == 1 and "ERROR[1]" in err, where
                     runs += 1
     assert runs == 1520
+
+
+def _objects(node, path=()):
+    """Key paths of the objects nested below the top level of a JSON
+    document."""
+    if isinstance(node, dict) and path:
+        yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _objects(child, path + (key,))
+
+
+def test_every_object_below_the_top_level_refuses_unknown_keys(tmp_path,
+                                                               capsys):
+    # a misspelt key is exit 1 in every command that reads its object,
+    # never ignored in favour of a default
+    path = tmp_path / "mutated.json"
+    runs = 0
+    for source in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = json.loads(source.read_text())
+        for keys in _objects(cfg):
+            mutated = json.loads(source.read_text())
+            _set(*keys, "typo", 1)(mutated)
+            path.write_text(json.dumps(mutated))
+            for command in _commands_reading(cfg, keys[0]):
+                code = run([command, "--config", str(path)])
+                err = capsys.readouterr().err
+                where = (source.name, *keys, command)
+                assert code == 1 and "ERROR[1]" in err, where
+                assert "unknown key(s) ['typo']" in err, where
+                runs += 1
+    assert runs == 40
+    # a form factor is {p, m, scale}: there is no angular weight
+    cfg = json.loads(XI_CFG.read_text())
+    cfg["form_factor"]["weight"] = 0.5
+    path.write_text(json.dumps(cfg))
+    assert run(["xi", "--config", str(path)]) == 1
+    assert "unknown key(s) ['weight'] in form_factor" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("loader, path, mutate, message", [

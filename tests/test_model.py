@@ -52,16 +52,10 @@ def make_register(n=3, **overrides):
 
 def test_form_factor_radial_closed_form():
     ff = FormFactor(radial_exponent=0.7, decay_exponent=2,
-                    overall_scale=1.5, angular_weight=0.5)
+                    overall_scale=0.75)
     r = np.array([0.3, 1.0, 2.1])
-    expected = 1.5 * 0.5 * r ** 0.7 * np.exp(-r ** 2)
+    expected = 0.75 * r ** 0.7 * np.exp(-r ** 2)
     assert np.allclose(ff.radial(r), expected, rtol=0.0, atol=1e-15)
-
-
-def test_form_factor_angular_square_integral():
-    ff = FormFactor(radial_exponent=0.0, decay_exponent=1,
-                    angular_weight=0.5)
-    assert np.isclose(ff.angular_square_integral, 4.0 * np.pi * 0.25)
 
 
 def test_form_factor_rejects_bad_decay_exponent():

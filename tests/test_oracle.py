@@ -10,13 +10,20 @@ import scipy.integrate
 import scipy.linalg
 
 from resodec.errors import (
+    DimensionMismatch,
     DimensionTooLarge,
     PoorFit,
     TruncationWarning,
+    ValidationError,
     WeightMismatch,
 )
 from resodec.model import FormFactor, build_system
-from resodec.dynamics import Trajectory, free_evolution, single_qubit_spec
+from resodec.dynamics import (
+    Trajectory,
+    free_evolution,
+    single_qubit_closed_form,
+    single_qubit_spec,
+)
 from resodec.reservoir import (
     _radial_moment,
     one_sided_density,
@@ -35,7 +42,7 @@ from resodec.oracle import (
     fit_decay,
     verify,
 )
-from resodec.oracle import _thermofield_modes
+from resodec.oracle import _scaled_spec, _thermofield_modes
 
 from conftest import REPO_ROOT
 
@@ -103,22 +110,43 @@ def product_space_reference(spec, baths, rho0, times, cutoffs):
 # =====================================================================
 
 def test_truncated_bath_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         TruncatedBath(mode_frequencies=np.array([0.0, 1.0]),
                       mode_couplings=np.array([0.1, 0.1]),
                       fock_cutoff=2, beta=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         TruncatedBath(mode_frequencies=np.array([1.0]),
                       mode_couplings=np.array([0.1, 0.2]),
                       fock_cutoff=2, beta=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         TruncatedBath(mode_frequencies=np.array([1.0]),
                       mode_couplings=np.array([0.1]),
                       fock_cutoff=0, beta=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         TruncatedBath(mode_frequencies=np.array([1.0]),
                       mode_couplings=np.array([0.1]),
                       fock_cutoff=2, beta=0.0)
+
+
+def test_argument_checks_raise_validation_error():
+    # malformed arguments are ValidationError (exit 1 in the CLI), a
+    # ValueError subclass
+    qubit = dict(a=0.2, b=-0.4, c=0.7, delta=1.0, g=FF, beta=1.0,
+                 lam=0.01)
+    spec = single_qubit_spec(**qubit)
+    with pytest.raises(DimensionMismatch, match="initial state"):
+        exact_evolve(spec, tiny_bath(), np.eye(3) / 3.0, [0.0])
+    with pytest.raises(ValidationError, match="2 baths supplied"):
+        exact_evolve(spec, [tiny_bath(), tiny_bath()], plus_state(), [0.0])
+    two = build_system([0.0, 1.0], [(0.01, spec.couplings[0].matrix, FF)] * 2,
+                       beta=1.0)
+    with pytest.raises(ValidationError, match="single bath"):
+        exact_evolve(two, tiny_bath(), plus_state(), [0.0])
+    with pytest.raises(ValidationError, match="zero coupling"):
+        _scaled_spec(single_qubit_spec(**{**qubit, "lam": 0.0}), 0.01)
+    with pytest.raises(DimensionMismatch, match="2x2"):
+        single_qubit_closed_form(**qubit, rho0=np.eye(3) / 3.0,
+                                 times=[0.0])
 
 
 def test_bath_thermal_quantities():
@@ -149,7 +177,7 @@ def test_discretize_bath_refuses_coarse_grid():
     with pytest.raises(WeightMismatch):
         discretize_bath(FF, beta=2.0, n_modes=4, omega_max=3.0,
                         fock_cutoff=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         discretize_bath(FF, beta=2.0, n_modes=0, omega_max=3.0,
                         fock_cutoff=3)
 
@@ -175,7 +203,7 @@ def test_discretize_bath_weight_target_is_the_closed_form():
                         fock_cutoff=3)
     for g, omega_max in ((FF, 2.0), (FormFactor(-0.5, 1), 3.0),
                          (FormFactor(1.5, 2, overall_scale=0.8), 3.0),
-                         (FormFactor(0.5, 1, angular_weight=0.7), 1.25)):
+                         (FormFactor(0.5, 1, overall_scale=0.7), 1.25)):
         target, _ = scipy.integrate.quad(
             lambda w: float(one_sided_density(g, w)), 0.0, omega_max)
         assert _radial_moment(g, 2, omega_max) \

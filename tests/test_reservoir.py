@@ -14,7 +14,6 @@ from resodec.cli import run
 from resodec.errors import (
     InfraredDivergent,
     NumericalError,
-    OmegaPrimeOutOfRange,
     QuadratureNotConverged,
     ValidationError,
 )
@@ -41,9 +40,9 @@ from conftest import CONFIG_DIR
 RNG = np.random.default_rng(20240818)
 
 
-def make_ff(p, m, scale=1.0, weight=1.0):
+def make_ff(p, m, scale=1.0):
     return FormFactor(radial_exponent=p, decay_exponent=m,
-                      overall_scale=scale, angular_weight=weight)
+                      overall_scale=scale)
 
 
 # =====================================================================
@@ -69,8 +68,8 @@ def test_xi_closed_form_and_positivity():
 def test_xi_at_zero_three_regimes():
     beta = 1.7
     assert xi(make_ff(0.3, 2), beta, 0.0) == 0.0
-    crit = xi(make_ff(-0.5, 1, scale=1.2, weight=0.5), beta, 0.0)
-    assert np.isclose(crit, (2.0 / beta) * 4.0 * math.pi * (1.2 * 0.5) ** 2,
+    crit = xi(make_ff(-0.5, 1, scale=0.6), beta, 0.0)
+    assert np.isclose(crit, (2.0 / beta) * 4.0 * math.pi * 0.6 ** 2,
                       rtol=1e-13)
     with pytest.raises(InfraredDivergent):
         xi(make_ff(-0.75, 1), beta, 0.0)
@@ -151,9 +150,9 @@ def test_mean_inverse_frequency_gamma_oracle():
     # int_0^inf r^(2p+1) exp(-2 r) dr      = Gamma(2p+2) / 2^(2p+2)
     # int_0^inf r^(2p+1) exp(-2 r**2) dr   = Gamma(p+1) / 2^(p+2)
     for p, m in MOMENT_CASES:
-        scale, weight = 1.3, 0.7
-        ff = make_ff(p, m, scale, weight)
-        a2 = 4.0 * math.pi * (scale * weight) ** 2
+        scale = 0.91
+        ff = make_ff(p, m, scale)
+        a2 = 4.0 * math.pi * scale ** 2
         if m == 1:
             expected = a2 * math.gamma(2 * p + 2) / 2.0 ** (2 * p + 2)
         else:
@@ -179,36 +178,36 @@ def test_mean_inverse_frequency_matches_quadrature():
         total = sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12,
                                    limit=400)[0]
                     for a, b in ((0.0, 1.0), (1.0, np.inf)))
-        expected = 4.0 * math.pi * (1.3 * 0.7) ** 2 * total / (2 * p + 2)
-        assert np.isclose(mean_inverse_frequency(make_ff(p, m, 1.3, 0.7)),
+        expected = 4.0 * math.pi * 0.91 ** 2 * total / (2 * p + 2)
+        assert np.isclose(mean_inverse_frequency(make_ff(p, m, 0.91)),
                           expected, rtol=1e-10, atol=0.0), (p, m)
 
 
 def test_mean_inverse_frequency_past_gamma_overflow():
     # Gamma(s) overflows from s ~ 171.6 on (p = 90, m = 1: s = 182), and
-    # 4 pi (100 * 0.7)^2 Gamma(170) overflows at p = 84, m = 1; the moment
+    # 4 pi 70^2 Gamma(170) overflows at p = 84, m = 1; the moment
     # Gamma(s) / (m 2^s) is finite in both and comes from log space
-    for p, scale in ((90.0, 1.3), (84.0, 100.0)):
+    for p, scale in ((90.0, 0.91), (84.0, 70.0)):
         s = 2 * p + 2
-        want = 4.0 * math.pi * (scale * 0.7) ** 2 \
+        want = 4.0 * math.pi * scale ** 2 \
             * math.exp(math.lgamma(s) - s * math.log(2.0))
-        value = mean_inverse_frequency(make_ff(p, 1, scale, 0.7))
+        value = mean_inverse_frequency(make_ff(p, 1, scale))
         assert math.isfinite(value)
         assert np.isclose(value, want, rtol=1e-13, atol=0.0), p
     # where Gamma(s) is finite (p = 80: s = 162) the value is the
     # math.gamma closed form to the last bit, as before the fallback
-    assert mean_inverse_frequency(make_ff(80.0, 1, 1.3, 0.7)) \
-        == 1.3511870300296842e+239
+    assert mean_inverse_frequency(make_ff(80.0, 1, 0.91)) \
+        == 4.0 * math.pi * 0.91 ** 2 * math.gamma(162) / 2.0 ** 162
 
 
 def test_mean_inverse_frequency_beyond_float_range():
     # the moment is about 2.6e317 at p = 100, m = 1 (exp overflows) and
-    # 5.6e309 at p = 88 with scale 1e20 (the product overflows to inf);
+    # 5.6e309 at p = 88 with scale 7e19 (the product overflows to inf);
     # neither is a float
-    for p, scale, s in ((100.0, 1.3, 202), (88.0, 1e20, 178)):
+    for p, scale, s in ((100.0, 0.91, 202), (88.0, 7e19, 178)):
         with pytest.raises(NumericalError, match=rf"p = {p}, decay "
                            rf"exponent m = 1 \(s = {s}\)"):
-            mean_inverse_frequency(make_ff(p, 1, scale, 0.7))
+            mean_inverse_frequency(make_ff(p, 1, scale))
 
 
 def test_mean_inverse_frequency_divergence():
@@ -365,9 +364,9 @@ def test_glued_form_factor_at_zero():
         ThermalFormFactor(base=make_ff(0.5, 2), beta=beta, chi=0.0),
         0.0) == 0.0
     crit = glued_form_factor(
-        ThermalFormFactor(base=make_ff(-0.5, 1, scale=1.3, weight=0.5),
+        ThermalFormFactor(base=make_ff(-0.5, 1, scale=0.65),
                           beta=beta, chi=0.0), 0.0)
-    assert np.isclose(crit.real, 1.3 * 0.5 / math.sqrt(beta), rtol=1e-13)
+    assert np.isclose(crit.real, 0.65 / math.sqrt(beta), rtol=1e-13)
     with pytest.raises(InfraredDivergent):
         glued_form_factor(
             ThermalFormFactor(base=make_ff(-0.8, 1), beta=beta, chi=0.0),
@@ -379,7 +378,7 @@ def test_condition_a_passes_for_smooth_gluings():
     # best chi alternates with the parity of the branch function
     for p, expect_chi in [(-0.5, np.pi), (0.5, 0.0), (1.5, np.pi)]:
         tf = ThermalFormFactor(base=make_ff(p, 2), beta=1.0, chi=0.0)
-        rep = check_condition_A(tf, omega_prime=1.0)
+        rep = check_condition_A(tf)
         assert rep.passed, (p, rep.mismatch_order)
         assert rep.mismatch_order is None
         assert np.isclose(rep.best_chi % (2 * np.pi), expect_chi,
@@ -395,20 +394,15 @@ def test_condition_a_fails_for_kinks_and_fractional_powers():
              (-0.8, 1, 0)]
     for p, m, order in cases:
         tf = ThermalFormFactor(base=make_ff(p, m), beta=1.0, chi=0.0)
-        rep = check_condition_A(tf, omega_prime=1.0)
+        rep = check_condition_A(tf)
         assert not rep.passed, (p, m)
         assert rep.mismatch_order == order, (p, m, rep.mismatch_order)
 
 
-def test_condition_a_zero_form_factor_and_window():
+def test_condition_a_zero_form_factor():
     tf0 = ThermalFormFactor(base=make_ff(0.5, 2, scale=0.0), beta=1.0,
                             chi=0.2)
-    assert check_condition_A(tf0, omega_prime=1.0).passed
-    tf = ThermalFormFactor(base=make_ff(0.5, 2), beta=2.0, chi=0.0)
-    with pytest.raises(OmegaPrimeOutOfRange):
-        check_condition_A(tf, omega_prime=2.0 * np.pi / 2.0)
-    with pytest.raises(OmegaPrimeOutOfRange):
-        check_condition_A(tf, omega_prime=0.0)
+    assert check_condition_A(tf0).passed
 
 
 # =====================================================================
