@@ -62,7 +62,6 @@ __all__ = [
     "config_hash",
     "form_factor_from_config",
     "matrix_from_config",
-    "matrix_to_config",
     "system_from_config",
     "register_from_config",
     "evolve_from_config",
@@ -195,13 +194,6 @@ def matrix_from_config(rows, context: str = "matrix") -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def matrix_to_config(matrix: np.ndarray) -> list:
-    """Complex matrix -> nested [re, im] leaves (JSON-serializable)."""
-    matrix = np.asarray(matrix, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row]
-            for row in matrix]
-
-
 def _initial_state(section, context: str, dim: int) -> DensityMatrix:
     rho0 = DensityMatrix.from_array(
         _read(section, "initial_state", matrix_from_config, context))
@@ -265,16 +257,17 @@ def evolve_from_config(cfg: dict, times: tuple | None = None) -> tuple:
 
     The "evolve" section holds "initial_state" and a "times" grid; a
     (start, stop, num) ``times`` overrides that grid, which may then be
-    absent.
+    absent.  A grid that is present is checked either way.
     """
     spec = system_from_config(cfg)
     section = _known(_require(cfg, "evolve"), ("initial_state", "times"),
                      "evolve")
     rho0 = _initial_state(section, "evolve", spec.dim)
-    if times is None:
-        return spec, rho0, _read(section, "times", _grid, "evolve")
-    return spec, rho0, _grid(dict(zip(("start", "stop", "num"), times)),
-                             "--times")
+    if times is None or "times" in section:
+        grid = _read(section, "times", _grid, "evolve")
+    if times is not None:
+        grid = _grid(dict(zip(("start", "stop", "num"), times)), "--times")
+    return spec, rho0, grid
 
 
 def scaling_from_config(cfg: dict) -> tuple:

@@ -89,19 +89,6 @@ class PropagatorBlock:
         phases = np.exp(1j * np.outer(times, self.epsilons))
         return phases @ comps
 
-    def time_average(self, v0: np.ndarray, horizon: float) -> np.ndarray:
-        """Exact average of ``propagate`` over t in [0, horizon]."""
-        v0 = np.asarray(v0, dtype=complex)
-        comps = self.weights @ v0
-        factors = np.empty(len(self.epsilons), dtype=complex)
-        for s, eps in enumerate(self.epsilons):
-            if abs(eps) <= ZERO_RESONANCE_TOL:
-                factors[s] = 1.0
-            else:
-                factors[s] = (np.exp(1j * horizon * eps) - 1.0) \
-                    / (1j * horizon * eps)
-        return factors @ comps
-
     def ergodic_component(self, v0: np.ndarray) -> np.ndarray:
         """Contribution of the zero-resonance modes."""
         v0 = np.asarray(v0, dtype=complex)

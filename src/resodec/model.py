@@ -21,7 +21,6 @@ threads; every operation here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +43,6 @@ __all__ = [
     "register_to_system",
     "energy_of_configuration",
     "spin_configuration",
-    "configuration_index",
     "collective_z_matrix",
     "collective_x_matrix",
     "gibbs_state",
@@ -289,13 +287,6 @@ def spin_configuration(index, n: int) -> np.ndarray:
     """
     bits = (np.asarray(index)[..., None] >> np.arange(n)) & 1
     return (1 - 2 * bits).astype(int)
-
-
-def configuration_index(sigma: Sequence[int]) -> int:
-    """Inverse of spin_configuration."""
-    sigma = _check_configuration(sigma)
-    bits = (1 - sigma) // 2
-    return int(np.sum(bits << np.arange(len(sigma))))
 
 
 def _check_configuration(sigma) -> np.ndarray:

@@ -419,7 +419,7 @@ def _chebyshev_states(diag, terms, lo, hi, rho0, times) -> np.ndarray:
     states = np.zeros((len(times), n_sys, n_sys), dtype=complex)
     evals, evecs = np.linalg.eigh(rho0)
     for weight, sys_vec in zip(evals, evecs.T):
-        if weight <= 1e-12:
+        if abs(weight) <= 1e-12:
             continue
         vec = np.zeros((n_bath, n_sys), dtype=complex)
         vec[0] = sys_vec
@@ -442,13 +442,18 @@ def exact_evolve(spec: SystemSpec, bath, rho0, times) -> Trajectory:
     reservoir modes in their thermal state.
 
     ``bath`` is a TruncatedBath (single coupling channel) or one bath
-    per coupling term.  The trajectory's ergodic mean is the empirical
-    average over the second half of the time grid.
+    per coupling term.  ``rho0`` may be any Hermitian matrix, not only
+    a density matrix: the evolution is linear in it.  The trajectory's
+    ergodic mean is the empirical average over the second half of the
+    time grid.
     """
     rho0 = _as_state_array(rho0)
     if rho0.shape != (spec.dim, spec.dim):
         raise DimensionMismatch(
             "initial state dimension does not match the system")
+    if not np.all(np.abs(rho0 - rho0.conj().T) <= 1e-10):
+        raise ValidationError(
+            "the initial matrix must be finite and Hermitian")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     active = _active_channels(spec, bath)
     if not active:

@@ -1,6 +1,6 @@
-"""Qubit-register specialization: Bohr frequencies of configuration
-pairs, Hamming data, a generic-field diagnostic, per-group decoherence
-rates with channel attribution, and system-size scaling studies.
+"""Qubit-register specialization: Hamming data of configuration pairs,
+a generic-field diagnostic, per-group decoherence rates with channel
+attribution, and system-size scaling studies.
 
 A register of N qubits couples collectively to two reservoirs: a
 dephasing channel through the total magnetization (conserving the
@@ -44,7 +44,6 @@ from .model import (
     FormFactor,
     RegisterSpec,
     _check_configuration,
-    energy_of_configuration,
     register_to_system,
     spin_configuration,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "RegisterTemplate",
     "ScalingRow",
     "ScalingTable",
-    "register_bohr",
     "hamming_and_e0",
     "generic_field_check",
     "decoherence_rates",
@@ -67,13 +65,6 @@ __all__ = [
 # =====================================================================
 # Configuration pairs
 # =====================================================================
-
-def register_bohr(reg: RegisterSpec, sigma, tau) -> float:
-    """Bohr frequency e(sigma, tau) = E(sigma) - E(tau) of a register
-    matrix element; computed exactly as the energy difference."""
-    return energy_of_configuration(reg, sigma) \
-        - energy_of_configuration(reg, tau)
-
 
 def hamming_and_e0(sigma, tau) -> tuple:
     """(D, e0, N0): Hamming distance D = sum |sigma_j - tau_j|,

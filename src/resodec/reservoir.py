@@ -48,7 +48,6 @@ from .model import FormFactor
 
 __all__ = [
     "ThermalFormFactor",
-    "SpectralProfile",
     "ConditionAReport",
     "glued_form_factor",
     "check_condition_A",
@@ -60,7 +59,6 @@ __all__ = [
     "thermal_spectral_density",
     "one_sided_density",
     "half_line_transform",
-    "spectral_profile",
 ]
 
 #: infrared exponent threshold: xi(0) is finite iff p == IR_CRITICAL,
@@ -94,26 +92,6 @@ class ThermalFormFactor:
             raise ValidationError(f"beta must be > 0, got {self.beta!r}")
         if not np.isfinite(self.chi):
             raise ValidationError("chi must be finite")
-
-
-@dataclass(frozen=True)
-class SpectralProfile:
-    """xi sampled on a frequency grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.shape != v.shape:
-            raise ValidationError("grid and values must be 1-d, same length")
-        if g.size and (np.any(np.diff(g) <= 0) or g[0] < 0):
-            raise ValidationError("grid must be strictly increasing, >= 0")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValidationError("xi values must be finite and >= 0")
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -471,9 +449,3 @@ def check_condition_A(tf: ThermalFormFactor) -> ConditionAReport:
     return ConditionAReport(passed=order is None, best_chi=chi,
                             mismatch_order=order)
 
-
-def spectral_profile(base: FormFactor, beta: float, grid) -> SpectralProfile:
-    """Sample xi on a frequency grid."""
-    grid = np.asarray(grid, dtype=float)
-    vals = np.array([xi(base, beta, g) for g in grid])
-    return SpectralProfile(grid=grid, values=vals)

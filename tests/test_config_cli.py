@@ -13,7 +13,6 @@ from resodec.config import (
     form_factor_from_config,
     load_config,
     matrix_from_config,
-    matrix_to_config,
     register_from_config,
     scaling_from_config,
     system_from_config,
@@ -73,10 +72,9 @@ def test_load_config_errors(tmp_path):
 
 
 def test_matrix_roundtrip():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    again = matrix_from_config(matrix_to_config(m))
-    assert np.array_equal(again, m)
+    got = matrix_from_config([[[0.5, -1.0], [2.0, 0.0]],
+                              [[0.0, 3.0], [-0.25, 0.125]]])
+    assert np.array_equal(got, [[0.5 - 1.0j, 2.0], [3.0j, -0.25 + 0.125j]])
     with pytest.raises(BadConfiguration, match=r"\[re, im\]"):
         matrix_from_config([[1.0, 2.0], [3.0, 4.0]])
 
@@ -797,6 +795,19 @@ def test_evolve_times_override_without_config_grid(tmp_path, capsys):
                            ("0:10:0", "--times.num must be >= 1")):
         assert run(["evolve", "--config", str(path), "--times", times]) == 1
         assert message in capsys.readouterr().err, times
+
+
+def test_evolve_times_is_checked_under_the_override(tmp_path, capsys):
+    # a misspelt evolve.times fails with and without --times
+    cfg = json.loads(QUBIT_CFG.read_text())
+    cfg["evolve"]["times"] = {"start": 0, "stop": 1, "nun": 5}
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(cfg))
+    for flags in ([], ["--times", "0:1:3"]):
+        assert run(["evolve", "--config", str(path),
+                    "-o", str(tmp_path / "evolve.csv"), *flags]) == 1
+        assert "unknown key(s) ['nun'] in evolve.times" \
+            in capsys.readouterr().err, flags
 
 
 @pytest.mark.parametrize("n_list", [[-1], [2, 2]])

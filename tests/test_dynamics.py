@@ -124,18 +124,6 @@ def test_block_weights_resolve_identity_and_average():
         ident = np.sum(block.weights, axis=0)
         assert np.allclose(ident, np.eye(block.dim), atol=1e-10)
 
-    coh = next(b for b in blocks if b.dim == 1)
-    eps = coh.epsilons[0]
-    horizon = 37.0
-    v0 = np.array([0.8 - 0.1j])
-    want = v0 * (np.exp(1j * horizon * eps) - 1.0) / (1j * horizon * eps)
-    assert np.allclose(coh.time_average(v0, horizon), want, rtol=1e-12)
-
-    pop = next(b for b in blocks if b.dim == 2)
-    v0 = np.array([0.75, 0.25], dtype=complex)
-    avg = pop.time_average(v0, 1e7)
-    assert np.allclose(avg, pop.ergodic_component(v0), atol=1e-6)
-
 
 def test_blocks_merge_the_counted_classes():
     # a dephasing-only register repeats level shifts inside its groups;

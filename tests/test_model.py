@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from resodec.errors import (
-    BadConfiguration,
     DimensionMismatch,
     NonHermitianCoupling,
     NonPositiveBeta,
@@ -21,7 +20,6 @@ from resodec.model import (
     build_system,
     collective_x_matrix,
     collective_z_matrix,
-    configuration_index,
     energy_of_configuration,
     gibbs_state,
     register_to_system,
@@ -170,8 +168,6 @@ def test_spin_configuration_ordering():
     # bit j of the index flips spin j; the first spin varies fastest
     assert np.array_equal(spin_configuration(1, 3), [-1, 1, 1])
     assert np.array_equal(spin_configuration(4, 3), [1, 1, -1])
-    for idx in range(8):
-        assert configuration_index(spin_configuration(idx, 3)) == idx
 
 
 def test_energy_of_configuration_manual():
@@ -226,9 +222,6 @@ def test_spin_table_rows_are_the_single_configurations():
     assert table.shape == (8, 3)
     for idx in range(8):
         assert np.array_equal(table[idx], spin_configuration(idx, 3))
-    for bad in ((), (1, 0), [[1, -1]]):
-        with pytest.raises(BadConfiguration):
-            configuration_index(bad)
 
 
 def test_register_to_system_at_the_size_limit():

@@ -136,6 +136,8 @@ def test_argument_checks_raise_validation_error():
     spec = single_qubit_spec(**qubit)
     with pytest.raises(DimensionMismatch, match="initial state"):
         exact_evolve(spec, tiny_bath(), np.eye(3) / 3.0, [0.0])
+    with pytest.raises(ValidationError, match="Hermitian"):
+        exact_evolve(spec, tiny_bath(), [[0.0, 1.0], [0.0, 0.0]], [0.0])
     with pytest.raises(ValidationError, match="2 baths supplied"):
         exact_evolve(spec, [tiny_bath(), tiny_bath()], plus_state(), [0.0])
     two = build_system([0.0, 1.0], [(0.01, spec.couplings[0].matrix, FF)] * 2,
@@ -249,6 +251,27 @@ def test_sector_engine_nonuniform_grid():
     sector = exact_evolve(spec, bath, plus_state(), times)
     want = product_space_reference(spec, [bath], plus_state(), times, [8])
     assert np.max(np.abs(sector.states - want)) <= 1e-10
+
+
+def test_exact_evolve_is_linear_in_the_initial_matrix():
+    # an indefinite Hermitian rho0 evolves as the sum of its parts: the
+    # eigenpairs of negative weight are propagated, not dropped
+    spec = single_qubit_spec(a=0.2, b=-0.4, c=0.7, delta=1.0, g=FF,
+                             beta=30.0, lam=0.05)
+    bath = discretize_bath(FF, beta=30.0, n_modes=12, omega_max=3.0,
+                           fock_cutoff=2)
+    times = np.linspace(0.0, 10.0, 11)
+    up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    flip = np.array([[0.0, 0.2 - 0.5j], [0.2 + 0.5j, 0.0]])
+
+    def evolve(rho0):
+        return exact_evolve(spec, bath, rho0, times).states
+
+    e_up, e_down = evolve(up), evolve(down)
+    assert np.max(np.abs(evolve(up - down) - (e_up - e_down))) <= 1e-12
+    mixed = evolve(2.0 * up - 0.5 * down + flip)
+    want = 2.0 * e_up - 0.5 * e_down + evolve(flip)
+    assert np.max(np.abs(mixed - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])

@@ -25,7 +25,6 @@ from resodec.register import (
     decoherence_rates,
     generic_field_check,
     hamming_and_e0,
-    register_bohr,
     scaling_study,
 )
 from resodec.reservoir import thermal_spectral_density, xi
@@ -71,32 +70,7 @@ def test_bad_configurations_rejected():
         hamming_and_e0((1, 0), (1, 1))
     with pytest.raises(BadConfiguration):
         hamming_and_e0((1, 1), (1, 1, -1))
-    with pytest.raises(BadConfiguration):
-        register_bohr(make_register(3), (1, 1), (1, -1))
 
-
-def test_register_bohr_frequency():
-    reg = make_register(3)
-    sigma, tau = (1, -1, 1), (-1, -1, -1)
-    expected = sum(b * (s - t) for b, s, t in zip(reg.B, sigma, tau))
-    assert np.isclose(register_bohr(reg, sigma, tau), expected,
-                      rtol=1e-14)
-
-    J = np.array([[0.0, 0.2, 0.0], [0.2, 0.0, -0.1], [0.0, -0.1, 0.0]])
-    reg2 = make_register(3, J=J)
-    got = register_bohr(reg2, sigma, tau)
-
-    def energy(s):
-        pair = sum(2.0 * J[i, j] * s[i] * s[j]
-                   for i in range(3) for j in range(i + 1, 3))
-        return pair + sum(b * si for b, si in zip(reg2.B, s))
-
-    assert np.isclose(got, energy(sigma) - energy(tau), rtol=1e-13)
-
-
-# =====================================================================
-# Generic-field scan
-# =====================================================================
 
 def test_generic_field_check_finds_simplest_witness():
     report = generic_field_check([1.0, 1.0])

@@ -29,7 +29,6 @@ from resodec.reservoir import (
     mean_inverse_frequency,
     one_sided_density,
     pv_energy_shift,
-    spectral_profile,
     thermal_spectral_density,
     xi,
     xi_lorentzian_check,
@@ -314,16 +313,6 @@ def test_pv_transform_is_independent_of_the_batch(monkeypatch):
     monkeypatch.setattr(reservoir, "_PV_TOL", 0.0)
     with pytest.raises(QuadratureNotConverged):
         _pv_transform(f, poles)
-
-
-def test_spectral_profile_samples_xi():
-    ff = make_ff(0.5, 2)
-    grid = np.linspace(0.0, 2.0, 9)
-    prof = spectral_profile(ff, 1.0, grid)
-    assert np.allclose(prof.values,
-                       [xi(ff, 1.0, g) for g in grid], rtol=1e-14)
-    with pytest.raises(ValidationError):
-        spectral_profile(ff, 1.0, [0.5, 0.3])   # not increasing
 
 
 # =====================================================================

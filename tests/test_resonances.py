@@ -101,6 +101,29 @@ def test_bohr_spectrum_partitions_pairs_lexicographically():
         assert all(p in bs.groups[0.0].tolist() for p in diagonal)
 
 
+def test_bohr_representatives_are_the_sorted_cluster_means():
+    # levels of multiplicity 1..13, jittered far below the tolerance,
+    # give clusters of sizes below 8, from 8 to 128, and above 128
+    # (12 * 13 = 156); each representative equals bitwise the mean of
+    # its cluster's sorted differences
+    ff = QUBIT["g"]
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        levels = np.repeat(rng.uniform(0.0, 2.0, 6), [1, 2, 3, 5, 12, 13])
+        energies = levels + rng.uniform(-1e-11, 1e-11, levels.size)
+        n = energies.size
+        spec = build_system(energies, [(0.01, np.eye(n, dtype=complex),
+                                        ff)], beta=1.0)
+        bs = bohr_spectrum(spec)
+        sizes = [len(p) for e, p in bs.groups.items() if e != 0.0]
+        assert min(sizes) < 8 and max(sizes) > 128
+        assert any(8 <= size <= 128 for size in sizes)
+        for e, pairs in bs.groups.items():
+            diffs = np.sort(energies[pairs[:, 0]] - energies[pairs[:, 1]])
+            want = 0.0 if [0, 0] in pairs.tolist() else float(diffs.mean())
+            assert e == want
+
+
 def test_default_cluster_tolerance_scales_with_spread():
     assert default_cluster_tolerance(np.array([0.0, 2.0])) == 2e-9
     assert default_cluster_tolerance(np.array([5.0])) == 1e-12
