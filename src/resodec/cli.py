@@ -50,7 +50,7 @@ from .errors import (
     VerificationFailure,
 )
 from .dynamics import resonance_evolution
-from .register import decoherence_rates, scaling_study
+from .register import DEFAULT_SEED, decoherence_rates, scaling_study
 from .reservoir import xi, xi_lorentzian_check
 from .resonances import check_nonoverlap, resonance_energies
 
@@ -58,7 +58,6 @@ __all__ = ["run", "main", "build_parser"]
 
 log = logging.getLogger("resodec")
 
-DEFAULT_SEED = 0xD1CE
 LORENTZIAN_EPSILON = 1e-3
 
 

@@ -34,6 +34,7 @@ BadConfiguration.  Every value passes one checked conversion per type:
 a number must be a
 finite JSON number (a string, boolean or null raises
 BadConfiguration), an integer integral, an array rectangular.  The
+number conversions are model's, which the value types call too.  The
 configuration hash is over the canonical (sorted-key, compact) JSON
 serialization.
 """
@@ -43,7 +44,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import sys
 
 import numpy as np
 
@@ -54,8 +54,12 @@ from .model import (
     FormFactor,
     RegisterSpec,
     SystemSpec,
+    _integer,
+    _is_real,
+    _real,
     register_to_system,
 )
+from .register import RegisterTemplate
 
 __all__ = [
     "load_config",
@@ -118,31 +122,6 @@ def _read(section, key: str, convert, context: str = ""):
     at the top level)."""
     return convert(_require(section, key, context or "configuration"),
                    f"{context}.{key}" if context else key)
-
-
-def _integer(value, context: str) -> int:
-    """An integer or integral float (20.0) as an int; any other value,
-    20.7 included, raises BadConfiguration instead of being truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise BadConfiguration(f"{context} must be an integer, got {value!r}")
-
-
-def _is_real(value) -> bool:
-    """A number, not a boolean, that a finite float holds."""
-    return isinstance(value, (int, float, np.integer, np.floating)) \
-        and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-
-
-def _real(value, context: str) -> float:
-    """A finite number as a float; anything else (true, null, "1", NaN,
-    10**400) raises BadConfiguration instead of being coerced."""
-    if not _is_real(value):
-        raise BadConfiguration(
-            f"{context} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _reals(value, context: str, ndim: int | None = None) -> np.ndarray:
@@ -273,7 +252,6 @@ def evolve_from_config(cfg: dict, times: tuple | None = None) -> tuple:
 def scaling_from_config(cfg: dict) -> tuple:
     """(RegisterTemplate, register sizes) from the "scaling" section
     plus beta; without "b_interval", RegisterTemplate's default holds."""
-    from .register import RegisterTemplate    # register imports _integer
     section = _known(_require(cfg, "scaling"),
                      ("n_list", "lambda1", "lambda2", "g1", "g2",
                       "b_interval"), "scaling")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ValidationError
 from .model import CouplingTerm, DensityMatrix, FormFactor, SystemSpec
 from .reservoir import (
     mean_inverse_frequency,
@@ -84,7 +84,7 @@ class PropagatorBlock:
     def propagate(self, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Element vectors at each time; shape (len(times), dim)."""
         v0 = np.asarray(v0, dtype=complex)
-        times = np.atleast_1d(np.asarray(times, dtype=float))
+        times = _time_grid(times)
         comps = self.weights @ v0                      # (s, dim)
         phases = np.exp(1j * np.outer(times, self.epsilons))
         return phases @ comps
@@ -159,10 +159,28 @@ class Trajectory:
             self.states - np.conj(np.swapaxes(self.states, 1, 2)))))
 
 
-def _as_state_array(rho0) -> np.ndarray:
+def _as_state_array(rho0, dim: int) -> np.ndarray:
+    """The initial state (a DensityMatrix or any array) as a complex
+    array; a shape other than (dim, dim) raises DimensionMismatch."""
     if isinstance(rho0, DensityMatrix):
-        return np.array(rho0.entries, dtype=complex)
-    return np.asarray(rho0, dtype=complex)
+        rho0 = np.array(rho0.entries, dtype=complex)
+    else:
+        rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (dim, dim):
+        raise DimensionMismatch(
+            f"initial state must be {dim}x{dim}, got shape {rho0.shape}")
+    return rho0
+
+
+def _time_grid(times) -> np.ndarray:
+    """The time grid (a scalar or a sequence) as a 1-d float array; a
+    grid of more dimensions or with a non-finite time raises
+    ValidationError."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim != 1 or not np.all(np.isfinite(times)):
+        raise ValidationError(
+            "times must be a 1-d grid of finite numbers")
+    return times
 
 
 # =====================================================================
@@ -175,8 +193,8 @@ def free_evolution(spec: SystemSpec, rho0, times) -> Trajectory:
     Bohr frequency is zero (all diagonals, plus off-diagonals between
     degenerate levels) and averages away the rest.
     """
-    rho0 = _as_state_array(rho0)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    rho0 = _as_state_array(rho0, spec.dim)
+    times = _time_grid(times)
     E = spec.energies
     freq = E[:, None] - E[None, :]
     phases = np.exp(1j * times[:, None, None] * freq[None, :, :])
@@ -215,8 +233,8 @@ def resonance_evolution(spec: SystemSpec, rho0, times,
     between Bohr gaps and second-order shifts drops below 10 (the
     expansion assumes well-separated resonances).
     """
-    rho0 = _as_state_array(rho0)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    rho0 = _as_state_array(rho0, spec.dim)
+    times = _time_grid(times)
     if resonances is None:
         resonances = resonance_energies(spec)
     report = check_nonoverlap(spec, resonances=resonances)
@@ -236,10 +254,10 @@ def ergodic_mean(spec: SystemSpec, rho0,
     directly from the zero-resonance modes without evaluating a
     trajectory.  ``resonances`` defaults to ``resonance_energies(spec)``.
     """
+    rho0 = _as_state_array(rho0, spec.dim)
     if resonances is None:
         resonances = resonance_energies(spec)
-    return _reconstruct(resonances, _as_state_array(rho0), spec.dim,
-                        np.empty(0))[1]
+    return _reconstruct(resonances, rho0, spec.dim, np.empty(0))[1]
 
 
 # =====================================================================
@@ -269,10 +287,8 @@ def single_qubit_closed_form(a: float, b: float, c: complex, delta: float,
     through the mean inverse frequency and the principal-value shift,
     and D the signed thermal spectral density.
     """
-    rho0 = _as_state_array(rho0)
-    if rho0.shape != (2, 2):
-        raise DimensionMismatch("single-qubit closed form needs a 2x2 state")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    rho0 = _as_state_array(rho0, 2)
+    times = _time_grid(times)
 
     x = xi(g, beta, delta)
     d_plus = thermal_spectral_density(g, beta, delta)

@@ -20,6 +20,7 @@ threads; every operation here is pure.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,35 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 
 # =====================================================================
+# Checked conversions of numbers
+# =====================================================================
+
+def _integer(value, context: str) -> int:
+    """An integer or integral float (20.0) as an int; any other value,
+    20.7 included, raises BadConfiguration instead of being truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise BadConfiguration(f"{context} must be an integer, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    """A number, not a boolean, that a finite float holds."""
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _real(value, context: str) -> float:
+    """A finite number as a float; anything else (true, null, "1", NaN,
+    10**400) raises BadConfiguration instead of being coerced."""
+    if not _is_real(value):
+        raise BadConfiguration(
+            f"{context} must be a finite number, got {value!r}")
+    return float(value)
+
+
+# =====================================================================
 # Form factors
 # =====================================================================
 
@@ -83,13 +113,12 @@ class FormFactor:
     overall_scale: float = 1.0
 
     def __post_init__(self):
-        if self.decay_exponent not in (1, 2):
-            raise ValidationError(
-                f"decay_exponent must be 1 or 2, got {self.decay_exponent!r}")
-        for name in ("radial_exponent", "overall_scale"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValidationError(f"{name} must be finite, got {v!r}")
+        m = _integer(self.decay_exponent, "decay_exponent")
+        if m not in (1, 2):
+            raise ValidationError(f"decay_exponent must be 1 or 2, got {m}")
+        object.__setattr__(self, "decay_exponent", m)
+        _real(self.radial_exponent, "radial_exponent")
+        _real(self.overall_scale, "overall_scale")
         if 2.0 * self.radial_exponent + 2.0 <= -1.0:
             raise ValidationError(
                 "form factor is not square integrable on R^3: need "
@@ -121,8 +150,7 @@ class CouplingTerm:
     form_factor: FormFactor
 
     def __post_init__(self):
-        if not np.isfinite(self.strength):
-            raise ValidationError("coupling strength must be finite")
+        _real(self.strength, "coupling strength")
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(
@@ -153,12 +181,13 @@ class SystemSpec:
     beta: float
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError(f"dim must be >= 1, got {self.dim}")
+        dim = _integer(self.dim, "dim")
+        if dim < 1:
+            raise ValidationError(f"dim must be >= 1, got {dim}")
         e = np.asarray(self.energies, dtype=float)
-        if e.shape != (self.dim,):
+        if e.shape != (dim,):
             raise DimensionMismatch(
-                f"expected {self.dim} energies, got shape {e.shape}")
+                f"expected {dim} energies, got shape {e.shape}")
         if not np.all(np.isfinite(e)):
             raise ValidationError("energies must be finite")
         if not (self.beta > 0.0 and np.isfinite(self.beta)):
@@ -168,10 +197,11 @@ class SystemSpec:
             if not isinstance(c, CouplingTerm):
                 raise ValidationError(
                     "couplings must be CouplingTerm instances")
-            if c.dim != self.dim:
+            if c.dim != dim:
                 raise DimensionMismatch(
                     f"coupling matrix is {c.dim}x{c.dim} but the system "
-                    f"dimension is {self.dim}")
+                    f"dimension is {dim}")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "energies", _as_readonly(e))
         object.__setattr__(self, "couplings", cpl)
 
@@ -231,7 +261,7 @@ class RegisterSpec:
     beta: float
 
     def __post_init__(self):
-        n = self.n_qubits
+        n = _integer(self.n_qubits, "n_qubits")
         if n < 1:
             raise ValidationError(f"n_qubits must be >= 1, got {n}")
         J = np.asarray(self.J, dtype=float)
@@ -244,11 +274,11 @@ class RegisterSpec:
             raise ValidationError("J and B must be finite")
         if np.max(np.abs(J - J.T), initial=0.0) > HERMITICITY_TOL:
             raise ValidationError("J must be symmetric")
-        for name in ("lambda1", "lambda2"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+        _real(self.lambda1, "lambda1")
+        _real(self.lambda2, "lambda2")
         if not (self.beta > 0.0 and np.isfinite(self.beta)):
             raise NonPositiveBeta(f"beta must be > 0, got {self.beta!r}")
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "J", _as_readonly((J + J.T) / 2.0))
         object.__setattr__(self, "B", _as_readonly(B))
 

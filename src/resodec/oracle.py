@@ -50,17 +50,17 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse
 
-from .dynamics import Trajectory, _as_state_array, free_evolution, \
-    resonance_evolution
+from .dynamics import Trajectory, _as_state_array, _time_grid, \
+    free_evolution, resonance_evolution
 from .errors import (
-    DimensionMismatch,
     DimensionTooLarge,
     PoorFit,
     TruncationWarning,
     ValidationError,
     WeightMismatch,
 )
-from .model import FormFactor, RegisterSpec, SystemSpec, register_to_system
+from .model import FormFactor, RegisterSpec, SystemSpec, _integer, _real, \
+    register_to_system
 from .resonances import ZERO_RESONANCE_TOL, resonance_energies
 from .reservoir import _radial_moment, one_sided_density
 
@@ -129,13 +129,14 @@ class TruncatedBath:
         if coups.shape != freqs.shape or not np.all(np.isfinite(coups)):
             raise ValidationError("mode couplings must be finite and "
                                   "match the frequency grid")
-        if int(self.fock_cutoff) < 1:
+        cap = _integer(self.fock_cutoff, "fock_cutoff")
+        if cap < 1:
             raise ValidationError("fock_cutoff must be >= 1")
         if not (self.beta > 0.0):
             raise ValidationError("beta must be > 0")
         object.__setattr__(self, "mode_frequencies", freqs)
         object.__setattr__(self, "mode_couplings", coups)
-        object.__setattr__(self, "fock_cutoff", int(self.fock_cutoff))
+        object.__setattr__(self, "fock_cutoff", cap)
 
     @property
     def n_modes(self) -> int:
@@ -164,6 +165,7 @@ def discretize_bath(form_factor: FormFactor, beta: float, n_modes: int,
     reproduce the continuum integral of J over (0, omega_max], a closed
     form, within 1%, otherwise the resolution is refused.
     """
+    n_modes = _integer(n_modes, "n_modes")
     if n_modes < 1:
         raise ValidationError("n_modes must be >= 1")
     if not (omega_max > 0.0):
@@ -447,14 +449,11 @@ def exact_evolve(spec: SystemSpec, bath, rho0, times) -> Trajectory:
     ergodic mean is the empirical average over the second half of the
     time grid.
     """
-    rho0 = _as_state_array(rho0)
-    if rho0.shape != (spec.dim, spec.dim):
-        raise DimensionMismatch(
-            "initial state dimension does not match the system")
+    rho0 = _as_state_array(rho0, spec.dim)
     if not np.all(np.abs(rho0 - rho0.conj().T) <= 1e-10):
         raise ValidationError(
             "the initial matrix must be finite and Hermitian")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = _time_grid(times)
     active = _active_channels(spec, bath)
     if not active:
         return free_evolution(spec, rho0, times)
@@ -485,7 +484,7 @@ def dephasing_envelope(bath: TruncatedBath, g_m: float, g_n: float,
     levels.  The coherence itself is
     [rho_t]_{mn} = e^{i t (E_m - E_n)} F(t) [rho_0]_{mn}.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = _time_grid(times)
     omega = bath.mode_frequencies
     ratio = (bath.mode_couplings / math.sqrt(2.0) / omega) ** 2
     phase = np.outer(times, omega)
@@ -592,22 +591,20 @@ class VerifyConfig:
     horizon_factor: float = 5.0
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValidationError("n_modes must be >= 1")
-        if self.fock_cutoff < 1:
-            raise ValidationError("fock_cutoff must be >= 1")
-        if self.num_times < 20:
-            raise ValidationError("num_times must be >= 20")
+        for name, least in (("n_modes", 1), ("fock_cutoff", 1),
+                            ("num_times", 20)):
+            value = _integer(getattr(self, name), name)
+            if value < least:
+                raise ValidationError(f"{name} must be >= {least}")
+            object.__setattr__(self, name, value)
         for name in ("omega_max", "rate_tolerance", "horizon_factor"):
-            value = getattr(self, name)
-            if not (0.0 < value < math.inf):
+            value = _real(getattr(self, name), name)
+            if not value > 0.0:
                 raise ValidationError(
                     f"{name} must be positive and finite, got {value!r}")
-        lambdas = tuple(float(v) for v in self.lambdas)
+        lambdas = tuple(_real(v, "lambdas") for v in self.lambdas)
         if not lambdas:
             raise ValidationError("lambdas must hold at least one coupling")
-        if not all(map(math.isfinite, lambdas)):
-            raise ValidationError(f"lambdas must be finite, got {lambdas!r}")
         object.__setattr__(self, "lambdas", lambdas)
 
 
@@ -673,7 +670,7 @@ def verify(system, config: VerifyConfig = VerifyConfig(),
         vec = np.ones(n) / math.sqrt(n)
         rho0 = np.outer(vec, vec).astype(complex)
     else:
-        rho0 = _as_state_array(rho0)
+        rho0 = _as_state_array(rho0, n)
 
     checks = []
     try:

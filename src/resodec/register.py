@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _integer
 from .errors import BadConfiguration, RegisterTooLarge, \
     TooLargeForExhaustiveCheck, ValidationError
 from .model import (
@@ -44,6 +43,7 @@ from .model import (
     FormFactor,
     RegisterSpec,
     _check_configuration,
+    _integer,
     register_to_system,
     spin_configuration,
 )
@@ -60,6 +60,9 @@ __all__ = [
     "decoherence_rates",
     "scaling_study",
 ]
+
+#: field-draw seed of scaling_study, and the CLI's --seed default
+DEFAULT_SEED = 0xD1CE
 
 
 # =====================================================================
@@ -298,7 +301,7 @@ def _size_classes(spectrum: BohrSpectrum, sizes) -> BohrSpectrum:
 
 
 def scaling_study(template: RegisterTemplate, n_list,
-                  seed: int = 0xD1CE, attenuate: bool = False,
+                  seed: int = DEFAULT_SEED, attenuate: bool = False,
                   tol: float | None = None,
                   parallel: int | None = None) -> ScalingTable:
     """Decay-rate scaling with register size.

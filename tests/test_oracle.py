@@ -10,6 +10,7 @@ import scipy.integrate
 import scipy.linalg
 
 from resodec.errors import (
+    BadConfiguration,
     DimensionMismatch,
     DimensionTooLarge,
     PoorFit,
@@ -17,10 +18,13 @@ from resodec.errors import (
     ValidationError,
     WeightMismatch,
 )
-from resodec.model import FormFactor, build_system
+from resodec.model import FormFactor, RegisterSpec, build_system, \
+    register_to_system
 from resodec.dynamics import (
     Trajectory,
+    ergodic_mean,
     free_evolution,
+    resonance_evolution,
     single_qubit_closed_form,
     single_qubit_spec,
 )
@@ -47,6 +51,7 @@ from resodec.oracle import _scaled_spec, _thermofield_modes
 from conftest import REPO_ROOT
 
 FF = FormFactor(radial_exponent=0.5, decay_exponent=2)
+QUBIT = dict(a=0.2, b=-0.4, c=0.7, delta=1.0, g=FF, beta=1.0, lam=0.01)
 
 
 def plus_state(n=2):
@@ -149,6 +154,50 @@ def test_argument_checks_raise_validation_error():
     with pytest.raises(DimensionMismatch, match="2x2"):
         single_qubit_closed_form(**qubit, rho0=np.eye(3) / 3.0,
                                  times=[0.0])
+
+
+@pytest.mark.parametrize("evolve, takes_grid", [
+    (free_evolution, True),
+    (resonance_evolution, True),
+    (lambda spec, rho0, times: ergodic_mean(spec, rho0), False),
+    (lambda spec, rho0, times: single_qubit_closed_form(
+        **QUBIT, rho0=rho0, times=times), True),
+    (lambda spec, rho0, times: exact_evolve(spec, tiny_bath(), rho0, times),
+     True),
+], ids=["free_evolution", "resonance_evolution", "ergodic_mean",
+        "single_qubit_closed_form", "exact_evolve"])
+def test_entry_points_check_initial_state_and_time_grid(evolve, takes_grid):
+    # a 3x3 state on a qubit used to give its 2x2 corner or numpy's
+    # broadcast error, and a non-finite grid NaN states or an
+    # OverflowError: the CLI would report those as bugs (exit 4)
+    spec = single_qubit_spec(**QUBIT)
+    with pytest.raises(DimensionMismatch, match="initial state"):
+        evolve(spec, np.eye(3) / 3.0, [0.0])
+    if takes_grid:
+        for times in ([0.0, np.nan], [0.0, np.inf], [[0.0, 1.0]]):
+            with pytest.raises(ValidationError, match="times"):
+                evolve(spec, plus_state(), times)
+
+
+def test_value_types_store_integers_through_the_checked_conversion():
+    # a fractional size used to be truncated (cap 2, 201 modes) and True
+    # read as m = 1; an integral float was stored as a float and failed
+    # later inside numpy
+    for make in (
+            lambda: TruncatedBath(mode_frequencies=np.array([1.0]),
+                                  mode_couplings=np.array([0.1]),
+                                  fock_cutoff=2.7, beta=1.0),
+            lambda: discretize_bath(FF, 1.0, 200.5, 3.0, 2),
+            lambda: FormFactor(radial_exponent=0.5, decay_exponent=True)):
+        with pytest.raises(BadConfiguration, match="must be an integer"):
+            make()
+    config = VerifyConfig(num_times=161.0, lambdas=(0.0,))
+    assert type(config.num_times) is int
+    assert verify(single_qubit_spec(**QUBIT), config).passed
+    reg = RegisterSpec(n_qubits=2.0, J=np.zeros((2, 2)), B=[0.5, 0.61],
+                       lambda1=0.01, lambda2=0.01, g1=FF, g2=FF, beta=1.0)
+    assert type(reg.n_qubits) is int
+    assert register_to_system(reg).dim == 4
 
 
 def test_bath_thermal_quantities():

@@ -1,0 +1,42 @@
+"""Package structure: deferred imports and the version literal."""
+
+import ast
+
+import pytest
+
+import resodec
+
+from conftest import REPO_ROOT
+
+PACKAGE = REPO_ROOT / "src" / "resodec"
+
+
+def test_package_modules_import_each_other_at_module_level():
+    # a function-local import hides a cycle in the import graph; only
+    # the oracle (scipy) is deferred, so that the commands other than
+    # verify start without it
+    deferred = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                module = node.module or ""
+                if node.level == 0:
+                    if module.split(".")[0] != "resodec":
+                        continue
+                    module = module.partition(".")[2]
+                if module != "oracle":
+                    deferred.add(f"{path.name}:{node.lineno} {module}")
+    assert sorted(deferred) == []
+
+
+def test_pyproject_version_is_the_package_version():
+    # every CSV's "# version:" line prints resodec.__version__
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project["version"] == resodec.__version__
