@@ -57,7 +57,8 @@ class DimensionMismatch(ValidationError):
 
 
 class NonPositiveBeta(ValidationError):
-    """Inverse temperature must be strictly positive."""
+    """An inverse temperature is not a finite number > 0: zero, a
+    negative value, infinity, NaN, a string, a boolean or None."""
 
 
 class BadConfiguration(ValidationError):

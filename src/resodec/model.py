@@ -79,10 +79,15 @@ def _integer(value, context: str) -> int:
     raise BadConfiguration(f"{context} must be an integer, got {value!r}")
 
 
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+_FLOAT_MAX = sys.float_info.max
+
+
 def _is_real(value) -> bool:
     """A number, not a boolean, that a finite float holds."""
-    return isinstance(value, (int, float, np.integer, np.floating)) \
-        and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    # a float first: xi checks two on each of its many calls
+    return (type(value) is float or isinstance(value, _NUMBER_TYPES)
+            and not isinstance(value, bool)) and abs(value) <= _FLOAT_MAX
 
 
 def _real(value, context: str) -> float:
@@ -91,6 +96,24 @@ def _real(value, context: str) -> float:
     if not _is_real(value):
         raise BadConfiguration(
             f"{context} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive(value, context: str) -> float:
+    """A finite number > 0 as a float; anything else raises
+    ValidationError."""
+    if not (_is_real(value) and value > 0):
+        raise ValidationError(
+            f"{context} must be finite and > 0, got {value!r}")
+    return float(value)
+
+
+def _beta(value) -> float:
+    """An inverse temperature: a finite number > 0, as a float.  Anything
+    else, infinity included, raises NonPositiveBeta; this is the one
+    place that decides a beta."""
+    if not (_is_real(value) and value > 0):
+        raise NonPositiveBeta(f"beta must be finite and > 0, got {value!r}")
     return float(value)
 
 
@@ -137,6 +160,13 @@ class FormFactor:
         return self.overall_scale == 0.0
 
 
+def _form_factor(value, context: str) -> None:
+    """Refuse a form-factor field that holds anything but a FormFactor."""
+    if not isinstance(value, FormFactor):
+        raise ValidationError(
+            f"{context} must be a FormFactor, got {value!r}")
+
+
 # =====================================================================
 # Coupling terms and system specifications
 # =====================================================================
@@ -151,6 +181,7 @@ class CouplingTerm:
 
     def __post_init__(self):
         _real(self.strength, "coupling strength")
+        _form_factor(self.form_factor, "form_factor")
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(
@@ -190,8 +221,7 @@ class SystemSpec:
                 f"expected {dim} energies, got shape {e.shape}")
         if not np.all(np.isfinite(e)):
             raise ValidationError("energies must be finite")
-        if not (self.beta > 0.0 and np.isfinite(self.beta)):
-            raise NonPositiveBeta(f"beta must be > 0, got {self.beta!r}")
+        _beta(self.beta)
         cpl = tuple(self.couplings)
         for c in cpl:
             if not isinstance(c, CouplingTerm):
@@ -221,10 +251,11 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        dim = _integer(self.dim, "dim")
         m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (self.dim, self.dim):
+        if m.shape != (dim, dim):
             raise DimensionMismatch(
-                f"expected shape ({self.dim}, {self.dim}), got {m.shape}")
+                f"expected shape ({dim}, {dim}), got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValidationError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
@@ -237,11 +268,15 @@ class DensityMatrix:
         if ev.min() < -1e-10:
             raise ValidationError(
                 f"density matrix has negative eigenvalue {ev.min():.3e}")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", _as_readonly(m))
 
     @classmethod
     def from_array(cls, entries) -> "DensityMatrix":
         entries = np.asarray(entries, dtype=complex)
+        if entries.ndim != 2:
+            raise DimensionMismatch(
+                f"a density matrix is 2-d, got shape {entries.shape}")
         return cls(dim=entries.shape[0], entries=entries)
 
 
@@ -276,8 +311,9 @@ class RegisterSpec:
             raise ValidationError("J must be symmetric")
         _real(self.lambda1, "lambda1")
         _real(self.lambda2, "lambda2")
-        if not (self.beta > 0.0 and np.isfinite(self.beta)):
-            raise NonPositiveBeta(f"beta must be > 0, got {self.beta!r}")
+        _form_factor(self.g1, "g1")
+        _form_factor(self.g2, "g2")
+        _beta(self.beta)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "J", _as_readonly((J + J.T) / 2.0))
         object.__setattr__(self, "B", _as_readonly(B))
@@ -301,10 +337,11 @@ def build_system(energies, couplings, beta) -> SystemSpec:
             terms.append(c)
         else:
             strength, matrix, ff = c
-            terms.append(CouplingTerm(strength=float(strength),
-                                      matrix=matrix, form_factor=ff))
+            terms.append(CouplingTerm(
+                strength=_real(strength, "coupling strength"),
+                matrix=matrix, form_factor=ff))
     return SystemSpec(dim=len(energies), energies=energies,
-                      couplings=tuple(terms), beta=float(beta))
+                      couplings=tuple(terms), beta=_beta(beta))
 
 
 def spin_configuration(index, n: int) -> np.ndarray:

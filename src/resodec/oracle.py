@@ -59,8 +59,8 @@ from .errors import (
     ValidationError,
     WeightMismatch,
 )
-from .model import FormFactor, RegisterSpec, SystemSpec, _integer, _real, \
-    register_to_system
+from .model import FormFactor, RegisterSpec, SystemSpec, _beta, _integer, \
+    _positive, _real, register_to_system
 from .resonances import ZERO_RESONANCE_TOL, resonance_energies
 from .reservoir import _radial_moment, one_sided_density
 
@@ -110,7 +110,9 @@ class TruncatedBath:
 
     ``mode_couplings[k]`` is kappa_k, the square root of the spectral
     weight carried by mode k; the interaction amplitude of the mode is
-    kappa_k / sqrt(2) through its position quadrature.
+    kappa_k / sqrt(2) through its position quadrature.  ``beta`` is
+    finite and > 0, as everywhere in the package: a zero-temperature
+    bath (beta = infinity) raises NonPositiveBeta.
     """
 
     mode_frequencies: np.ndarray
@@ -132,8 +134,7 @@ class TruncatedBath:
         cap = _integer(self.fock_cutoff, "fock_cutoff")
         if cap < 1:
             raise ValidationError("fock_cutoff must be >= 1")
-        if not (self.beta > 0.0):
-            raise ValidationError("beta must be > 0")
+        _beta(self.beta)
         object.__setattr__(self, "mode_frequencies", freqs)
         object.__setattr__(self, "mode_couplings", coups)
         object.__setattr__(self, "fock_cutoff", cap)
@@ -168,8 +169,7 @@ def discretize_bath(form_factor: FormFactor, beta: float, n_modes: int,
     n_modes = _integer(n_modes, "n_modes")
     if n_modes < 1:
         raise ValidationError("n_modes must be >= 1")
-    if not (omega_max > 0.0):
-        raise ValidationError("omega_max must be > 0")
+    _positive(omega_max, "omega_max")
     step = omega_max / n_modes
     freqs = (np.arange(n_modes) + 0.5) * step
     weights = one_sided_density(form_factor, freqs) * step
@@ -598,10 +598,7 @@ class VerifyConfig:
                 raise ValidationError(f"{name} must be >= {least}")
             object.__setattr__(self, name, value)
         for name in ("omega_max", "rate_tolerance", "horizon_factor"):
-            value = _real(getattr(self, name), name)
-            if not value > 0.0:
-                raise ValidationError(
-                    f"{name} must be positive and finite, got {value!r}")
+            _positive(getattr(self, name), name)
         lambdas = tuple(_real(v, "lambdas") for v in self.lambdas)
         if not lambdas:
             raise ValidationError("lambdas must hold at least one coupling")

@@ -42,8 +42,12 @@ from .model import (
     MAX_QUBITS,
     FormFactor,
     RegisterSpec,
+    _beta,
     _check_configuration,
+    _form_factor,
     _integer,
+    _is_real,
+    _real,
     register_to_system,
     spin_configuration,
 )
@@ -235,8 +239,13 @@ class RegisterTemplate:
     b_interval: tuple = (0.45, 0.55)
 
     def __post_init__(self):
+        _real(self.lambda1, "lambda1")
+        _real(self.lambda2, "lambda2")
+        _form_factor(self.g1, "g1")
+        _form_factor(self.g2, "g2")
+        _beta(self.beta)
         interval = tuple(self.b_interval)
-        if not (len(interval) == 2 and np.all(np.isfinite(interval))
+        if not (len(interval) == 2 and all(map(_is_real, interval))
                 and interval[0] < interval[1]):
             raise ValidationError("b_interval must be a finite (low, high) "
                                   "pair with low < high")

@@ -44,7 +44,7 @@ from .errors import (
     QuadratureNotConverged,
     ValidationError,
 )
-from .model import FormFactor
+from .model import FormFactor, _beta, _form_factor, _positive, _real
 
 __all__ = [
     "ThermalFormFactor",
@@ -88,10 +88,9 @@ class ThermalFormFactor:
     chi: float = 0.0
 
     def __post_init__(self):
-        if not (self.beta > 0.0 and np.isfinite(self.beta)):
-            raise ValidationError(f"beta must be > 0, got {self.beta!r}")
-        if not np.isfinite(self.chi):
-            raise ValidationError("chi must be finite")
+        _form_factor(self.base, "base")
+        _beta(self.beta)
+        _real(self.chi, "chi")
 
 
 @dataclass(frozen=True)
@@ -138,9 +137,12 @@ def xi(base: FormFactor, beta: float, eta: float) -> float:
     eta > 0: eta^2 * coth(beta*eta/2) * S(eta).
     eta = 0: the eta -> 0+ limit — 0 for p > -1/2, the finite value
     (2/beta) * 4*pi*scale^2 for p = -1/2, divergent otherwise.
+
+    beta must be finite and > 0 (NonPositiveBeta otherwise, infinity
+    included), and eta a finite number >= 0 (ValidationError).
     """
-    if not (beta > 0.0):
-        raise ValidationError(f"beta must be > 0, got {beta!r}")
+    _beta(beta)
+    eta = _real(eta, "eta")
     if eta < 0.0:
         raise ValidationError(f"eta must be >= 0, got {eta!r}")
     if base.is_zero:
@@ -153,7 +155,6 @@ def xi(base: FormFactor, beta: float, eta: float) -> float:
             return (2.0 / beta) * _FOUR_PI * base.overall_scale ** 2
         raise InfraredDivergent(
             f"xi(0) diverges for radial exponent p = {p} < -1/2")
-    eta = float(eta)
     return eta * eta * _square_scalar(base, eta) / math.tanh(beta * eta / 2.0)
 
 
@@ -165,11 +166,10 @@ def xi_lorentzian_check(base: FormFactor, beta: float, eta: float,
     Used only as a quadrature cross-check oracle for ``xi``; converges
     to xi(eta) as epsilon decreases.
     """
-    if not (math.isfinite(eta) and eta >= 0.0):
-        raise ValidationError(f"eta must be finite and >= 0, got {eta!r}")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValidationError(
-            f"epsilon must be finite and > 0, got {epsilon!r}")
+    _beta(beta)
+    if _real(eta, "eta") < 0.0:
+        raise ValidationError(f"eta must be >= 0, got {eta!r}")
+    _positive(epsilon, "epsilon")
     if base.is_zero:
         return 0.0
 
@@ -340,6 +340,7 @@ def pv_energy_shift(base: FormFactor, beta: float, Delta: float) -> float:
     The integrand is the even extension Xi(u) = xi(|u|); any |c|^2/2
     style prefactor is the caller's business.  Finite for p > -1.
     """
+    _beta(beta)
     if base.is_zero:
         return 0.0
     if base.radial_exponent <= -1.0:

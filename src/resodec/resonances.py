@@ -38,12 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AmbiguousClustering,
-    DefectiveLevelShift,
-    ValidationError,
-)
-from .model import SystemSpec
+from .errors import AmbiguousClustering, DefectiveLevelShift
+from .model import SystemSpec, _positive
 from .reservoir import _half_line_transforms, thermal_spectral_density
 
 __all__ = [
@@ -106,8 +102,7 @@ def bohr_spectrum(spec: SystemSpec, tol: float | None = None) -> BohrSpectrum:
     """
     if tol is None:
         tol = default_cluster_tolerance(spec.energies)
-    if not 0.0 < tol < np.inf:
-        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
+    _positive(tol, "tol")
     n = spec.dim
     e_vals = spec.energies
     diffs = (e_vals[:, None] - e_vals[None, :]).ravel()

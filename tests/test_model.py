@@ -1,9 +1,13 @@
 """System and register model validation."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 from resodec.errors import (
+    BadConfiguration,
     DimensionMismatch,
     NonHermitianCoupling,
     NonPositiveBeta,
@@ -25,6 +29,15 @@ from resodec.model import (
     register_to_system,
     spin_configuration,
 )
+from resodec.oracle import TruncatedBath, VerifyConfig, discretize_bath
+from resodec.register import RegisterTemplate
+from resodec.reservoir import (
+    ThermalFormFactor,
+    pv_energy_shift,
+    xi,
+    xi_lorentzian_check,
+)
+from resodec.resonances import bohr_spectrum
 
 RNG = np.random.default_rng(20240817)
 
@@ -254,3 +267,121 @@ def test_gibbs_state_matches_boltzmann_weights():
     w /= w.sum()
     assert np.allclose(np.diag(rho.entries).real, w, rtol=0.0, atol=1e-14)
     assert np.isclose(np.trace(rho.entries).real, 1.0)
+
+
+# =====================================================================
+# One checked conversion for beta and for positive scales
+# =====================================================================
+
+FF = FormFactor(radial_exponent=0.5, decay_exponent=2)
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+#: every public entry point that takes an inverse temperature
+BETA_SITES = {
+    "SystemSpec": lambda b: SystemSpec(dim=1, energies=[0.0], couplings=(),
+                                       beta=b),
+    "build_system": lambda b: build_system([0.0, 1.0], [(0.1, SX, FF)], b),
+    "RegisterSpec": lambda b: make_register(2, beta=b),
+    "RegisterTemplate": lambda b: RegisterTemplate(0.01, 0.02, FF, FF, b),
+    "ThermalFormFactor": lambda b: ThermalFormFactor(FF, b),
+    "TruncatedBath": lambda b: TruncatedBath([1.0], [0.1], 1, b),
+    "xi": lambda b: xi(FF, b, 0.5),
+    "pv_energy_shift": lambda b: pv_energy_shift(FF, b, 0.7),
+}
+
+
+@pytest.mark.parametrize("beta", ["1", True, None, math.nan, math.inf,
+                                  0.0, -1.0], ids=repr)
+@pytest.mark.parametrize("site", sorted(BETA_SITES))
+def test_beta_is_finite_and_positive_at_every_site(site, beta):
+    # a zero-temperature bath is refused like any other beta that is
+    # not a finite number > 0; a string or boolean is never read as one
+    with pytest.raises(NonPositiveBeta, match="beta must be finite and > 0"):
+        BETA_SITES[site](beta)
+
+
+def test_scales_reals_and_form_factor_fields_are_checked():
+    spec = build_system([0.0, 1.0], [(0.1, SX, FF)], beta=1.0)
+    half = np.eye(2) / 2.0
+    cases = [
+        # positive scales
+        *[(f"tol={v!r}", ValidationError, "tol must be finite and > 0",
+           lambda v=v: bohr_spectrum(spec, v))
+          for v in ("1e-9", True, math.nan, math.inf, 0.0, -1e-9)],
+        *[(f"omega_max={v!r}", ValidationError,
+           "omega_max must be finite and > 0",
+           lambda v=v: discretize_bath(FF, 1.0, 10, v, 2))
+          for v in ("3", True, math.nan, math.inf, 0.0, -3.0)],
+        *[(f"epsilon={v!r}", ValidationError,
+           "epsilon must be finite and > 0",
+           lambda v=v: xi_lorentzian_check(FF, 1.0, 0.5, v))
+          for v in ("0.1", True, math.nan, math.inf, 0.0)],
+        *[(f"VerifyConfig.{name}={v!r}", ValidationError,
+           f"{name} must be finite and > 0",
+           lambda name=name, v=v: VerifyConfig(**{name: v}))
+          for name in ("omega_max", "rate_tolerance", "horizon_factor")
+          for v in ("1", True, None)],
+        # reals
+        *[(f"RegisterTemplate.{name}={v!r}", ValidationError, name,
+           lambda name=name, v=v: RegisterTemplate(
+               **{**dict(lambda1=0.01, lambda2=0.02, g1=FF, g2=FF,
+                         beta=1.0), name: v}))
+          for name in ("lambda1", "lambda2")
+          for v in ("0.01", True, None, math.nan)],
+        *[(f"b_interval={v!r}", ValidationError,
+           r"b_interval must be a finite \(low, high\) pair",
+           lambda v=v: RegisterTemplate(0.01, 0.02, FF, FF, 1.0,
+                                        b_interval=v))
+          for v in (("a", "b"), (0.45, True), (None, 0.55),
+                    (0.45, math.nan))],
+        *[(f"chi={v!r}", ValidationError, "chi",
+           lambda v=v: ThermalFormFactor(FF, 1.0, chi=v))
+          for v in ("0", True, None, math.inf)],
+        *[(f"xi eta={v!r}", ValidationError, "eta",
+           lambda v=v: xi(FF, 1.0, v))
+          for v in ("0.5", True, None, math.nan, math.inf, -0.5)],
+        *[(f"xi_lorentzian_check eta={v!r}", ValidationError, "eta",
+           lambda v=v: xi_lorentzian_check(FF, 1.0, v, 0.1))
+          for v in ("0.5", True, math.nan, math.inf, -0.5)],
+        ("build_system strength='0.1'", ValidationError, "strength",
+         lambda: build_system([0.0, 1.0], [("0.1", SX, FF)], 1.0)),
+        # DensityMatrix: dim is an integer, entries are 2-d
+        ("from_array(1.0)", DimensionMismatch, "2-d",
+         lambda: DensityMatrix.from_array(1.0)),
+        ("from_array([0.5, 0.5])", DimensionMismatch, "2-d",
+         lambda: DensityMatrix.from_array([0.5, 0.5])),
+        *[(f"DensityMatrix dim={v!r}", BadConfiguration,
+           "dim must be an integer", lambda v=v: DensityMatrix(v, half))
+          for v in (True, 2.5, "2")],
+        # form-factor fields hold FormFactors
+        ("CouplingTerm form_factor=None", ValidationError,
+         "form_factor must be a FormFactor",
+         lambda: CouplingTerm(0.1, SX, None)),
+        ("RegisterSpec g1='x'", ValidationError, "g1 must be a FormFactor",
+         lambda: make_register(2, g1="x")),
+        ("RegisterSpec g2=None", ValidationError, "g2 must be a FormFactor",
+         lambda: make_register(2, g2=None)),
+        ("RegisterTemplate g1='x'", ValidationError,
+         "g1 must be a FormFactor",
+         lambda: RegisterTemplate(0.01, 0.02, "x", FF, 1.0)),
+        ("RegisterTemplate g2=(0.5, 2)", ValidationError,
+         "g2 must be a FormFactor",
+         lambda: RegisterTemplate(0.01, 0.02, FF, (0.5, 2), 1.0)),
+        ("ThermalFormFactor base=None", ValidationError,
+         "base must be a FormFactor", lambda: ThermalFormFactor(None, 1.0)),
+    ]
+    wrong = []
+    for label, error, match, call in cases:
+        try:
+            call()
+        except error as exc:
+            if not re.search(match, str(exc)):
+                wrong.append(f"{label}: message {str(exc)!r}")
+        except Exception as exc:
+            wrong.append(f"{label}: {type(exc).__name__}: {exc}")
+        else:
+            wrong.append(f"{label}: accepted")
+    assert wrong == []
+    # an integral float is stored as the int it names
+    rho = DensityMatrix(dim=2.0, entries=half)
+    assert rho.dim == 2 and type(rho.dim) is int

@@ -1,4 +1,5 @@
-"""Package structure: deferred imports and the version literal."""
+"""Package structure: deferred imports, the one beta comparison and the
+version literal."""
 
 import ast
 
@@ -32,6 +33,23 @@ def test_package_modules_import_each_other_at_module_level():
                 if module != "oracle":
                     deferred.add(f"{path.name}:{node.lineno} {module}")
     assert sorted(deferred) == []
+
+
+def test_beta_is_compared_only_in_its_checked_conversion():
+    # model._beta decides every inverse temperature; a comparison that
+    # names beta anywhere else is a second policy beside it
+    def names_beta(node):
+        return isinstance(node, ast.Name) and node.id == "beta" \
+            or isinstance(node, ast.Attribute) and node.attr == "beta"
+
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) \
+                    and any(map(names_beta, [node.left, *node.comparators])):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
 
 
 def test_pyproject_version_is_the_package_version():
