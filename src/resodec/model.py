@@ -21,7 +21,7 @@ threads; every operation here is pure.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,8 +86,13 @@ _FLOAT_MAX = sys.float_info.max
 def _is_real(value) -> bool:
     """A number, not a boolean, that a finite float holds."""
     # a float first: xi checks two on each of its many calls
-    return (type(value) is float or isinstance(value, _NUMBER_TYPES)
-            and not isinstance(value, bool)) and abs(value) <= _FLOAT_MAX
+    if type(value) is float:
+        return abs(value) <= _FLOAT_MAX
+    if isinstance(value, np.floating):
+        # as a float: numpy would cast the bound to a narrower type
+        value = float(value)
+    return isinstance(value, _NUMBER_TYPES) and not isinstance(value, bool) \
+        and abs(value) <= _FLOAT_MAX
 
 
 def _real(value, context: str) -> float:

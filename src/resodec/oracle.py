@@ -599,10 +599,12 @@ class VerifyConfig:
             object.__setattr__(self, name, value)
         for name in ("omega_max", "rate_tolerance", "horizon_factor"):
             _positive(getattr(self, name), name)
-        lambdas = tuple(_real(v, "lambdas") for v in self.lambdas)
+        lambdas = tuple(self.lambdas) if np.iterable(self.lambdas) else ()
         if not lambdas:
-            raise ValidationError("lambdas must hold at least one coupling")
-        object.__setattr__(self, "lambdas", lambdas)
+            raise ValidationError("lambdas must be a nonempty sequence of "
+                                  f"couplings, got {self.lambdas!r}")
+        object.__setattr__(self, "lambdas",
+                           tuple(_real(v, "lambdas") for v in lambdas))
 
 
 @dataclass(frozen=True)
@@ -705,7 +707,7 @@ def verify(system, config: VerifyConfig = VerifyConfig(),
             name=f"{tag}:trajectory", deviation=dev, tolerance=tol,
             passed=dev <= tol))
 
-        if lam > 0.0:
+        if lam != 0.0:
             gamma_of = np.zeros((n, n))
             for r in resonances:
                 gamma_of[r.pairs[:, 0], r.pairs[:, 1]] = r.gamma

@@ -244,7 +244,8 @@ class RegisterTemplate:
         _form_factor(self.g1, "g1")
         _form_factor(self.g2, "g2")
         _beta(self.beta)
-        interval = tuple(self.b_interval)
+        interval = tuple(self.b_interval) if np.iterable(self.b_interval) \
+            else ()
         if not (len(interval) == 2 and all(map(_is_real, interval))
                 and interval[0] < interval[1]):
             raise ValidationError("b_interval must be a finite (low, high) "

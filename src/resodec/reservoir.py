@@ -18,9 +18,9 @@ For a form factor ``g`` (see model.FormFactor) at inverse temperature
   with ``s`` the principal-value Hilbert-type transform of ``D``; this
   is the one-sided reservoir correlation transform from which level
   shifts are assembled.
-* ``glued_form_factor`` / ``check_condition_A`` — the positive- and
-  negative-frequency gluing of the form factor at temperature beta and
-  the exact decision whether it is analytic at frequency zero.
+* ``check_condition_A`` — the exact decision of Condition (A), whether
+  the form factor glued across frequency zero is analytic there; it
+  reads only the radial and decay exponents p and m.
 
 Everything is a pure function of immutable inputs.  Importing this
 module costs numpy alone: ``xi_lorentzian_check`` integrates with the
@@ -44,12 +44,10 @@ from .errors import (
     QuadratureNotConverged,
     ValidationError,
 )
-from .model import FormFactor, _beta, _form_factor, _positive, _real
+from .model import FormFactor, _beta, _positive, _real
 
 __all__ = [
-    "ThermalFormFactor",
     "ConditionAReport",
-    "glued_form_factor",
     "check_condition_A",
     "angular_square",
     "xi",
@@ -72,36 +70,6 @@ _PV_TOL = 1e-8
 #: first step of the principal-value rules, and the steps tried in all
 _DE_STEP, _DE_LEVELS = 1.0 / 32.0, 4
 _PV_BLOCK = 512
-
-
-# =====================================================================
-# Data types
-# =====================================================================
-
-@dataclass(frozen=True)
-class ThermalFormFactor:
-    """A form factor glued across frequency zero at inverse temperature
-    beta with gluing phase chi."""
-
-    base: FormFactor
-    beta: float
-    chi: float = 0.0
-
-    def __post_init__(self):
-        _form_factor(self.base, "base")
-        _beta(self.beta)
-        _real(self.chi, "chi")
-
-
-@dataclass(frozen=True)
-class ConditionAReport:
-    """Result of the frequency-zero analyticity decision: the lowest
-    one-sided derivative order that no gluing phase matches (None when
-    the glued form factor is analytic), and the best phase."""
-
-    passed: bool
-    best_chi: float
-    mismatch_order: int | None
 
 
 # =====================================================================
@@ -372,81 +340,54 @@ def half_line_transform(base: FormFactor, beta: float,
 
 
 # =====================================================================
-# Glued form factor and Condition (A)
+# Condition (A)
 # =====================================================================
 
-def _glue_prefactor(beta: float, u) -> float:
-    """sqrt(u / (1 - exp(-beta*u))), stable through u = 0."""
-    bu = beta * np.asarray(u, dtype=float)
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(np.abs(bu) < 1e-8,
-                         (1.0 + bu / 2.0 + bu * bu / 12.0) / beta,
-                         np.asarray(u) / -np.expm1(-bu))
-    return np.sqrt(ratio)
+@dataclass(frozen=True)
+class ConditionAReport:
+    """Result of the frequency-zero analyticity decision: the lowest
+    one-sided derivative order that no gluing phase matches (None when
+    the glued form factor is analytic), and the phase that matches the
+    orders below it (None when every phase does the same)."""
+
+    passed: bool
+    best_chi: float | None
+    mismatch_order: int | None
 
 
-def glued_form_factor(tf: ThermalFormFactor, u: float) -> complex:
-    """The two-sided (emission/absorption) form factor at temperature
-    beta:
+def check_condition_A(ff: FormFactor) -> ConditionAReport:
+    """Decide Condition (A): is the form factor, glued across frequency
+    zero, analytic there for some gluing phase chi?
 
-        sqrt(u / (1 - e^(-beta u))) * |u|^(1/2) *
-            { g(u)                   for u >= 0,
-              -e^(i chi) * conj(g)(-u) for u < 0 }
-
-    (isotropic: g has no angular argument).  At u = 0 the u -> 0+
-    limit is returned: 0 for p > -1/2, scale/sqrt(beta) for
-    p = -1/2 (the two-sided limit then exists only for the smoothly
-    gluing chi, which is check_condition_A's concern), divergent below.
+    At inverse temperature beta the glued form factor is
+    sqrt(u / (1 - e^(-beta u))) |u|^(1/2) times g(u) for u >= 0 and
+    -e^(i chi) conj(g)(-u) for u < 0.  The thermal prefactor
+    sqrt(u / (1 - e^(-beta u))) is analytic and positive near u = 0,
+    so only the real branch V(s) = A s^q e^(-s^m), q = p + 1/2,
+    matters: V(u) on the right, -e^(i chi) V(-u) on the left.  The
+    right branch continues analytically through 0 exactly when q is a
+    non-negative integer (within 1e-12), to A u^q e^(-u^m); on the left
+    that reads A (-1)^q |u|^q e^(-(-1)^m |u|^m).  With m = 2 both sides
+    agree for e^(i chi) = (-1)^(q+1) (chi = pi for even q, 0 for odd
+    q): PASS.  With m = 1 that chi matches orders up to q, and the
+    one-sided derivatives of order q + 1 differ.  A non-integer q >= 0
+    first fails at order ceil(q), where the right branch's derivative
+    diverges, and q < 0 fails at order 0.  ``mismatch_order`` is the
+    lowest one-sided derivative order that no chi matches (None on a
+    PASS); ``best_chi`` is the chi that matches the orders below it,
+    and None where every chi does the same (a non-integer q, q < 0 and
+    the zero form factor).  The decision reads only p and m, so it is
+    exact, the same at every beta, and no frequency window enters.
     """
-    base, beta = tf.base, tf.beta
-    if base.is_zero:
-        return 0.0 + 0.0j
-    p = base.radial_exponent
-    if u == 0.0:
-        if p > IR_CRITICAL + 1e-12:
-            return 0.0 + 0.0j
-        if abs(p - IR_CRITICAL) <= 1e-12:
-            return complex(base.overall_scale / np.sqrt(beta))
-        raise InfraredDivergent(
-            f"glued form factor diverges at u=0 for p = {p} < -1/2")
-    pref = float(_glue_prefactor(beta, u)) * np.sqrt(abs(u))
-    if u > 0.0:
-        return complex(pref * float(base.radial(u)))
-    return complex(-np.exp(1j * tf.chi)
-                   * pref * np.conj(float(base.radial(-u))))
-
-
-def check_condition_A(tf: ThermalFormFactor) -> ConditionAReport:
-    """Decide Condition (A): is the glued form factor analytic at
-    frequency zero for some gluing phase chi?
-
-    The thermal prefactor sqrt(u / (1 - e^(-beta u))) is analytic and
-    positive near u = 0, so only the real branch V(s) = A s^q e^(-s^m),
-    q = p + 1/2, matters: V(u) on the right, -e^(i chi) V(-u) on the
-    left.  The right branch continues analytically through 0 exactly
-    when q is a non-negative integer (within 1e-12), to A u^q e^(-u^m);
-    on the left that reads A (-1)^q |u|^q e^(-(-1)^m |u|^m).  With
-    m = 2 both sides agree for e^(i chi) = (-1)^(q+1) (chi = pi for
-    even q, 0 for odd q): PASS.  With m = 1 that chi matches orders up
-    to q, and the one-sided derivatives of order q + 1 differ.  A
-    non-integer q >= 0 first fails at order ceil(q), where the right
-    branch's derivative diverges, and q < 0 fails at order 0.
-    ``mismatch_order`` is the lowest one-sided derivative order that no
-    chi matches (None on a PASS); ``best_chi`` is the chi that matches
-    the orders below it, and ``tf.chi`` when every chi does.  The
-    decision is exact and the same at every beta, so no frequency
-    window enters.
-    """
-    if tf.base.is_zero:
-        return ConditionAReport(passed=True, best_chi=tf.chi,
+    if ff.is_zero:
+        return ConditionAReport(passed=True, best_chi=None,
                                 mismatch_order=None)
-    q = tf.base.radial_exponent + 0.5
+    q = ff.radial_exponent + 0.5
     k = round(q)
     if abs(q - k) > 1e-12 or k < 0:
-        order, chi = max(math.ceil(q), 0), tf.chi
+        order, chi = max(math.ceil(q), 0), None
     else:
-        order = None if tf.base.decay_exponent == 2 else k + 1
+        order = None if ff.decay_exponent == 2 else k + 1
         chi = np.pi if k % 2 == 0 else 0.0
     return ConditionAReport(passed=order is None, best_chi=chi,
                             mismatch_order=order)
-

@@ -355,12 +355,11 @@ def test_closed_form_reservoir_diagnostics_load_no_scipy_or_mpmath():
     # the Lorentzian check integrates with the package's QUADPACK port
     probe = ("import sys; "
              "from resodec.model import FormFactor; "
-             "from resodec.reservoir import ThermalFormFactor, "
-             "check_condition_A, mean_inverse_frequency, "
-             "xi_lorentzian_check; "
+             "from resodec.reservoir import check_condition_A, "
+             "mean_inverse_frequency, xi_lorentzian_check; "
              "ff = FormFactor(radial_exponent=0.5, decay_exponent=2); "
-             "print(check_condition_A(ThermalFormFactor(base=ff, beta=1.0))"
-             ".passed, mean_inverse_frequency(ff) > 0.0, "
+             "print(check_condition_A(ff).passed, "
+             "mean_inverse_frequency(ff) > 0.0, "
              "xi_lorentzian_check(ff, 2.0, 1.1, 1e-3) > 0.0); "
              "print(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('scipy', 'mpmath')))")

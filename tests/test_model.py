@@ -31,12 +31,7 @@ from resodec.model import (
 )
 from resodec.oracle import TruncatedBath, VerifyConfig, discretize_bath
 from resodec.register import RegisterTemplate
-from resodec.reservoir import (
-    ThermalFormFactor,
-    pv_energy_shift,
-    xi,
-    xi_lorentzian_check,
-)
+from resodec.reservoir import pv_energy_shift, xi, xi_lorentzian_check
 from resodec.resonances import bohr_spectrum
 
 RNG = np.random.default_rng(20240817)
@@ -283,7 +278,6 @@ BETA_SITES = {
     "build_system": lambda b: build_system([0.0, 1.0], [(0.1, SX, FF)], b),
     "RegisterSpec": lambda b: make_register(2, beta=b),
     "RegisterTemplate": lambda b: RegisterTemplate(0.01, 0.02, FF, FF, b),
-    "ThermalFormFactor": lambda b: ThermalFormFactor(FF, b),
     "TruncatedBath": lambda b: TruncatedBath([1.0], [0.1], 1, b),
     "xi": lambda b: xi(FF, b, 0.5),
     "pv_energy_shift": lambda b: pv_energy_shift(FF, b, 0.7),
@@ -333,13 +327,13 @@ def test_scales_reals_and_form_factor_fields_are_checked():
            lambda v=v: RegisterTemplate(0.01, 0.02, FF, FF, 1.0,
                                         b_interval=v))
           for v in (("a", "b"), (0.45, True), (None, 0.55),
-                    (0.45, math.nan))],
-        *[(f"chi={v!r}", ValidationError, "chi",
-           lambda v=v: ThermalFormFactor(FF, 1.0, chi=v))
-          for v in ("0", True, None, math.inf)],
+                    (0.45, math.nan), 0.5)],
+        ("VerifyConfig.lambdas=0.02", ValidationError, "lambdas",
+         lambda: VerifyConfig(lambdas=0.02)),
         *[(f"xi eta={v!r}", ValidationError, "eta",
            lambda v=v: xi(FF, 1.0, v))
-          for v in ("0.5", True, None, math.nan, math.inf, -0.5)],
+          for v in ("0.5", True, None, math.nan, math.inf, -0.5,
+                    np.float32("inf"))],
         *[(f"xi_lorentzian_check eta={v!r}", ValidationError, "eta",
            lambda v=v: xi_lorentzian_check(FF, 1.0, v, 0.1))
           for v in ("0.5", True, math.nan, math.inf, -0.5)],
@@ -367,8 +361,6 @@ def test_scales_reals_and_form_factor_fields_are_checked():
         ("RegisterTemplate g2=(0.5, 2)", ValidationError,
          "g2 must be a FormFactor",
          lambda: RegisterTemplate(0.01, 0.02, FF, (0.5, 2), 1.0)),
-        ("ThermalFormFactor base=None", ValidationError,
-         "base must be a FormFactor", lambda: ThermalFormFactor(None, 1.0)),
     ]
     wrong = []
     for label, error, match, call in cases:
@@ -382,6 +374,8 @@ def test_scales_reals_and_form_factor_fields_are_checked():
         else:
             wrong.append(f"{label}: accepted")
     assert wrong == []
+    # a numpy float32 is read like any other finite number
+    assert xi(FF, np.float32(1.0), np.float32(0.5)) == xi(FF, 1.0, 0.5)
     # an integral float is stored as the int it names
     rho = DensityMatrix(dim=2.0, entries=half)
     assert rho.dim == 2 and type(rho.dim) is int

@@ -629,6 +629,22 @@ def test_verify_passes_on_resolved_benchmark():
     assert report.lines()[-1] == "overall: PASS"
 
 
+def test_verify_runs_every_check_for_a_negative_lambda():
+    # only lambda^2 enters the physics, so -lambda must run the same
+    # checks with the same verdicts, not the trajectory check alone
+    spec = single_qubit_spec(0.2, -0.4, 0.7, 1.0,
+                             FormFactor(radial_exponent=-0.5,
+                                        decay_exponent=1), 30.0, 0.05)
+    outcomes = []
+    for lam in (0.05, -0.05):
+        report = verify(spec, VerifyConfig(n_modes=40, fock_cutoff=2,
+                                           num_times=41, lambdas=(lam,)))
+        outcomes.append([(c.name.partition(":")[2], c.passed)
+                         for c in report.checks])
+    assert outcomes[0] == outcomes[1]
+    assert len(outcomes[0]) > 1
+
+
 def test_verify_flags_coarse_bath():
     spec = single_qubit_spec(a=0.0, b=0.0, c=1.0, delta=1.0, g=FF,
                              beta=2.0, lam=0.02)

@@ -52,6 +52,31 @@ def test_beta_is_compared_only_in_its_checked_conversion():
     assert sites == []
 
 
+def test_module_level_imports_are_used():
+    # a name imported but never read is a dependency that nothing needs;
+    # a module's __all__ counts as a use (a re-export)
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        imports = [node for node in tree.body
+                   if isinstance(node, ast.Import)
+                   or isinstance(node, ast.ImportFrom)
+                   and node.module != "__future__"]
+        for node in imports:
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
 def test_pyproject_version_is_the_package_version():
     # every CSV's "# version:" line prints resodec.__version__
     tomllib = pytest.importorskip("tomllib")

@@ -19,12 +19,10 @@ from resodec.errors import (
 )
 from resodec.model import FormFactor
 from resodec.reservoir import (
-    ThermalFormFactor,
     _density_array,
     _pv_transform,
     angular_square,
     check_condition_A,
-    glued_form_factor,
     half_line_transform,
     mean_inverse_frequency,
     one_sided_density,
@@ -316,58 +314,14 @@ def test_pv_transform_is_independent_of_the_batch(monkeypatch):
 
 
 # =====================================================================
-# Glued form factor and the smoothness diagnostic
+# Condition (A)
 # =====================================================================
-
-def test_glued_form_factor_branches_and_modulus():
-    tf = ThermalFormFactor(base=make_ff(0.5, 2, scale=1.4), beta=1.2,
-                           chi=0.3)
-    u = 0.9
-    plus = glued_form_factor(tf, u)
-    minus = glued_form_factor(tf, -u)
-    # the squared modulus obeys the emission/absorption weight ratio
-    assert np.isclose(abs(minus) ** 2,
-                      math.exp(-1.2 * u) * abs(plus) ** 2, rtol=1e-12)
-    # the branch carries the per-direction amplitude, so the angular
-    # factor 4 pi reassembles the signed thermal density
-    assert np.isclose(4.0 * math.pi * abs(plus) ** 2,
-                      thermal_spectral_density(tf.base, 1.2, u),
-                      rtol=1e-12)
-    assert np.isclose(4.0 * math.pi * abs(minus) ** 2,
-                      thermal_spectral_density(tf.base, 1.2, -u),
-                      rtol=1e-12)
-
-
-def test_glued_form_factor_modulus_decreases_with_beta():
-    base = make_ff(0.5, 2)
-    u = 0.7
-    vals = [abs(glued_form_factor(
-        ThermalFormFactor(base=base, beta=b, chi=0.0), u))
-        for b in (0.5, 1.0, 2.0, 4.0)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_glued_form_factor_at_zero():
-    beta = 2.0
-    assert glued_form_factor(
-        ThermalFormFactor(base=make_ff(0.5, 2), beta=beta, chi=0.0),
-        0.0) == 0.0
-    crit = glued_form_factor(
-        ThermalFormFactor(base=make_ff(-0.5, 1, scale=0.65),
-                          beta=beta, chi=0.0), 0.0)
-    assert np.isclose(crit.real, 0.65 / math.sqrt(beta), rtol=1e-13)
-    with pytest.raises(InfraredDivergent):
-        glued_form_factor(
-            ThermalFormFactor(base=make_ff(-0.8, 1), beta=beta, chi=0.0),
-            0.0)
-
 
 def test_condition_a_passes_for_smooth_gluings():
     # p = -1/2 + integer with Gaussian decay glues analytically; the
     # best chi alternates with the parity of the branch function
     for p, expect_chi in [(-0.5, np.pi), (0.5, 0.0), (1.5, np.pi)]:
-        tf = ThermalFormFactor(base=make_ff(p, 2), beta=1.0, chi=0.0)
-        rep = check_condition_A(tf)
+        rep = check_condition_A(make_ff(p, 2))
         assert rep.passed, (p, rep.mismatch_order)
         assert rep.mismatch_order is None
         assert np.isclose(rep.best_chi % (2 * np.pi), expect_chi,
@@ -382,16 +336,18 @@ def test_condition_a_fails_for_kinks_and_fractional_powers():
              (2.5, 1, 4), (3.5, 1, 5), (3.3, 2, 4), (5.2, 2, 6),
              (-0.8, 1, 0)]
     for p, m, order in cases:
-        tf = ThermalFormFactor(base=make_ff(p, m), beta=1.0, chi=0.0)
-        rep = check_condition_A(tf)
+        rep = check_condition_A(make_ff(p, m))
         assert not rep.passed, (p, m)
         assert rep.mismatch_order == order, (p, m, rep.mismatch_order)
+    # a fractional power and a divergent branch single out no phase
+    for p, m in [(0.3, 2), (-0.8, 1)]:
+        assert check_condition_A(make_ff(p, m)).best_chi is None, (p, m)
 
 
 def test_condition_a_zero_form_factor():
-    tf0 = ThermalFormFactor(base=make_ff(0.5, 2, scale=0.0), beta=1.0,
-                            chi=0.2)
-    assert check_condition_A(tf0).passed
+    rep = check_condition_A(make_ff(0.5, 2, scale=0.0))
+    assert rep.passed and rep.mismatch_order is None
+    assert rep.best_chi is None
 
 
 # =====================================================================
