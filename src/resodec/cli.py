@@ -159,7 +159,7 @@ def _parse_times(text: str) -> tuple:
     parts = text.split(":")
     try:
         if len(parts) == 3:
-            return float(parts[0]), float(parts[1]), int(parts[2])
+            return tuple(map(float, parts))
     except ValueError:
         pass
     raise BadConfiguration(

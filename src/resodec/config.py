@@ -31,12 +31,11 @@ subcommand sections (evolve, verify, scaling, xi_grid) ride in the
 same object; each section has a loader, which ignores the others.
 Below the top level, a key that the loader does not read raises
 BadConfiguration.  Every value passes one checked conversion per type:
-a number must be a
-finite JSON number (a string, boolean or null raises
-BadConfiguration), an integer integral, an array rectangular.  The
-number conversions are model's, which the value types call too.  The
-configuration hash is over the canonical (sorted-key, compact) JSON
-serialization.
+a number must be a finite JSON number (a string, boolean or null
+raises BadConfiguration), an integer integral, an array rectangular.
+The number and array conversions are model's, which the value types
+call too.  The configuration hash is over the canonical (sorted-key,
+compact) JSON serialization.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ from .model import (
     RegisterSpec,
     SystemSpec,
     _integer,
-    _is_real,
     _real,
+    _reals,
     register_to_system,
 )
 from .register import RegisterTemplate
@@ -122,20 +121,6 @@ def _read(section, key: str, convert, context: str = ""):
     at the top level)."""
     return convert(_require(section, key, context or "configuration"),
                    f"{context}.{key}" if context else key)
-
-
-def _reals(value, context: str, ndim: int | None = None) -> np.ndarray:
-    """A rectangular nested array of finite numbers (of ``ndim``
-    dimensions when given) as a float array.  Entries that ``_real``
-    refuses, and ragged nesting, raise BadConfiguration; an object array
-    holds a ragged level's lists as entries, so one check covers both."""
-    entries = np.array(value, dtype=object)
-    if not all(map(_is_real, entries.flat)) \
-            or ndim not in (None, entries.ndim):
-        shape = "an array" if ndim is None else f"a {ndim}-d array"
-        raise BadConfiguration(
-            f"{context} must be {shape} of finite numbers")
-    return entries.astype(float)
 
 
 def _tuple(value, context: str) -> tuple:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .model import CouplingTerm, DensityMatrix, FormFactor, SystemSpec
+from .model import CouplingTerm, DensityMatrix, FormFactor, SystemSpec, _reals
 from .reservoir import (
     mean_inverse_frequency,
     pv_energy_shift,
@@ -163,9 +163,8 @@ def _as_state_array(rho0, dim: int) -> np.ndarray:
     """The initial state (a DensityMatrix or any array) as a complex
     array; a shape other than (dim, dim) raises DimensionMismatch."""
     if isinstance(rho0, DensityMatrix):
-        rho0 = np.array(rho0.entries, dtype=complex)
-    else:
-        rho0 = np.asarray(rho0, dtype=complex)
+        rho0 = rho0.entries
+    rho0 = _reals(rho0, "initial state", dtype=complex)
     if rho0.shape != (dim, dim):
         raise DimensionMismatch(
             f"initial state must be {dim}x{dim}, got shape {rho0.shape}")
@@ -176,8 +175,8 @@ def _time_grid(times) -> np.ndarray:
     """The time grid (a scalar or a sequence) as a 1-d float array; a
     grid of more dimensions or with a non-finite time raises
     ValidationError."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.ndim != 1 or not np.all(np.isfinite(times)):
+    times = np.atleast_1d(_reals(times, "times"))
+    if times.ndim != 1:
         raise ValidationError(
             "times must be a 1-d grid of finite numbers")
     return times

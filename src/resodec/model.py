@@ -66,7 +66,7 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 
 # =====================================================================
-# Checked conversions of numbers
+# Checked conversions of numbers and arrays
 # =====================================================================
 
 def _integer(value, context: str) -> int:
@@ -122,6 +122,41 @@ def _beta(value) -> float:
     return float(value)
 
 
+def _is_complex(value) -> bool:
+    """A real number (``_is_real``) or a complex one with finite parts."""
+    if isinstance(value, (complex, np.complexfloating)):
+        return _is_real(value.real) and _is_real(value.imag)
+    return _is_real(value)
+
+
+#: per dtype: the ndarray kinds checked whole, and the entry check of
+#: any other input
+_ARRAY_POLICY = {float: ("iuf", _is_real), complex: ("iufc", _is_complex)}
+
+
+def _reals(value, context: str, ndim: int | None = None, dtype=float,
+           what: str | None = None) -> np.ndarray:
+    """A rectangular array of finite numbers (of ``ndim`` dimensions when
+    given) as a ``dtype`` (float or complex) array.  A numeric ndarray is
+    checked whole; anything else entry by entry as an object array, which
+    holds a ragged level's lists as entries.  A string, boolean, None,
+    non-finite or ragged entry raises BadConfiguration, "<context> must
+    be <what>"."""
+    kinds, is_entry = _ARRAY_POLICY[dtype]
+    if isinstance(value, np.ndarray) and value.dtype.kind in kinds:
+        array = np.asarray(value, dtype=dtype)
+        valid = np.isfinite(array).all()
+    else:
+        array = np.array(value, dtype=object)
+        valid = all(map(is_entry, array.flat))
+    if valid and ndim in (None, array.ndim):
+        return array.astype(dtype, copy=False)
+    if what is None:
+        what = ("an array" if ndim is None else f"a {ndim}-d array") \
+            + " of finite numbers"
+    raise BadConfiguration(f"{context} must be {what}")
+
+
 # =====================================================================
 # Form factors
 # =====================================================================
@@ -152,14 +187,6 @@ class FormFactor:
                 "form factor is not square integrable on R^3: need "
                 f"2p + 2 > -1, got p = {self.radial_exponent}")
 
-    # -- evaluation ----------------------------------------------------
-
-    def radial(self, r):
-        """g(r) for r > 0."""
-        r = np.asarray(r, dtype=float)
-        return (self.overall_scale * r ** self.radial_exponent
-                * np.exp(-(r ** self.decay_exponent)))
-
     @property
     def is_zero(self) -> bool:
         return self.overall_scale == 0.0
@@ -187,12 +214,10 @@ class CouplingTerm:
     def __post_init__(self):
         _real(self.strength, "coupling strength")
         _form_factor(self.form_factor, "form_factor")
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _reals(self.matrix, "coupling matrix", dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(
                 f"coupling matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValidationError("coupling matrix must be finite")
         dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
         if dev > HERMITICITY_TOL:
             raise NonHermitianCoupling(
@@ -220,12 +245,10 @@ class SystemSpec:
         dim = _integer(self.dim, "dim")
         if dim < 1:
             raise ValidationError(f"dim must be >= 1, got {dim}")
-        e = np.asarray(self.energies, dtype=float)
+        e = _reals(self.energies, "energies")
         if e.shape != (dim,):
             raise DimensionMismatch(
                 f"expected {dim} energies, got shape {e.shape}")
-        if not np.all(np.isfinite(e)):
-            raise ValidationError("energies must be finite")
         _beta(self.beta)
         cpl = tuple(self.couplings)
         for c in cpl:
@@ -257,12 +280,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         dim = _integer(self.dim, "dim")
-        m = np.asarray(self.entries, dtype=complex)
+        m = _reals(self.entries, "density matrix entries", dtype=complex)
         if m.shape != (dim, dim):
             raise DimensionMismatch(
                 f"expected shape ({dim}, {dim}), got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValidationError("density matrix must be Hermitian")
         tr = np.trace(m).real
@@ -278,7 +299,7 @@ class DensityMatrix:
 
     @classmethod
     def from_array(cls, entries) -> "DensityMatrix":
-        entries = np.asarray(entries, dtype=complex)
+        entries = _reals(entries, "density matrix entries", dtype=complex)
         if entries.ndim != 2:
             raise DimensionMismatch(
                 f"a density matrix is 2-d, got shape {entries.shape}")
@@ -304,14 +325,12 @@ class RegisterSpec:
         n = _integer(self.n_qubits, "n_qubits")
         if n < 1:
             raise ValidationError(f"n_qubits must be >= 1, got {n}")
-        J = np.asarray(self.J, dtype=float)
-        B = np.asarray(self.B, dtype=float)
+        J = _reals(self.J, "J")
+        B = _reals(self.B, "B")
         if J.shape != (n, n):
             raise DimensionMismatch(f"J must be {n}x{n}, got {J.shape}")
         if B.shape != (n,):
             raise DimensionMismatch(f"B must have length {n}, got {B.shape}")
-        if not (np.all(np.isfinite(J)) and np.all(np.isfinite(B))):
-            raise ValidationError("J and B must be finite")
         if np.max(np.abs(J - J.T), initial=0.0) > HERMITICITY_TOL:
             raise ValidationError("J must be symmetric")
         _real(self.lambda1, "lambda1")
@@ -335,7 +354,7 @@ def build_system(energies, couplings, beta) -> SystemSpec:
     ``(strength, matrix, form_factor)`` tuples.  Energies are stored in
     the order given (no sorting).
     """
-    energies = np.asarray(energies, dtype=float)
+    energies = _reals(energies, "energies", ndim=1)
     terms = []
     for c in couplings:
         if isinstance(c, CouplingTerm):

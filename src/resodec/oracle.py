@@ -60,7 +60,7 @@ from .errors import (
     WeightMismatch,
 )
 from .model import FormFactor, RegisterSpec, SystemSpec, _beta, _integer, \
-    _positive, _real, register_to_system
+    _positive, _reals, register_to_system
 from .resonances import ZERO_RESONANCE_TOL, resonance_energies
 from .reservoir import _radial_moment, one_sided_density
 
@@ -121,16 +121,15 @@ class TruncatedBath:
     beta: float
 
     def __post_init__(self):
-        freqs = np.asarray(self.mode_frequencies, dtype=float)
-        coups = np.asarray(self.mode_couplings, dtype=float)
+        freqs = _reals(self.mode_frequencies, "mode frequencies")
+        coups = _reals(self.mode_couplings, "mode couplings")
         if freqs.ndim != 1 or freqs.size < 1:
             raise ValidationError("at least one mode is required")
-        if np.any(freqs <= 0.0) or not np.all(np.isfinite(freqs)):
+        if np.any(freqs <= 0.0):
+            raise ValidationError("mode frequencies must be positive")
+        if coups.shape != freqs.shape:
             raise ValidationError(
-                "mode frequencies must be positive and finite")
-        if coups.shape != freqs.shape or not np.all(np.isfinite(coups)):
-            raise ValidationError("mode couplings must be finite and "
-                                  "match the frequency grid")
+                "mode couplings must match the frequency grid")
         cap = _integer(self.fock_cutoff, "fock_cutoff")
         if cap < 1:
             raise ValidationError("fock_cutoff must be >= 1")
@@ -599,12 +598,11 @@ class VerifyConfig:
             object.__setattr__(self, name, value)
         for name in ("omega_max", "rate_tolerance", "horizon_factor"):
             _positive(getattr(self, name), name)
-        lambdas = tuple(self.lambdas) if np.iterable(self.lambdas) else ()
+        lambdas = tuple(_reals(self.lambdas, "lambdas", ndim=1).tolist())
         if not lambdas:
             raise ValidationError("lambdas must be a nonempty sequence of "
                                   f"couplings, got {self.lambdas!r}")
-        object.__setattr__(self, "lambdas",
-                           tuple(_real(v, "lambdas") for v in lambdas))
+        object.__setattr__(self, "lambdas", lambdas)
 
 
 @dataclass(frozen=True)

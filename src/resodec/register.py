@@ -46,8 +46,8 @@ from .model import (
     _check_configuration,
     _form_factor,
     _integer,
-    _is_real,
     _real,
+    _reals,
     register_to_system,
     spin_configuration,
 )
@@ -128,7 +128,7 @@ def generic_field_check(B) -> GenericFieldReport:
     product order, small entries first, so the witness is a simplest
     relation: each prefix sum against one table of suffix sums.
     """
-    B = np.asarray(B, dtype=float)
+    B = _reals(B, "B", ndim=1)
     n = B.size
     if n > 12:
         raise TooLargeForExhaustiveCheck(
@@ -244,12 +244,11 @@ class RegisterTemplate:
         _form_factor(self.g1, "g1")
         _form_factor(self.g2, "g2")
         _beta(self.beta)
-        interval = tuple(self.b_interval) if np.iterable(self.b_interval) \
-            else ()
-        if not (len(interval) == 2 and all(map(_is_real, interval))
-                and interval[0] < interval[1]):
-            raise ValidationError("b_interval must be a finite (low, high) "
-                                  "pair with low < high")
+        pair = "a finite (low, high) pair with low < high"
+        interval = _reals(self.b_interval, "b_interval", what=pair)
+        if not (interval.shape == (2,) and interval[0] < interval[1]):
+            raise ValidationError(f"b_interval must be {pair}")
+        object.__setattr__(self, "b_interval", tuple(interval.tolist()))
 
     def realize(self, n_qubits: int, seed: int,
                 attenuate: bool = False) -> RegisterSpec:

@@ -78,10 +78,6 @@ class BohrSpectrum:
 
     groups: dict
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.array(sorted(self.groups.keys()))
-
 
 def default_cluster_tolerance(energies: np.ndarray) -> float:
     """1e-9 times the largest level spacing magnitude, floored at 1e-12."""
@@ -165,7 +161,7 @@ def _channel_tables(spec: SystemSpec, mixes) -> list:
         if term.form_factor.is_zero or all(mix[r] == 0.0 for mix in mixes):
             continue
         ff = term.form_factor
-        G = np.asarray(term.matrix, dtype=complex)
+        G = term.matrix
         m, j = np.nonzero(np.abs(G) > 0.0)
         gaps = [round(g, 12) for g in (E[m] - E[j]).tolist()]
         keys = sorted(set(gaps))

@@ -788,10 +788,15 @@ def test_evolve_times_override_without_config_grid(tmp_path, capsys):
     assert run(["evolve", "--config", str(path), "--times", "0:10:41",
                 "-o", str(out)]) == 0
     assert len(read_csv(out)[2]) == 41
+    # num is an integer or an integral float, as evolve.times.num is
+    assert run(["evolve", "--config", str(path), "--times", "0:10:41.0",
+                "-o", str(out)]) == 0
+    assert len(read_csv(out)[2]) == 41
     for times, message in (("0:10", "start:stop:num"),
                            ("0:x:41", "numeric fields"),
                            ("0:inf:41", "--times.stop must be a finite"),
-                           ("0:10:0", "--times.num must be >= 1")):
+                           ("0:10:0", "--times.num must be >= 1"),
+                           ("0:10:2.5", "--times.num must be an integer")):
         assert run(["evolve", "--config", str(path), "--times", times]) == 1
         assert message in capsys.readouterr().err, times
 

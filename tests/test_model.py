@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from resodec.dynamics import free_evolution
 from resodec.errors import (
     BadConfiguration,
     DimensionMismatch,
@@ -30,7 +31,7 @@ from resodec.model import (
     spin_configuration,
 )
 from resodec.oracle import TruncatedBath, VerifyConfig, discretize_bath
-from resodec.register import RegisterTemplate
+from resodec.register import RegisterTemplate, generic_field_check
 from resodec.reservoir import pv_energy_shift, xi, xi_lorentzian_check
 from resodec.resonances import bohr_spectrum
 
@@ -55,14 +56,6 @@ def make_register(n=3, **overrides):
 # =====================================================================
 # Form factors
 # =====================================================================
-
-def test_form_factor_radial_closed_form():
-    ff = FormFactor(radial_exponent=0.7, decay_exponent=2,
-                    overall_scale=0.75)
-    r = np.array([0.3, 1.0, 2.1])
-    expected = 0.75 * r ** 0.7 * np.exp(-r ** 2)
-    assert np.allclose(ff.radial(r), expected, rtol=0.0, atol=1e-15)
-
 
 def test_form_factor_rejects_bad_decay_exponent():
     with pytest.raises(ValidationError):
@@ -271,6 +264,17 @@ def test_gibbs_state_matches_boltzmann_weights():
 FF = FormFactor(radial_exponent=0.5, decay_exponent=2)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
+
+def spoiled(valid):
+    """The nested list ``valid`` with its first number replaced by a
+    string, a boolean, None and 10**400, and with a ragged last row."""
+    def first(value, leaf):
+        return [first(value[0], leaf), *value[1:]] \
+            if isinstance(value, list) else leaf
+    last = valid[-1][:-1] if isinstance(valid[-1], list) else [valid[-1]] * 2
+    return [first(valid, leaf) for leaf in ("1", True, None, 10 ** 400)] \
+        + [[*valid[:-1], last]]
+
 #: every public entry point that takes an inverse temperature
 BETA_SITES = {
     "SystemSpec": lambda b: SystemSpec(dim=1, energies=[0.0], couplings=(),
@@ -339,6 +343,42 @@ def test_scales_reals_and_form_factor_fields_are_checked():
           for v in ("0.5", True, math.nan, math.inf, -0.5)],
         ("build_system strength='0.1'", ValidationError, "strength",
          lambda: build_system([0.0, 1.0], [("0.1", SX, FF)], 1.0)),
+        # arrays: a string, boolean, None, 10**400 or ragged row in any
+        # array field is refused, never coerced
+        *[(f"{label}={v!r}", BadConfiguration, match,
+           lambda call=call, v=v: call(v))
+          for label, match, valid, call in (
+              ("CouplingTerm matrix", "coupling matrix", SX.tolist(),
+               lambda v: CouplingTerm(0.1, v, FF)),
+              ("SystemSpec energies", "energies", [0.0, 1.0],
+               lambda v: SystemSpec(2, v, (), 1.0)),
+              ("DensityMatrix entries", "density matrix entries",
+               half.tolist(), lambda v: DensityMatrix(2, v)),
+              ("from_array", "density matrix entries", half.tolist(),
+               DensityMatrix.from_array),
+              ("RegisterSpec J", "J", np.zeros((2, 2)).tolist(),
+               lambda v: make_register(2, J=v)),
+              ("RegisterSpec B", "B", [0.4, 0.6],
+               lambda v: make_register(2, B=v)),
+              ("build_system energies", "energies", [0.0, 1.0],
+               lambda v: build_system(v, [(0.1, SX, FF)], 1.0)),
+              ("initial state", "initial state", half.tolist(),
+               lambda v: free_evolution(spec, v, [0.0])),
+              ("times", "times", [0.0, 1.0],
+               lambda v: free_evolution(spec, half, v)),
+              ("TruncatedBath frequencies", "mode frequencies", [1.0, 2.0],
+               lambda v: TruncatedBath(v, [0.1, 0.1], 2, 1.0)),
+              ("TruncatedBath couplings", "mode couplings", [0.1, 0.1],
+               lambda v: TruncatedBath([1.0, 2.0], v, 2, 1.0)),
+              ("VerifyConfig.lambdas", "lambdas", [0.01, 0.02],
+               lambda v: VerifyConfig(lambdas=v)),
+              ("generic_field_check", "B", [0.5, 0.25],
+               generic_field_check),
+              ("b_interval", r"b_interval must be a finite \(low, high\) "
+               "pair", [0.45, 0.55],
+               lambda v: RegisterTemplate(0.01, 0.02, FF, FF, 1.0,
+                                          b_interval=v)))
+          for v in spoiled(valid)],
         # DensityMatrix: dim is an integer, entries are 2-d
         ("from_array(1.0)", DimensionMismatch, "2-d",
          lambda: DensityMatrix.from_array(1.0)),

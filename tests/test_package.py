@@ -1,5 +1,5 @@
-"""Package structure: deferred imports, the one beta comparison and the
-version literal."""
+"""Package structure: deferred imports, the one beta comparison, the
+one array conversion and the version literal."""
 
 import ast
 
@@ -49,6 +49,30 @@ def test_beta_is_compared_only_in_its_checked_conversion():
             if isinstance(node, ast.Compare) \
                     and any(map(names_beta, [node.left, *node.comparators])):
                 sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
+
+
+def test_array_inputs_pass_the_one_array_conversion():
+    # model._reals decides every array a value type or an evolution
+    # reads; a conversion or finiteness test of its own beside it is a
+    # second policy that may coerce a string, boolean or None
+    checked = ("__post_init__", "_time_grid", "_as_state_array")
+    own = ("asarray", "array", "isfinite")
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef) \
+                    or func.name not in checked:
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and isinstance(node.func.value, ast.Name) \
+                        and node.func.value.id == "np" \
+                        and node.func.attr in own:
+                    sites.append(f"{path.name}:{node.lineno} "
+                                 f"{func.name} np.{node.func.attr}")
     assert sites == []
 
 
