@@ -61,13 +61,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PropagatorBlock:
-    """Explicit propagator of one Bohr group.
+    """Explicit propagator of one Bohr group, as data.
 
     ``pairs`` is the group's (d, 2) array of index pairs, ``epsilons``
     holds the distinct resonance energies of the group and
     ``weights[s]`` the spectral weight matrix of mode s, so that the
     group's element vector evolves as
-    v(t) = sum_s exp(i t epsilons[s]) weights[s] @ v(0).
+    v(t) = sum_s exp(i t epsilons[s]) weights[s] @ v(0)
+    (evaluated by ``resonance_evolution`` and ``ergodic_mean``).
     The weights sum to the identity, so at vanishing coupling the block
     reduces to the free rotation e^{i t e}.
     """
@@ -80,23 +81,6 @@ class PropagatorBlock:
     @property
     def dim(self) -> int:
         return len(self.pairs)
-
-    def propagate(self, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Element vectors at each time; shape (len(times), dim)."""
-        v0 = np.asarray(v0, dtype=complex)
-        times = _time_grid(times)
-        comps = self.weights @ v0                      # (s, dim)
-        phases = np.exp(1j * np.outer(times, self.epsilons))
-        return phases @ comps
-
-    def ergodic_component(self, v0: np.ndarray) -> np.ndarray:
-        """Contribution of the zero-resonance modes."""
-        v0 = np.asarray(v0, dtype=complex)
-        out = np.zeros_like(v0)
-        for s, eps in enumerate(self.epsilons):
-            if abs(eps) <= ZERO_RESONANCE_TOL:
-                out += self.weights[s] @ v0
-        return out
 
 
 def _block_from_resonance(data: ResonanceData,
@@ -211,14 +195,17 @@ def free_evolution(spec: SystemSpec, rho0, times) -> Trajectory:
 
 def _reconstruct(resonances: list, rho0: np.ndarray, n: int,
                  times: np.ndarray) -> tuple:
-    """(states, ergodic mean) of an n-level system from its blocks."""
+    """(states, ergodic mean) of an n-level system: per block, the mode
+    components W_s v(0) summed with their phases, and the zero modes'."""
     states = np.zeros((len(times), n, n), dtype=complex)
     mean = np.zeros((n, n), dtype=complex)
     for block in propagator_blocks(resonances):
         m, k = block.pairs.T
-        v0 = rho0[m, k]
-        states[:, m, k] = block.propagate(v0, times)
-        mean[m, k] = block.ergodic_component(v0)
+        comps = block.weights @ rho0[m, k]             # (s, dim)
+        states[:, m, k] = np.exp(1j * np.outer(times, block.epsilons)) \
+            @ comps
+        for comp in comps[np.abs(block.epsilons) <= ZERO_RESONANCE_TOL]:
+            mean[m, k] += comp
     return states, mean
 
 

@@ -381,12 +381,15 @@ def spin_configuration(index, n: int) -> np.ndarray:
 
 
 def _check_configuration(sigma) -> np.ndarray:
-    arr = np.asarray(sigma)
-    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isin(arr, (-1, 1))):
+    """A nonempty 1-d spin configuration as an int array; each spin
+    passes _integer (so True is refused) and must be +1 or -1."""
+    entries = np.asarray(sigma, dtype=object)
+    if entries.ndim != 1 or entries.size == 0 or any(
+            _integer(s, "a spin") not in (-1, 1) for s in entries):
         raise BadConfiguration(
             "a spin configuration is a nonempty sequence of +1/-1 "
             f"entries, got {sigma!r}")
-    return arr.astype(int)
+    return entries.astype(int)
 
 
 def energy_of_configuration(reg: RegisterSpec, sigma) -> float:

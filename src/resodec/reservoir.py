@@ -123,6 +123,11 @@ def xi(base: FormFactor, beta: float, eta: float) -> float:
             return (2.0 / beta) * _FOUR_PI * base.overall_scale ** 2
         raise InfraredDivergent(
             f"xi(0) diverges for radial exponent p = {p} < -1/2")
+    return _xi_positive(base, beta, eta)
+
+
+def _xi_positive(base: FormFactor, beta: float, eta: float) -> float:
+    """xi(eta) for a checked beta and a float eta > 0, unchecked."""
     return eta * eta * _square_scalar(base, eta) / math.tanh(beta * eta / 2.0)
 
 
@@ -135,14 +140,16 @@ def xi_lorentzian_check(base: FormFactor, beta: float, eta: float,
     to xi(eta) as epsilon decreases.
     """
     _beta(beta)
-    if _real(eta, "eta") < 0.0:
+    eta = _real(eta, "eta")
+    if eta < 0.0:
         raise ValidationError(f"eta must be >= 0, got {eta!r}")
-    _positive(epsilon, "epsilon")
+    epsilon = _positive(epsilon, "epsilon")
     if base.is_zero:
         return 0.0
 
     def f(r):
-        return (xi(base, beta, r) * epsilon
+        # QUADPACK's nodes are interior, so r > 0
+        return (_xi_positive(base, beta, r) * epsilon
                 / ((r - eta) ** 2 + epsilon ** 2) / np.pi)
 
     pts = sorted({max(eta - 10 * epsilon, 0.0), eta,
@@ -230,8 +237,9 @@ def _xi_array(base: FormFactor, beta: float, u):
 
 def _density_array(base: FormFactor, beta: float, u):
     """D(u) elementwise, for u != 0."""
-    return 0.5 * _xi_array(base, beta, u) \
-        * (1.0 + np.sign(u) * np.tanh(beta * np.abs(u) / 2.0))
+    eta = np.abs(u)
+    t = np.tanh(beta * eta / 2.0)
+    return 0.5 * (one_sided_density(base, eta) / t) * (1.0 + np.sign(u) * t)
 
 
 def _pv_transform(f, poles) -> np.ndarray:

@@ -376,8 +376,8 @@ def check_nonoverlap(spec: SystemSpec,
     else:
         min_gap = float(np.diff(np.sort(es)).min())
     lam = spec.overall_coupling
-    max_shift = max((float(np.max(np.abs(lam ** 2 * r.deltas)))
-                     if r.deltas.size else 0.0) for r in resonances)
+    shifts = np.concatenate([r.deltas for r in resonances])
+    max_shift = float(np.max(np.abs(lam ** 2 * shifts), initial=0.0))
     margin = np.inf if max_shift == 0.0 else min_gap / max_shift
     return NonoverlapReport(margin=float(margin), min_gap=min_gap,
                             max_shift=float(max_shift),

@@ -1,5 +1,7 @@
 """Reconstruction of reduced dynamics from the resonance data."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from resodec.dynamics import (
     single_qubit_closed_form,
     single_qubit_spec,
 )
-from resodec.resonances import resonance_energies
+from resodec.resonances import ZERO_RESONANCE_TOL, resonance_energies
 
 QUBIT = dict(a=0.25, b=-0.45, c=0.6 + 0.3j, delta=1.1,
              g=FormFactor(radial_exponent=-0.5, decay_exponent=1,
@@ -141,6 +143,71 @@ def test_blocks_merge_the_counted_classes():
         for idx, eps in zip(r.classes, block.epsilons):
             assert np.max(np.abs(r.deltas[idx] - r.deltas[idx[0]])) <= 1e-10
             assert eps == np.mean(r.epsilons[idx])
+
+
+def _per_block_reference(spec, rho0, times):
+    """States and ergodic mean block by block, as the former
+    PropagatorBlock.propagate and .ergodic_component computed them."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    times = np.asarray(times, dtype=float)
+    states = np.zeros((len(times), spec.dim, spec.dim), dtype=complex)
+    mean = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for block in propagator_blocks(resonance_energies(spec)):
+        m, k = block.pairs.T
+        v0 = rho0[m, k]
+        comps = block.weights @ v0
+        states[:, m, k] = np.exp(1j * np.outer(times, block.epsilons)) \
+            @ comps
+        out = np.zeros_like(v0)
+        for s, eps in enumerate(block.epsilons):
+            if abs(eps) <= ZERO_RESONANCE_TOL:
+                out += block.weights[s] @ v0
+        mean[m, k] = out
+    return states, mean
+
+
+def _random_pure_state(rng, n):
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+
+
+def _merged_class_register():
+    ff = FormFactor(radial_exponent=-0.5, decay_exponent=1)
+    return register_to_system(RegisterSpec(
+        n_qubits=3, J=np.zeros((3, 3)), B=np.array([0.47, 0.51, 0.53]),
+        lambda1=0.01, lambda2=0.0, g1=ff, g2=ff, beta=0.5))
+
+
+def _two_channel_spec(rng, n=20):
+    couplings = []
+    for ff in (FormFactor(radial_exponent=-0.5, decay_exponent=1),
+               FormFactor(radial_exponent=0.5, decay_exponent=2)):
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        couplings.append((1e-4, (raw + raw.conj().T) / 2.0, ff))
+    return build_system(np.sort(rng.uniform(0.0, 10.0, n)), couplings,
+                        beta=0.8)
+
+
+@pytest.mark.parametrize("case", ["merged_classes", "twenty_levels",
+                                  "empty_grid"])
+def test_reconstruction_matches_the_per_block_reference_bitwise(case):
+    rng = np.random.default_rng(11)
+    if case == "twenty_levels":
+        spec = _two_channel_spec(rng)
+    else:
+        spec = _merged_class_register()
+    if case == "merged_classes":
+        assert any(r.nu < len(r.pairs) for r in resonance_energies(spec))
+    rho0 = _random_pure_state(rng, spec.dim)
+    times = [] if case == "empty_grid" else np.linspace(0.0, 400.0, 57)
+    want_states, want_mean = _per_block_reference(spec, rho0, times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # overlap warning
+        traj = resonance_evolution(spec, rho0, times)
+    assert traj.states.shape == want_states.shape
+    assert traj.states.tobytes() == want_states.tobytes()
+    assert traj.ergodic_mean.tobytes() == want_mean.tobytes()
+    assert ergodic_mean(spec, rho0).tobytes() == want_mean.tobytes()
 
 
 # =====================================================================

@@ -181,6 +181,19 @@ def test_energy_of_configuration_manual():
                       rtol=0.0, atol=1e-14)
 
 
+def test_spins_are_integers_plus_or_minus_one():
+    # each spin passes the integer check: an integral float is a spin,
+    # a boolean is not
+    reg = make_register(2, B=np.array([0.4, 0.6]))
+    assert energy_of_configuration(reg, [1.0, -1]) \
+        == energy_of_configuration(reg, [1, -1])
+    for sigma in ([True, -1], [np.True_, -1], [1, False], [1, 0],
+                  [1.5, -1], ["1", -1], [1, None], [[1, -1]], [],
+                  [[1], [1, -1]]):
+        with pytest.raises(BadConfiguration, match="spin"):
+            energy_of_configuration(reg, sigma)
+
+
 def test_collective_matrices():
     z = collective_z_matrix(2)
     assert np.allclose(z, np.conj(z).T)

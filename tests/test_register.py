@@ -70,6 +70,10 @@ def test_bad_configurations_rejected():
         hamming_and_e0((1, 0), (1, 1))
     with pytest.raises(BadConfiguration):
         hamming_and_e0((1, 1), (1, 1, -1))
+    for sigma in ((True, -1), (1, np.float64(-1.5)), (1, "-1")):
+        with pytest.raises(BadConfiguration):
+            hamming_and_e0(sigma, (1, 1))
+    assert hamming_and_e0((1.0, -1), (1, 1)) == (2, -2, 1)
 
 
 def test_generic_field_check_finds_simplest_witness():
