@@ -36,8 +36,10 @@ from .reservoir import (
     xi,
 )
 from .resonances import (
+    DISTINCTNESS_TOL,
     ZERO_RESONANCE_TOL,
     ResonanceData,
+    _check_cover,
     bohr_spectrum,
     check_nonoverlap,
     resonance_energies,
@@ -99,15 +101,45 @@ def _block_from_resonance(data: ResonanceData,
 
 
 def propagator_blocks(resonances: list) -> list:
-    """One PropagatorBlock per Bohr group, in sorted-e order; the
-    eigenvector bases of one group size are inverted in one batch."""
-    left: dict = {}
+    """One PropagatorBlock per Bohr group, in sorted-e order.
+
+    The groups of one size are one batch: their eigenvector bases are
+    inverted in one call, and one closeness test, by the rule of
+    ``ResonanceData.classes``, finds the groups whose deltas are
+    pairwise distinct.  Those keep every mode as its own class, so
+    their weights are the outer products of matching right and left
+    eigenvectors, formed in one stacked matmul, and their epsilons one
+    mean over one-member classes.  Only groups with coinciding deltas
+    merge their classes one by one (``_block_from_resonance``).  Every
+    value is the one a group-by-group pass gives.
+    """
+    blocks = [None] * len(resonances)
     for size in {len(r.pairs) for r in resonances}:
         idx = [i for i, r in enumerate(resonances) if len(r.pairs) == size]
-        left.update(zip(idx, np.linalg.inv(
-            np.stack([resonances[i].right_vectors for i in idx]))))
-    return [_block_from_resonance(r, left[i])
-            for i, r in enumerate(resonances)]
+        right = np.stack([resonances[i].right_vectors for i in idx])
+        left = np.linalg.inv(right)
+        deltas = np.stack([resonances[i].deltas for i in idx])
+        close = np.abs(deltas[:, :, None] - deltas[:, None, :]) \
+            <= DISTINCTNESS_TOL
+        close &= ~np.eye(size, dtype=bool)
+        merged = close.any(axis=(1, 2))
+        distinct = np.flatnonzero(~merged)
+        # W_s = R[:, s] L[s, :], as (size, 1) @ (1, size) products with
+        # the strides of the per-group slices, so matmul takes their path
+        shape = (len(distinct), size, size, 1)
+        weights = np.ascontiguousarray(
+            right[distinct].transpose(0, 2, 1)).reshape(shape) \
+            @ left[distinct].reshape(shape[:2] + (1, size))
+        epsilons = np.stack([resonances[i].epsilons for i in idx])
+        epsilons = epsilons[distinct, :, None].mean(axis=-1)
+        for j, w, eps in zip(distinct.tolist(), weights, epsilons):
+            r = resonances[idx[j]]
+            blocks[idx[j]] = PropagatorBlock(e=r.e, pairs=r.pairs,
+                                             epsilons=eps, weights=w)
+        for j in np.flatnonzero(merged).tolist():
+            blocks[idx[j]] = _block_from_resonance(resonances[idx[j]],
+                                                   left[j])
+    return blocks
 
 
 # =====================================================================
@@ -122,6 +154,10 @@ class Trajectory:
     is the infinite-time average.  Reconstructed matrices satisfy trace
     preservation to 1e-10 but Hermiticity and positivity only to the
     dropped O(lambda^2) order, so entries are stored unvalidated.
+    ``states`` has shape (T, n, n) but may be a strided view over
+    element-major storage (``resonance_evolution``'s is: each element's
+    time series is contiguous); copy it where a C-contiguous array is
+    needed.
     """
 
     times: np.ndarray
@@ -196,17 +232,23 @@ def free_evolution(spec: SystemSpec, rho0, times) -> Trajectory:
 def _reconstruct(resonances: list, rho0: np.ndarray, n: int,
                  times: np.ndarray) -> tuple:
     """(states, ergodic mean) of an n-level system: per block, the mode
-    components W_s v(0) summed with their phases, and the zero modes'."""
-    states = np.zeros((len(times), n, n), dtype=complex)
+    components W_s v(0) summed with their phases, and the zero modes'.
+
+    The states are filled element-major, into an (n, n, T) buffer in
+    which each block writes its elements' time series as contiguous
+    rows, and returned as its (T, n, n) transposed view (no copy).
+    """
+    buffer = np.zeros((n, n, len(times)), dtype=complex)
     mean = np.zeros((n, n), dtype=complex)
     for block in propagator_blocks(resonances):
         m, k = block.pairs.T
         comps = block.weights @ rho0[m, k]             # (s, dim)
-        states[:, m, k] = np.exp(1j * np.outer(times, block.epsilons)) \
-            @ comps
+        phase = np.outer(times, 1j * block.epsilons)
+        np.exp(phase, out=phase)
+        buffer[m, k] = (phase @ comps).T
         for comp in comps[np.abs(block.epsilons) <= ZERO_RESONANCE_TOL]:
             mean[m, k] += comp
-    return states, mean
+    return buffer.transpose(2, 0, 1), mean
 
 
 def resonance_evolution(spec: SystemSpec, rho0, times,
@@ -215,7 +257,9 @@ def resonance_evolution(spec: SystemSpec, rho0, times,
 
     Each Bohr group's element vector is propagated by its explicit
     exponential sum; groups never mix.  ``resonances`` defaults to
-    ``resonance_energies(spec)``.  Warns when the scale separation
+    ``resonance_energies(spec)``; a given list whose groups do not cover
+    the spec's elements exactly once raises DimensionMismatch (checked
+    by ``check_nonoverlap``).  Warns when the scale separation
     between Bohr gaps and second-order shifts drops below 10 (the
     expansion assumes well-separated resonances).
     """
@@ -238,11 +282,15 @@ def ergodic_mean(spec: SystemSpec, rho0,
                  resonances: list | None = None) -> np.ndarray:
     """Infinite-time average of the reconstructed evolution, assembled
     directly from the zero-resonance modes without evaluating a
-    trajectory.  ``resonances`` defaults to ``resonance_energies(spec)``.
+    trajectory.  ``resonances`` defaults to ``resonance_energies(spec)``;
+    a given list whose groups do not cover the spec's elements exactly
+    once raises DimensionMismatch.
     """
     rho0 = _as_state_array(rho0, spec.dim)
     if resonances is None:
         resonances = resonance_energies(spec)
+    else:
+        _check_cover(resonances, spec.dim)
     return _reconstruct(resonances, rho0, spec.dim, np.empty(0))[1]
 
 

@@ -69,7 +69,7 @@ _QUAD_KW = dict(epsabs=1e-11, epsrel=1e-11, limit=400)
 _PV_TOL = 1e-8
 #: first step of the principal-value rules, and the steps tried in all
 _DE_STEP, _DE_LEVELS = 1.0 / 32.0, 4
-_PV_BLOCK = 512
+_PV_BLOCK = 64
 
 
 # =====================================================================
@@ -252,7 +252,7 @@ def _pv_transform(f, poles) -> np.ndarray:
     Double-exponential rules (Takahasi and Mori, Publ. RIMS 9, 721,
     1974) with error estimate |S_h - S_2h|; a pole above _PV_TOL is
     redone alone at h/2.  Sums run along one pole's row, so no value
-    depends on the batch, and blocks of _PV_BLOCK poles (about 15 MB of
+    depends on the batch, and blocks of _PV_BLOCK poles (about 2 MB of
     work arrays) bound the memory.
     """
     poles = np.asarray(poles, dtype=float)

@@ -38,7 +38,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AmbiguousClustering, DefectiveLevelShift
+from .errors import (
+    AmbiguousClustering,
+    DefectiveLevelShift,
+    DimensionMismatch,
+)
 from .model import SystemSpec, _positive
 from .reservoir import _half_line_transforms, thermal_spectral_density
 
@@ -364,12 +368,29 @@ class NonoverlapReport:
     passed: bool
 
 
+def _check_cover(resonances: list, dim: int) -> None:
+    """Raise DimensionMismatch unless the groups' pairs cover each
+    element of a dim x dim matrix exactly once, as the groups of one
+    dim-level spec do."""
+    pairs = np.concatenate([r.pairs for r in resonances]
+                           or [np.empty((0, 2), dtype=int)])
+    if not (len(pairs) == dim * dim and pairs.min(initial=0) >= 0
+            and pairs.max(initial=0) < dim
+            and np.all(np.bincount(pairs[:, 0] * dim + pairs[:, 1]) == 1)):
+        raise DimensionMismatch(
+            f"the resonance groups do not cover the {dim}x{dim} "
+            f"elements of this spec exactly once")
+
+
 def check_nonoverlap(spec: SystemSpec,
                      resonances: list | None = None) -> NonoverlapReport:
     """The non-overlapping-resonances margin of ``resonances``
-    (default ``resonance_energies(spec)``)."""
+    (default ``resonance_energies(spec)``).  A list whose groups do not
+    cover the spec's elements exactly once raises DimensionMismatch."""
     if resonances is None:
         resonances = resonance_energies(spec)
+    else:
+        _check_cover(resonances, spec.dim)
     es = np.array([r.e for r in resonances])
     if len(es) < 2:
         min_gap = np.inf

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from resodec.errors import DimensionMismatch
 from resodec.model import (
     DensityMatrix,
     FormFactor,
@@ -12,6 +13,7 @@ from resodec.model import (
     build_system,
     register_to_system,
 )
+from resodec.register import RegisterTemplate
 from resodec.dynamics import (
     ergodic_mean,
     free_evolution,
@@ -20,7 +22,11 @@ from resodec.dynamics import (
     single_qubit_closed_form,
     single_qubit_spec,
 )
-from resodec.resonances import ZERO_RESONANCE_TOL, resonance_energies
+from resodec.resonances import (
+    ZERO_RESONANCE_TOL,
+    check_nonoverlap,
+    resonance_energies,
+)
 
 QUBIT = dict(a=0.25, b=-0.45, c=0.6 + 0.3j, delta=1.1,
              g=FormFactor(radial_exponent=-0.5, decay_exponent=1,
@@ -145,23 +151,41 @@ def test_blocks_merge_the_counted_classes():
             assert eps == np.mean(r.epsilons[idx])
 
 
+def _reference_blocks(resonances):
+    """(epsilons, weights) of each group, merged class by class from
+    its own inverse: the group-by-group pass that the batched
+    propagator_blocks must reproduce bit for bit."""
+    blocks = []
+    for r in resonances:
+        left = np.linalg.inv(r.right_vectors)
+        epsilons = np.empty(r.nu, dtype=complex)
+        weights = np.empty((r.nu, len(r.pairs), len(r.pairs)), dtype=complex)
+        for s, idx in enumerate(r.classes):
+            epsilons[s] = np.mean(r.epsilons[idx])
+            weights[s] = r.right_vectors[:, idx] @ left[idx, :]
+        blocks.append((epsilons, weights))
+    return blocks
+
+
 def _per_block_reference(spec, rho0, times):
     """States and ergodic mean block by block, as the former
-    PropagatorBlock.propagate and .ergodic_component computed them."""
+    PropagatorBlock.propagate and .ergodic_component computed them,
+    from the reference blocks."""
     rho0 = np.asarray(rho0, dtype=complex)
     times = np.asarray(times, dtype=float)
     states = np.zeros((len(times), spec.dim, spec.dim), dtype=complex)
     mean = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for block in propagator_blocks(resonance_energies(spec)):
-        m, k = block.pairs.T
+    resonances = resonance_energies(spec)
+    for r, (epsilons, weights) in zip(resonances,
+                                      _reference_blocks(resonances)):
+        m, k = r.pairs.T
         v0 = rho0[m, k]
-        comps = block.weights @ v0
-        states[:, m, k] = np.exp(1j * np.outer(times, block.epsilons)) \
-            @ comps
+        comps = weights @ v0
+        states[:, m, k] = np.exp(1j * np.outer(times, epsilons)) @ comps
         out = np.zeros_like(v0)
-        for s, eps in enumerate(block.epsilons):
+        for s, eps in enumerate(epsilons):
             if abs(eps) <= ZERO_RESONANCE_TOL:
-                out += block.weights[s] @ v0
+                out += weights[s] @ v0
         mean[m, k] = out
     return states, mean
 
@@ -188,6 +212,59 @@ def _two_channel_spec(rng, n=20):
                         beta=0.8)
 
 
+def _template_register(n_qubits):
+    template = RegisterTemplate(
+        lambda1=0.01, lambda2=0.01,
+        g1=FormFactor(radial_exponent=-0.5, decay_exponent=1),
+        g2=FormFactor(radial_exponent=0.5, decay_exponent=1), beta=0.5)
+    return register_to_system(template.realize(n_qubits, seed=1))
+
+
+def _sidon_spec(rng, n=20):
+    """n levels on a Sidon set (a_k = 2pk + (k^2 mod p), p = 53): all
+    n(n - 1) nonzero Bohr frequencies are distinct, so every group but
+    e = 0 has one pair, coupled by two dense channels."""
+    p = 53
+    k = np.sort(rng.choice(p, size=n, replace=False))
+    a = 2 * p * k + (k * k) % p
+    couplings = []
+    for ff in (FormFactor(radial_exponent=-0.5, decay_exponent=1),
+               FormFactor(radial_exponent=0.5, decay_exponent=2,
+                          overall_scale=2.0)):
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        couplings.append((7e-4, (raw + raw.conj().T) / (2.0 * np.sqrt(n)),
+                          ff))
+    unit = 3.0 / (2.0 * p * p)
+    return build_system(unit * (a - a.min()), couplings, beta=1.0)
+
+
+@pytest.mark.parametrize("case", ["merged_classes", "twenty_levels",
+                                  "template_five_qubits", "sidon"])
+def test_blocks_match_the_group_by_group_reference_bitwise(case):
+    rng = np.random.default_rng(5)
+    spec = {"merged_classes": _merged_class_register,
+            "twenty_levels": lambda: _two_channel_spec(rng),
+            "template_five_qubits": lambda: _template_register(5),
+            "sidon": lambda: _sidon_spec(rng)}[case]()
+    resonances = resonance_energies(spec)
+    sizes = {len(r.pairs) for r in resonances}
+    if case == "merged_classes":
+        assert any(r.nu < len(r.pairs) for r in resonances)
+    if case == "template_five_qubits":
+        assert sizes == {1, 2, 4, 8, 16, 32}
+    if case == "sidon":
+        assert len(resonances) == 381 and sizes == {1, 20}
+    blocks = propagator_blocks(resonances)
+    assert len(blocks) == len(resonances)
+    for r, block, (epsilons, weights) in zip(
+            resonances, blocks, _reference_blocks(resonances)):
+        assert block.e == r.e and block.pairs is r.pairs
+        assert block.epsilons.dtype == weights.dtype == complex
+        assert block.epsilons.tobytes() == epsilons.tobytes()
+        assert block.weights.shape == weights.shape
+        assert block.weights.tobytes() == weights.tobytes()
+
+
 @pytest.mark.parametrize("case", ["merged_classes", "twenty_levels",
                                   "empty_grid"])
 def test_reconstruction_matches_the_per_block_reference_bitwise(case):
@@ -208,6 +285,68 @@ def test_reconstruction_matches_the_per_block_reference_bitwise(case):
     assert traj.states.tobytes() == want_states.tobytes()
     assert traj.ergodic_mean.tobytes() == want_mean.tobytes()
     assert ergodic_mean(spec, rho0).tobytes() == want_mean.tobytes()
+
+
+def test_states_are_an_element_major_view():
+    # each element's time series is contiguous, and no (T, n, n) copy
+    # of the states is made
+    spec = _two_channel_spec(np.random.default_rng(2), n=6)
+    rho0 = _random_pure_state(np.random.default_rng(3), spec.dim)
+    times = np.linspace(0.0, 50.0, 33)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # overlap warning
+        states = resonance_evolution(spec, rho0, times).states
+    assert states.shape == (len(times), spec.dim, spec.dim)
+    assert states.dtype == complex
+    assert states.base is not None
+    assert states.strides[0] == states.itemsize
+
+
+# =====================================================================
+# Resonance lists from another spec
+# =====================================================================
+
+def _three_level_spec():
+    G = np.array([[0.2, 0.5, 0.1], [0.5, -0.1, 0.4], [0.1, 0.4, 0.3]],
+                 dtype=complex)
+    return build_system([0.0, 1.0, 2.5], [(0.02, G, QUBIT["g"])], beta=1.0)
+
+
+@pytest.mark.parametrize("source", ["smaller", "larger", "duplicated"])
+@pytest.mark.parametrize("call", ["resonance_evolution", "ergodic_mean",
+                                  "check_nonoverlap"])
+def test_resonances_must_cover_the_spec_exactly_once(source, call):
+    spec = _three_level_spec()
+    rho0 = pure_state([1.0, 1.0, 1.0])
+    if source == "smaller":
+        resonances = resonance_energies(single_qubit_spec(**QUBIT))
+    elif source == "larger":
+        resonances = resonance_energies(_two_channel_spec(
+            np.random.default_rng(1), n=4))
+    else:
+        own = resonance_energies(spec)
+        resonances = own + own[:1]
+    run = {"resonance_evolution":
+           lambda: resonance_evolution(spec, rho0, [0.0, 1.0],
+                                       resonances=resonances),
+           "ergodic_mean": lambda: ergodic_mean(spec, rho0,
+                                                resonances=resonances),
+           "check_nonoverlap": lambda: check_nonoverlap(
+               spec, resonances=resonances)}[call]
+    with pytest.raises(DimensionMismatch, match="exactly once"):
+        run()
+
+
+def test_own_resonances_pass_the_cover_check():
+    spec = _three_level_spec()
+    rho0 = pure_state([1.0, 0.5, 0.2])
+    resonances = resonance_energies(spec)
+    traj = resonance_evolution(spec, rho0, [0.0], resonances=resonances)
+    assert np.allclose(traj.states[0], rho0.entries, atol=1e-12)
+    assert np.array_equal(ergodic_mean(spec, rho0, resonances=resonances),
+                          traj.ergodic_mean)
+    assert check_nonoverlap(spec, resonances=resonances) \
+        == check_nonoverlap(spec)
 
 
 # =====================================================================
