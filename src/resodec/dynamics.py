@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .model import CouplingTerm, DensityMatrix, FormFactor, SystemSpec, _reals
+from .model import DensityMatrix, FormFactor, SystemSpec, _reals
 from .reservoir import (
     mean_inverse_frequency,
     pv_energy_shift,
@@ -36,10 +36,10 @@ from .reservoir import (
     xi,
 )
 from .resonances import (
-    DISTINCTNESS_TOL,
     ZERO_RESONANCE_TOL,
     ResonanceData,
     _check_cover,
+    _coinciding,
     bohr_spectrum,
     check_nonoverlap,
     resonance_energies,
@@ -53,7 +53,6 @@ __all__ = [
     "resonance_evolution",
     "ergodic_mean",
     "single_qubit_closed_form",
-    "single_qubit_spec",
 ]
 
 
@@ -80,10 +79,6 @@ class PropagatorBlock:
     epsilons: np.ndarray
     weights: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.pairs)
-
 
 def _block_from_resonance(data: ResonanceData,
                           left_vectors: np.ndarray) -> PropagatorBlock:
@@ -104,12 +99,12 @@ def propagator_blocks(resonances: list) -> list:
     """One PropagatorBlock per Bohr group, in sorted-e order.
 
     The groups of one size are one batch: their eigenvector bases are
-    inverted in one call, and one closeness test, by the rule of
-    ``ResonanceData.classes``, finds the groups whose deltas are
-    pairwise distinct.  Those keep every mode as its own class, so
-    their weights are the outer products of matching right and left
-    eigenvectors, formed in one stacked matmul, and their epsilons one
-    mean over one-member classes.  Only groups with coinciding deltas
+    inverted in one call, and the closeness mask that
+    ``ResonanceData.classes`` reads (``_coinciding``) finds the groups
+    whose deltas are pairwise distinct.  Those keep every mode as its
+    own class, so their weights are the outer products of matching
+    right and left eigenvectors, formed in one stacked matmul, and
+    their epsilons one mean over one-member classes.  Only groups with coinciding deltas
     merge their classes one by one (``_block_from_resonance``).  Every
     value is the one a group-by-group pass gives.
     """
@@ -119,10 +114,7 @@ def propagator_blocks(resonances: list) -> list:
         right = np.stack([resonances[i].right_vectors for i in idx])
         left = np.linalg.inv(right)
         deltas = np.stack([resonances[i].deltas for i in idx])
-        close = np.abs(deltas[:, :, None] - deltas[:, None, :]) \
-            <= DISTINCTNESS_TOL
-        close &= ~np.eye(size, dtype=bool)
-        merged = close.any(axis=(1, 2))
+        merged = _coinciding(deltas).sum(axis=(1, 2)) > size
         distinct = np.flatnonzero(~merged)
         # W_s = R[:, s] L[s, :], as (size, 1) @ (1, size) products with
         # the strides of the per-group slices, so matmul takes their path
@@ -170,13 +162,16 @@ class Trajectory:
 
     @property
     def max_trace_deviation(self) -> float:
+        """Largest |tr rho_t - tr rho_0| on the grid; 0.0 on an empty one."""
         traces = np.einsum("tii->t", self.states)
-        return float(np.max(np.abs(traces - traces[0])))
+        return float(np.max(np.abs(traces - traces[:1]), initial=0.0))
 
     @property
     def max_hermiticity_deviation(self) -> float:
+        """Largest |rho_t - rho_t^dag| entry; 0.0 on an empty grid."""
         return float(np.max(np.abs(
-            self.states - np.conj(np.swapaxes(self.states, 1, 2)))))
+            self.states - np.conj(np.swapaxes(self.states, 1, 2))),
+            initial=0.0))
 
 
 def _as_state_array(rho0, dim: int) -> np.ndarray:
@@ -220,7 +215,7 @@ def free_evolution(spec: SystemSpec, rho0, times) -> Trajectory:
     states = phases * rho0[None, :, :]
 
     mean = np.zeros_like(rho0)
-    m, n = bohr_spectrum(spec).groups[0.0].T
+    m, n = bohr_spectrum(spec)[0.0].T
     mean[m, n] = rho0[m, n]
     return Trajectory(times=times, states=states, ergodic_mean=mean)
 
@@ -358,14 +353,3 @@ def single_qubit_closed_form(a: float, b: float, c: complex, delta: float,
 
     mean = np.diag(mean_diag.astype(complex))
     return Trajectory(times=times, states=states, ergodic_mean=mean)
-
-
-def single_qubit_spec(a: float, b: float, c: complex, delta: float,
-                      g: FormFactor, beta: float,
-                      lam: float) -> SystemSpec:
-    """The SystemSpec matching ``single_qubit_closed_form``'s arguments."""
-    matrix = np.array([[a, c], [np.conj(c), b]], dtype=complex)
-    return SystemSpec(dim=2, energies=np.array([0.0, delta]),
-                      couplings=[CouplingTerm(strength=lam, matrix=matrix,
-                                              form_factor=g)],
-                      beta=beta)

@@ -42,7 +42,6 @@ __all__ = [
     "RegisterSpec",
     "build_system",
     "register_to_system",
-    "energy_of_configuration",
     "spin_configuration",
     "collective_z_matrix",
     "collective_x_matrix",
@@ -380,34 +379,6 @@ def spin_configuration(index, n: int) -> np.ndarray:
     return (1 - 2 * bits).astype(int)
 
 
-def _check_configuration(sigma) -> np.ndarray:
-    """A nonempty 1-d spin configuration as an int array; each spin
-    passes _integer (so True is refused) and must be +1 or -1."""
-    entries = np.asarray(sigma, dtype=object)
-    if entries.ndim != 1 or entries.size == 0 or any(
-            _integer(s, "a spin") not in (-1, 1) for s in entries):
-        raise BadConfiguration(
-            "a spin configuration is a nonempty sequence of +1/-1 "
-            f"entries, got {sigma!r}")
-    return entries.astype(int)
-
-
-def energy_of_configuration(reg: RegisterSpec, sigma) -> float:
-    """E(sigma) = sum_ij J_ij sigma_i sigma_j + sum_j B_j sigma_j.
-
-    The double sum runs over all ordered pairs (i, j), so a symmetric J
-    contributes 2*J_ij per unordered pair; diagonal J_ii terms add a
-    configuration-independent constant that cancels from all energy
-    differences.
-    """
-    sigma = _check_configuration(sigma)
-    if len(sigma) != reg.n_qubits:
-        raise BadConfiguration(
-            f"expected {reg.n_qubits} spins, got {len(sigma)}")
-    s = sigma.astype(float)
-    return float(s @ reg.J @ s + reg.B @ s)
-
-
 def collective_z_matrix(n: int) -> np.ndarray:
     """Sum of single-spin z operators in the fixed basis order: the
     diagonal matrix of total magnetizations sum_j sigma_j."""
@@ -427,9 +398,12 @@ def collective_x_matrix(n: int) -> np.ndarray:
 def register_to_system(reg: RegisterSpec) -> SystemSpec:
     """Lower a qubit register to a 2**n-level SystemSpec.
 
-    Energies follow the fixed configuration order of
-    ``spin_configuration``; the two collective channels become coupling
-    terms (lambda1, sum_j S_j^z, g1) and (lambda2, sum_j S_j^x, g2).
+    The energy of configuration sigma is E(sigma) = sum_ij J_ij sigma_i
+    sigma_j + sum_j B_j sigma_j over ordered pairs (i, j), so a
+    symmetric J contributes 2 J_ij per unordered pair; energies follow
+    the fixed configuration order of ``spin_configuration``.  The two
+    collective channels become coupling terms (lambda1, sum_j S_j^z,
+    g1) and (lambda2, sum_j S_j^x, g2).
     Registers above MAX_QUBITS qubits raise RegisterTooLarge.
     """
     n = reg.n_qubits

@@ -59,8 +59,8 @@ from .errors import (
     ValidationError,
     WeightMismatch,
 )
-from .model import FormFactor, RegisterSpec, SystemSpec, _beta, _integer, \
-    _positive, _reals, register_to_system
+from .model import FormFactor, SystemSpec, _beta, _integer, _positive, \
+    _reals
 from .resonances import ZERO_RESONANCE_TOL, resonance_energies
 from .reservoir import _radial_moment, one_sided_density
 
@@ -454,9 +454,8 @@ def exact_evolve(spec: SystemSpec, bath, rho0, times) -> Trajectory:
             "the initial matrix must be finite and Hermitian")
     times = _time_grid(times)
     active = _active_channels(spec, bath)
-    if not active:
-        return free_evolution(spec, rho0, times)
-    states = _sector_evolve(spec, active, rho0, times)
+    states = _sector_evolve(spec, active, rho0, times) if active \
+        else free_evolution(spec, rho0, times).states
     return Trajectory(times=times, states=states,
                       ergodic_mean=states[len(times) // 2:].mean(axis=0))
 
@@ -648,20 +647,19 @@ def _scaled_spec(spec: SystemSpec, lam: float) -> SystemSpec:
                                     for t in spec.couplings])
 
 
-def verify(system, config: VerifyConfig = VerifyConfig(),
+def verify(system: SystemSpec, config: VerifyConfig = VerifyConfig(),
            rho0=None) -> VerificationReport:
     """Run the oracle-versus-theory comparison suite.
 
-    ``system`` is a SystemSpec or RegisterSpec; for each lambda in the
-    config the coupling is rescaled, the truncated-bath oracle and the
+    ``system`` is a SystemSpec (lower a register with
+    ``register_to_system`` first); for each lambda in the config the
+    coupling is rescaled, the truncated-bath oracle and the
     resonance reconstruction are both evolved from ``rho0`` (default:
     the uniform pure superposition, which populates every matrix
     element), and trajectory deviation, per-element decay rates, and
     the long-time state are compared.  The report carries one PASS/FAIL
     entry per check; nothing is raised for a failed comparison.
     """
-    if isinstance(system, RegisterSpec):
-        system = register_to_system(system)
     n = system.dim
     if rho0 is None:
         vec = np.ones(n) / math.sqrt(n)

@@ -43,7 +43,6 @@ from .model import (
     FormFactor,
     RegisterSpec,
     _beta,
-    _check_configuration,
     _form_factor,
     _integer,
     _real,
@@ -51,7 +50,7 @@ from .model import (
     register_to_system,
     spin_configuration,
 )
-from .resonances import BohrSpectrum, _resonance_mixes, bohr_spectrum
+from .resonances import _resonance_mixes, bohr_spectrum
 
 __all__ = [
     "RateReport",
@@ -72,6 +71,18 @@ DEFAULT_SEED = 0xD1CE
 # =====================================================================
 # Configuration pairs
 # =====================================================================
+
+def _check_configuration(sigma) -> np.ndarray:
+    """A nonempty 1-d spin configuration as an int array; each spin
+    passes _integer (so True is refused) and must be +1 or -1."""
+    entries = np.asarray(sigma, dtype=object)
+    if entries.ndim != 1 or entries.size == 0 or any(
+            _integer(s, "a spin") not in (-1, 1) for s in entries):
+        raise BadConfiguration(
+            "a spin configuration is a nonempty sequence of +1/-1 "
+            f"entries, got {sigma!r}")
+    return entries.astype(int)
+
 
 def hamming_and_e0(sigma, tau) -> tuple:
     """(D, e0, N0): Hamming distance D = sum |sigma_j - tau_j|,
@@ -302,11 +313,9 @@ def _loglog_slope(ns, values) -> float:
     return float(slope)
 
 
-def _size_classes(spectrum: BohrSpectrum, sizes) -> BohrSpectrum:
+def _size_classes(spectrum: dict, sizes) -> dict:
     """The groups of ``spectrum`` whose sizes are in ``sizes``."""
-    return BohrSpectrum(groups={
-        e: pairs for e, pairs in spectrum.groups.items()
-        if len(pairs) in sizes})
+    return {e: pairs for e, pairs in spectrum.items() if len(pairs) in sizes}
 
 
 def scaling_study(template: RegisterTemplate, n_list,
@@ -351,13 +360,13 @@ def scaling_study(template: RegisterTemplate, n_list,
         reg = template.realize(n, seed, attenuate=attenuate)
         spec = register_to_system(reg)
         cons_groups = exch_groups = spectrum = bohr_spectrum(spec, tol)
-        if len(spectrum.groups) == 3 ** n:
+        if len(spectrum) == 3 ** n:
             cons_groups = _size_classes(spectrum, {1})
             exch_groups = _size_classes(spectrum, {1, 2 ** n})
         else:
             warnings.warn(
                 f"the Bohr spectrum of the N = {n} field has "
-                f"{len(spectrum.groups)} groups, not one per flip pattern "
+                f"{len(spectrum)} groups, not one per flip pattern "
                 f"(3^{n}); every group is evaluated", UserWarning,
                 stacklevel=2)
         (cons,) = _resonance_mixes(spec, [(reg.lambda1, 0.0)], cons_groups)

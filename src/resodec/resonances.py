@@ -47,7 +47,6 @@ from .model import SystemSpec, _positive
 from .reservoir import _half_line_transforms, thermal_spectral_density
 
 __all__ = [
-    "BohrSpectrum",
     "ResonanceData",
     "NonoverlapReport",
     "bohr_spectrum",
@@ -70,19 +69,6 @@ DEFECTIVE_COND = 1e8
 # Bohr spectrum
 # =====================================================================
 
-@dataclass(frozen=True)
-class BohrSpectrum:
-    """Partition of all N^2 index pairs by energy difference.
-
-    ``groups`` maps each representative Bohr frequency e to a read-only
-    (d, 2) integer array of the 0-based index pairs (m, n) with
-    E_m - E_n = e up to the clustering tolerance, in lexicographic
-    order.  The e = 0 group always contains all diagonal pairs.
-    """
-
-    groups: dict
-
-
 def default_cluster_tolerance(energies: np.ndarray) -> float:
     """1e-9 times the largest level spacing magnitude, floored at 1e-12."""
     energies = np.asarray(energies, dtype=float)
@@ -90,8 +76,13 @@ def default_cluster_tolerance(energies: np.ndarray) -> float:
     return max(1e-9 * spread, 1e-12)
 
 
-def bohr_spectrum(spec: SystemSpec, tol: float | None = None) -> BohrSpectrum:
+def bohr_spectrum(spec: SystemSpec, tol: float | None = None) -> dict:
     """Cluster all energy differences E_m - E_n into Bohr groups.
+
+    Returns a dict mapping each representative Bohr frequency e to a
+    read-only (d, 2) integer array of the 0-based index pairs (m, n)
+    with E_m - E_n = e up to the clustering tolerance, in lexicographic
+    order.  The e = 0 group always contains all diagonal pairs.
 
     Single-linkage clustering: sorted differences are split wherever the
     gap exceeds ``tol``.  The representative frequency is the cluster
@@ -140,9 +131,8 @@ def bohr_spectrum(spec: SystemSpec, tol: float | None = None) -> BohrSpectrum:
         reps[which] = sorted_diffs[starts[which, None]
                                    + np.arange(size)].mean(axis=1)
     reps[zero] = 0.0
-    return BohrSpectrum(groups={
-        e_rep: pairs[a:b] for e_rep, a, b
-        in zip(reps.tolist(), starts.tolist(), ends.tolist())})
+    return {e_rep: pairs[a:b] for e_rep, a, b
+            in zip(reps.tolist(), starts.tolist(), ends.tolist())}
 
 
 # =====================================================================
@@ -237,6 +227,16 @@ def level_shift_operator(spec: SystemSpec, group) -> np.ndarray:
 # Resonance data
 # =====================================================================
 
+def _coinciding(deltas: np.ndarray) -> np.ndarray:
+    """The (..., d, d) mask of level shifts that coincide, for a stack
+    (..., d) of deltas: |delta_i - delta_j| <= DISTINCTNESS_TOL, with
+    the diagonal set.  The one judge of which shifts share a mode."""
+    close = np.abs(deltas[..., :, None] - deltas[..., None, :]) \
+        <= DISTINCTNESS_TOL
+    close |= np.eye(deltas.shape[-1], dtype=bool)
+    return close
+
+
 @dataclass(frozen=True)
 class ResonanceData:
     """Spectral data of one Bohr group.
@@ -259,11 +259,9 @@ class ResonanceData:
     @cached_property
     def classes(self) -> tuple:
         """Index arrays of the distinct deltas: in sorted order, each
-        delta joins the first class whose first member lies within
-        DISTINCTNESS_TOL of it, or opens a new class."""
-        close = np.abs(self.deltas[:, None] - self.deltas[None, :]) \
-            <= DISTINCTNESS_TOL
-        close |= np.eye(len(self.deltas), dtype=bool)
+        delta joins the first class whose first member coincides with
+        it (``_coinciding``), or opens a new class."""
+        close = _coinciding(self.deltas)
         free = np.ones(len(self.deltas), dtype=bool)
         classes = []
         while free.any():
@@ -309,8 +307,7 @@ def _diagonalize_groups(es, groups, lam_mats: np.ndarray,
             for i, e in enumerate(es)]
 
 
-def _resonance_mixes(spec: SystemSpec, mixes, spectrum: BohrSpectrum) \
-        -> list:
+def _resonance_mixes(spec: SystemSpec, mixes, spectrum: dict) -> list:
     """``resonance_energies`` for several channel mixes of one spec.
 
     ``mixes`` is a list of strength vectors, one strength per coupling
@@ -323,13 +320,13 @@ def _resonance_mixes(spec: SystemSpec, mixes, spectrum: BohrSpectrum) \
     pass.  Returns one sorted-e list of ResonanceData per mix.
     """
     tables = _channel_tables(spec, mixes)
-    keys = sorted(spectrum.groups.keys())
+    keys = sorted(spectrum)
     by_size: dict = {}
     for e in keys:
-        by_size.setdefault(len(spectrum.groups[e]), []).append(e)
+        by_size.setdefault(len(spectrum[e]), []).append(e)
     results = [{} for _ in mixes]
     for es in by_size.values():
-        groups = [spectrum.groups[e] for e in es]
+        groups = [spectrum[e] for e in es]
         pairs = np.stack(groups)
         parts = _channel_level_shifts(tables, pairs)
         shape = (len(es), pairs.shape[1], pairs.shape[1])

@@ -2,6 +2,10 @@
 
 from pathlib import Path
 
+import numpy as np
+
+from resodec.model import CouplingTerm, SystemSpec
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "demos" / "configs"
 
@@ -16,3 +20,14 @@ NEAR_RELATION_FIELDS = [
 ]
 #: a scaling b_interval whose draws merge flip patterns at every size
 NARROW_B_INTERVAL = (0.5, 0.5000000001)
+
+
+def single_qubit_spec(a, b, c, delta, g, beta, lam) -> SystemSpec:
+    """The SystemSpec matching ``single_qubit_closed_form``'s arguments:
+    energies (0, delta) and one channel of strength lam through the
+    matrix [[a, c], [conj(c), b]] with form factor g."""
+    matrix = np.array([[a, c], [np.conj(c), b]], dtype=complex)
+    return SystemSpec(dim=2, energies=np.array([0.0, delta]),
+                      couplings=[CouplingTerm(strength=lam, matrix=matrix,
+                                              form_factor=g)],
+                      beta=beta)

@@ -28,7 +28,7 @@ from resodec.model import (
     build_system,
     gibbs_state,
 )
-from resodec.dynamics import resonance_evolution, single_qubit_spec
+from resodec.dynamics import resonance_evolution
 from resodec.oracle import TruncatedBath, discretize_bath, exact_evolve, fit_decay
 from resodec.register import (
     RegisterTemplate,
@@ -47,7 +47,7 @@ from resodec.reservoir import (
 )
 from resodec.resonances import resonance_energies
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, single_qubit_spec
 
 
 def announce(name, passed, detail=""):

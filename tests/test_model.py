@@ -25,7 +25,6 @@ from resodec.model import (
     build_system,
     collective_x_matrix,
     collective_z_matrix,
-    energy_of_configuration,
     gibbs_state,
     register_to_system,
     spin_configuration,
@@ -174,24 +173,12 @@ def test_spin_configuration_ordering():
 def test_energy_of_configuration_manual():
     reg = make_register(2, J=np.array([[0.0, 0.3], [0.3, 0.0]]),
                         B=np.array([0.7, -0.2]))
-    sigma = (1, -1)
-    # ordered pairs: J contributes 2 * J_01 * s0 * s1
+    # index 2 is sigma = (1, -1); ordered pairs: J contributes
+    # 2 * J_01 * s0 * s1
+    assert np.array_equal(spin_configuration(2, 2), [1, -1])
     expected = 2.0 * 0.3 * 1 * (-1) + 0.7 * 1 + (-0.2) * (-1)
-    assert np.isclose(energy_of_configuration(reg, sigma), expected,
+    assert np.isclose(register_to_system(reg).energies[2], expected,
                       rtol=0.0, atol=1e-14)
-
-
-def test_spins_are_integers_plus_or_minus_one():
-    # each spin passes the integer check: an integral float is a spin,
-    # a boolean is not
-    reg = make_register(2, B=np.array([0.4, 0.6]))
-    assert energy_of_configuration(reg, [1.0, -1]) \
-        == energy_of_configuration(reg, [1, -1])
-    for sigma in ([True, -1], [np.True_, -1], [1, False], [1, 0],
-                  [1.5, -1], ["1", -1], [1, None], [[1, -1]], [],
-                  [[1], [1, -1]]):
-        with pytest.raises(BadConfiguration, match="spin"):
-            energy_of_configuration(reg, sigma)
 
 
 def test_collective_matrices():
@@ -214,9 +201,8 @@ def test_register_to_system_channels():
     spec = register_to_system(reg)
     assert spec.dim == 4
     for idx in range(4):
-        sigma = spin_configuration(idx, 2)
-        assert np.isclose(spec.energies[idx],
-                          energy_of_configuration(reg, sigma))
+        s = spin_configuration(idx, 2).astype(float)
+        assert np.isclose(spec.energies[idx], s @ reg.J @ s + reg.B @ s)
     strengths = [t.strength for t in spec.couplings]
     assert strengths == [reg.lambda1, reg.lambda2]
     assert np.allclose(spec.couplings[0].matrix, collective_z_matrix(2))
@@ -246,7 +232,8 @@ def test_register_to_system_at_the_size_limit():
     assert np.array_equal(x.sum(axis=1), np.full(spec.dim, MAX_QUBITS))
     for idx in (0, 1, 309, spec.dim - 1):
         sigma = spin_configuration(idx, MAX_QUBITS)
-        assert spec.energies[idx] == energy_of_configuration(reg, sigma)
+        s = sigma.astype(float)
+        assert spec.energies[idx] == s @ reg.J @ s + reg.B @ s
         assert spec.couplings[0].matrix[idx, idx] == sigma.sum()
 
 

@@ -26,7 +26,6 @@ from resodec.dynamics import (
     free_evolution,
     resonance_evolution,
     single_qubit_closed_form,
-    single_qubit_spec,
 )
 from resodec.reservoir import (
     _radial_moment,
@@ -48,7 +47,7 @@ from resodec.oracle import (
 )
 from resodec.oracle import _scaled_spec, _thermofield_modes
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, single_qubit_spec
 
 FF = FormFactor(radial_exponent=0.5, decay_exponent=2)
 QUBIT = dict(a=0.2, b=-0.4, c=0.7, delta=1.0, g=FF, beta=1.0, lam=0.01)
@@ -439,6 +438,10 @@ def test_zero_coupling_follows_free_evolution():
     traj = exact_evolve(spec, tiny_bath(), plus_state(), times)
     free = free_evolution(spec, plus_state(), times)
     assert np.array_equal(traj.states, free.states)
+    # the ergodic mean is the second-half average with or without an
+    # active channel, not the free evolution's infinite-time mean
+    assert np.array_equal(traj.ergodic_mean, traj.states[10:].mean(axis=0))
+    assert abs(traj.ergodic_mean[0, 1]) > 1e-3
 
 
 def test_dimension_guards():

@@ -101,6 +101,53 @@ def test_module_level_imports_are_used():
     assert unused == []
 
 
+#: public names that nothing outside the tests reads yet, each with the
+#: reason it stays
+TEST_ONLY_PUBLIC_NAMES = {
+    "check_condition_A": "its first pipeline caller is ROADMAP item 9",
+    "hamming_and_e0": "the Hamming-metric criterion of the acceptance "
+                      "contract (tests/test_acceptance.py) reads it",
+}
+
+
+def _read_names(path, strings=False) -> set:
+    """Names a file reads: loaded Names and Attributes, and with
+    ``strings`` every string constant (perfbench/tracing.py names the
+    entry points it wraps as strings)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a name in __all__ that only the tests read is an entry point the
+    # package, the demos and the benchmark do without: it belongs in
+    # the tests, or nowhere
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")) \
+            + sorted((REPO_ROOT / "demos").glob("*.py")):
+        read |= _read_names(path)
+    for path in sorted((REPO_ROOT / "perfbench").glob("*.py")):
+        read |= _read_names(path, strings=True)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                unread += [name for name in ast.literal_eval(node.value)
+                           if name not in read]
+    assert sorted(unread) == sorted(TEST_ONLY_PUBLIC_NAMES)
+
+
 def test_pyproject_version_is_the_package_version():
     # every CSV's "# version:" line prints resodec.__version__
     tomllib = pytest.importorskip("tomllib")

@@ -70,8 +70,12 @@ def test_bad_configurations_rejected():
         hamming_and_e0((1, 0), (1, 1))
     with pytest.raises(BadConfiguration):
         hamming_and_e0((1, 1), (1, 1, -1))
-    for sigma in ((True, -1), (1, np.float64(-1.5)), (1, "-1")):
-        with pytest.raises(BadConfiguration):
+    # each spin passes the integer check: an integral float is a spin,
+    # a boolean is not
+    for sigma in ((True, -1), (np.True_, -1), (1, False),
+                  (1, np.float64(-1.5)), (1.5, -1), (1, "-1"), (1, None),
+                  [[1, -1]], [[1], [1, -1]]):
+        with pytest.raises(BadConfiguration, match="spin"):
             hamming_and_e0(sigma, (1, 1))
     assert hamming_and_e0((1.0, -1), (1, 1)) == (2, -2, 1)
 
@@ -402,7 +406,7 @@ def test_scaling_study_evaluates_every_group_otherwise(monkeypatch):
                       r"not one per flip pattern \(3\^4\)"):
         table = scaling_study(flat, [4], seed=11)
     spec = register_to_system(flat.realize(4, 11))
-    groups = bohr_spectrum(spec).groups
+    groups = bohr_spectrum(spec)
     assert len(groups) == 9        # e depends on the flip count only
     assert sum(count for _, count in calls) == 2 * len(groups)
     assert {size for size, _ in calls} \

@@ -25,7 +25,8 @@ from resodec.resonances import (
     level_shift_operator,
     resonance_energies,
 )
-from resodec.dynamics import single_qubit_spec
+
+from conftest import single_qubit_spec
 
 RNG = np.random.default_rng(20240819)
 
@@ -57,10 +58,10 @@ def random_spec(n, channels=1, seed=None):
 def test_bohr_spectrum_qubit_groups():
     spec = single_qubit_spec(**QUBIT)
     bs = bohr_spectrum(spec)
-    assert np.allclose(sorted(bs.groups), [-1.1, 0.0, 1.1])
-    assert bs.groups[0.0].tolist() == [[0, 0], [1, 1]]
-    assert bs.groups[-1.1].tolist() == [[0, 1]]
-    assert bs.groups[1.1].tolist() == [[1, 0]]
+    assert np.allclose(sorted(bs), [-1.1, 0.0, 1.1])
+    assert bs[0.0].tolist() == [[0, 0], [1, 1]]
+    assert bs[-1.1].tolist() == [[0, 1]]
+    assert bs[1.1].tolist() == [[1, 0]]
 
 
 def test_bohr_spectrum_merges_degenerate_levels():
@@ -70,7 +71,7 @@ def test_bohr_spectrum_merges_degenerate_levels():
     bs = bohr_spectrum(spec)
     # degenerate levels put the (0,1)/(1,0) coherences into the e = 0
     # group alongside the diagonals
-    assert bs.groups[0.0].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1],
+    assert bs[0.0].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1],
                                        [2, 2]]
 
 
@@ -87,10 +88,10 @@ def test_bohr_spectrum_partitions_pairs_lexicographically():
         spec = build_system(energies, [(0.01, np.eye(n, dtype=complex),
                                         ff)], beta=1.0)
         bs = bohr_spectrum(spec)
-        every = np.concatenate(list(bs.groups.values()))
+        every = np.concatenate(list(bs.values()))
         assert sorted(map(tuple, every.tolist())) == \
             [(m, k) for m in range(n) for k in range(n)]
-        for e, pairs in bs.groups.items():
+        for e, pairs in bs.items():
             assert pairs.shape[1:] == (2,)
             assert not pairs.flags.writeable
             assert pairs.tolist() == sorted(pairs.tolist())
@@ -98,7 +99,7 @@ def test_bohr_spectrum_partitions_pairs_lexicographically():
             assert np.all(np.abs(diffs - e)
                           <= default_cluster_tolerance(energies))
         diagonal = [[m, m] for m in range(n)]
-        assert all(p in bs.groups[0.0].tolist() for p in diagonal)
+        assert all(p in bs[0.0].tolist() for p in diagonal)
 
 
 def test_bohr_representatives_are_the_sorted_cluster_means():
@@ -115,10 +116,10 @@ def test_bohr_representatives_are_the_sorted_cluster_means():
         spec = build_system(energies, [(0.01, np.eye(n, dtype=complex),
                                         ff)], beta=1.0)
         bs = bohr_spectrum(spec)
-        sizes = [len(p) for e, p in bs.groups.items() if e != 0.0]
+        sizes = [len(p) for e, p in bs.items() if e != 0.0]
         assert min(sizes) < 8 and max(sizes) > 128
         assert any(8 <= size <= 128 for size in sizes)
-        for e, pairs in bs.groups.items():
+        for e, pairs in bs.items():
             diffs = np.sort(energies[pairs[:, 0]] - energies[pairs[:, 1]])
             want = 0.0 if [0, 0] in pairs.tolist() else float(diffs.mean())
             assert e == want
@@ -172,7 +173,7 @@ def test_population_block_matches_density_matrix_form():
     delta, g, beta = QUBIT["delta"], QUBIT["g"], QUBIT["beta"]
     spec = single_qubit_spec(**QUBIT)
     bs = bohr_spectrum(spec)
-    lam0 = level_shift_operator(spec, bs.groups[0.0])
+    lam0 = level_shift_operator(spec, bs[0.0])
 
     c2 = abs(c) ** 2
     d_plus = thermal_spectral_density(g, beta, delta)
@@ -216,7 +217,7 @@ def test_coherence_shift_matches_transform_combination():
 def test_trace_and_gibbs_null_vectors():
     spec = random_spec(3, channels=1, seed=11)
     bs = bohr_spectrum(spec)
-    lam0 = level_shift_operator(spec, bs.groups[0.0])
+    lam0 = level_shift_operator(spec, bs[0.0])
     scale = np.max(np.abs(lam0))
     # the all-ones row (trace functional) annihilates the population
     # block from the left ...
