@@ -37,7 +37,6 @@ from .reservoir import (
 )
 from .resonances import (
     ZERO_RESONANCE_TOL,
-    ResonanceData,
     _check_cover,
     _coinciding,
     bohr_spectrum,
@@ -70,8 +69,12 @@ class PropagatorBlock:
     group's element vector evolves as
     v(t) = sum_s exp(i t epsilons[s]) weights[s] @ v(0)
     (evaluated by ``resonance_evolution`` and ``ergodic_mean``).
-    The weights sum to the identity, so at vanishing coupling the block
-    reduces to the free rotation e^{i t e}.
+    Mode s is one class of coinciding level shifts
+    (``ResonanceData.classes``): its weight is R[:, idx] @ inv(R)[idx, :]
+    for the class's indices idx into the right eigenvectors R, and its
+    epsilon the mean of the class's resonance energies.  The weights
+    sum to the identity, so at vanishing coupling the block reduces to
+    the free rotation e^{i t e}.
     """
 
     e: float
@@ -80,33 +83,17 @@ class PropagatorBlock:
     weights: np.ndarray
 
 
-def _block_from_resonance(data: ResonanceData,
-                          left_vectors: np.ndarray) -> PropagatorBlock:
-    """Merge eigenmodes with coinciding shift into one spectral weight;
-    ``left_vectors`` is the inverse of ``data.right_vectors``."""
-    d = len(data.pairs)
-    classes = data.classes
-    epsilons = np.empty(len(classes), dtype=complex)
-    weights = np.empty((len(classes), d, d), dtype=complex)
-    for s, idx in enumerate(classes):
-        epsilons[s] = np.mean(data.epsilons[idx])
-        weights[s] = data.right_vectors[:, idx] @ left_vectors[idx, :]
-    return PropagatorBlock(e=data.e, pairs=data.pairs,
-                           epsilons=epsilons, weights=weights)
-
-
 def propagator_blocks(resonances: list) -> list:
     """One PropagatorBlock per Bohr group, in sorted-e order.
 
-    The groups of one size are one batch: their eigenvector bases are
-    inverted in one call, and the closeness mask that
-    ``ResonanceData.classes`` reads (``_coinciding``) finds the groups
-    whose deltas are pairwise distinct.  Those keep every mode as its
-    own class, so their weights are the outer products of matching
-    right and left eigenvectors, formed in one stacked matmul, and
-    their epsilons one mean over one-member classes.  Only groups with coinciding deltas
-    merge their classes one by one (``_block_from_resonance``).  Every
-    value is the one a group-by-group pass gives.
+    The groups of one size invert their eigenvector bases in one call,
+    and split into batches of groups with the same class partition.  A
+    group whose deltas the closeness mask (``_coinciding``) finds
+    pairwise distinct has the all-singletons partition, without
+    calling ``ResonanceData.classes``; any other group has its
+    ``classes``.  Each class of a batch then takes one stacked matmul
+    and one mean, indexed as a group-by-group pass indexes one group,
+    so every value is the one that pass gives.
     """
     blocks = [None] * len(resonances)
     for size in {len(r.pairs) for r in resonances}:
@@ -114,23 +101,25 @@ def propagator_blocks(resonances: list) -> list:
         right = np.stack([resonances[i].right_vectors for i in idx])
         left = np.linalg.inv(right)
         deltas = np.stack([resonances[i].deltas for i in idx])
-        merged = _coinciding(deltas).sum(axis=(1, 2)) > size
-        distinct = np.flatnonzero(~merged)
-        # W_s = R[:, s] L[s, :], as (size, 1) @ (1, size) products with
-        # the strides of the per-group slices, so matmul takes their path
-        shape = (len(distinct), size, size, 1)
-        weights = np.ascontiguousarray(
-            right[distinct].transpose(0, 2, 1)).reshape(shape) \
-            @ left[distinct].reshape(shape[:2] + (1, size))
         epsilons = np.stack([resonances[i].epsilons for i in idx])
-        epsilons = epsilons[distinct, :, None].mean(axis=-1)
-        for j, w, eps in zip(distinct.tolist(), weights, epsilons):
-            r = resonances[idx[j]]
-            blocks[idx[j]] = PropagatorBlock(e=r.e, pairs=r.pairs,
-                                             epsilons=eps, weights=w)
-        for j in np.flatnonzero(merged).tolist():
-            blocks[idx[j]] = _block_from_resonance(resonances[idx[j]],
-                                                   left[j])
+        merged = _coinciding(deltas).sum(axis=(1, 2)) > size
+        singletons = tuple((s,) for s in range(size))
+        batches = {}
+        for j, (i, m) in enumerate(zip(idx, merged.tolist())):
+            partition = tuple(tuple(c.tolist())
+                              for c in resonances[i].classes) \
+                if m else singletons
+            batches.setdefault(partition, []).append(j)
+        for partition, js in batches.items():
+            r_js, l_js, eps_js = right[js], left[js], epsilons[js]
+            weights = np.stack([r_js[:, :, c] @ l_js[:, c, :]
+                                for c in partition], axis=1)
+            eps = np.stack([eps_js[:, c].mean(axis=-1) for c in partition],
+                           axis=1)
+            for j, w, eps_j in zip(js, weights, eps):
+                r = resonances[idx[j]]
+                blocks[idx[j]] = PropagatorBlock(e=r.e, pairs=r.pairs,
+                                                 epsilons=eps_j, weights=w)
     return blocks
 
 

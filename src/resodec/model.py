@@ -279,6 +279,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         dim = _integer(self.dim, "dim")
+        if dim < 1:
+            raise ValidationError(f"dim must be >= 1, got {dim}")
         m = _reals(self.entries, "density matrix entries", dtype=complex)
         if m.shape != (dim, dim):
             raise DimensionMismatch(

@@ -60,7 +60,7 @@ from .errors import (
     WeightMismatch,
 )
 from .model import FormFactor, SystemSpec, _beta, _integer, _positive, \
-    _reals
+    _real, _reals
 from .resonances import ZERO_RESONANCE_TOL, resonance_energies
 from .reservoir import _radial_moment, one_sided_density
 
@@ -446,13 +446,17 @@ def exact_evolve(spec: SystemSpec, bath, rho0, times) -> Trajectory:
     per coupling term.  ``rho0`` may be any Hermitian matrix, not only
     a density matrix: the evolution is linear in it.  The trajectory's
     ergodic mean is the empirical average over the second half of the
-    time grid.
+    time grid, so an empty grid raises ValidationError.
     """
     rho0 = _as_state_array(rho0, spec.dim)
     if not np.all(np.abs(rho0 - rho0.conj().T) <= 1e-10):
         raise ValidationError(
             "the initial matrix must be finite and Hermitian")
     times = _time_grid(times)
+    if len(times) == 0:
+        raise ValidationError(
+            "times must hold at least one time: the ergodic mean "
+            "averages the second half of the grid")
     active = _active_channels(spec, bath)
     states = _sector_evolve(spec, active, rho0, times) if active \
         else free_evolution(spec, rho0, times).states
@@ -513,8 +517,10 @@ class FitResult:
     window: tuple
 
     def __post_init__(self):
-        if self.rate < 0.0:
-            raise ValueError("rate must be >= 0")
+        rate = _real(self.rate, "rate")
+        if rate < 0.0:
+            raise ValidationError(f"rate must be >= 0, got {rate!r}")
+        object.__setattr__(self, "rate", rate)
 
 
 def fit_decay(trajectory: Trajectory, element: tuple) -> FitResult:

@@ -29,7 +29,8 @@ from resodec.model import (
     register_to_system,
     spin_configuration,
 )
-from resodec.oracle import TruncatedBath, VerifyConfig, discretize_bath
+from resodec.oracle import FitResult, TruncatedBath, VerifyConfig, \
+    discretize_bath
 from resodec.register import RegisterTemplate, generic_field_check
 from resodec.reservoir import pv_energy_shift, xi, xi_lorentzian_check
 from resodec.resonances import bohr_spectrum
@@ -332,6 +333,11 @@ def test_scales_reals_and_form_factor_fields_are_checked():
                                         b_interval=v))
           for v in (("a", "b"), (0.45, True), (None, 0.55),
                     (0.45, math.nan), 0.5)],
+        # a NaN rate compares false with the bound
+        *[(f"FitResult.rate={v!r}", ValidationError, match,
+           lambda v=v: FitResult(v, 0.0, 0.0, (0.0, 1.0)))
+          for v, match in ((math.nan, "rate must be a finite number"),
+                           (-1.0, "rate must be >= 0"))],
         ("VerifyConfig.lambdas=0.02", ValidationError, "lambdas",
          lambda: VerifyConfig(lambdas=0.02)),
         *[(f"xi eta={v!r}", ValidationError, "eta",
@@ -387,6 +393,10 @@ def test_scales_reals_and_form_factor_fields_are_checked():
         *[(f"DensityMatrix dim={v!r}", BadConfiguration,
            "dim must be an integer", lambda v=v: DensityMatrix(v, half))
           for v in (True, 2.5, "2")],
+        ("DensityMatrix dim=0", ValidationError, "dim must be >= 1",
+         lambda: DensityMatrix(0, np.zeros((0, 0)))),
+        ("from_array(zeros((0, 0)))", ValidationError, "dim must be >= 1",
+         lambda: DensityMatrix.from_array(np.zeros((0, 0)))),
         # form-factor fields hold FormFactors
         ("CouplingTerm form_factor=None", ValidationError,
          "form_factor must be a FormFactor",

@@ -155,27 +155,36 @@ def test_argument_checks_raise_validation_error():
                                  times=[0.0])
 
 
-@pytest.mark.parametrize("evolve, takes_grid", [
-    (free_evolution, True),
-    (resonance_evolution, True),
-    (lambda spec, rho0, times: ergodic_mean(spec, rho0), False),
+@pytest.mark.parametrize("evolve, takes_grid, needs_a_time", [
+    (free_evolution, True, False),
+    (resonance_evolution, True, False),
+    (lambda spec, rho0, times: ergodic_mean(spec, rho0), False, False),
     (lambda spec, rho0, times: single_qubit_closed_form(
-        **QUBIT, rho0=rho0, times=times), True),
+        **QUBIT, rho0=rho0, times=times), True, False),
     (lambda spec, rho0, times: exact_evolve(spec, tiny_bath(), rho0, times),
-     True),
+     True, True),
 ], ids=["free_evolution", "resonance_evolution", "ergodic_mean",
         "single_qubit_closed_form", "exact_evolve"])
-def test_entry_points_check_initial_state_and_time_grid(evolve, takes_grid):
+def test_entry_points_check_initial_state_and_time_grid(evolve, takes_grid,
+                                                        needs_a_time):
     # a 3x3 state on a qubit used to give its 2x2 corner or numpy's
     # broadcast error, and a non-finite grid NaN states or an
-    # OverflowError: the CLI would report those as bugs (exit 4)
+    # OverflowError: the CLI would report those as bugs (exit 4).  The
+    # oracle's ergodic mean averages the grid's second half, which an
+    # empty grid leaves without a sample
     spec = single_qubit_spec(**QUBIT)
     with pytest.raises(DimensionMismatch, match="initial state"):
         evolve(spec, np.eye(3) / 3.0, [0.0])
-    if takes_grid:
-        for times in ([0.0, np.nan], [0.0, np.inf], [[0.0, 1.0]]):
-            with pytest.raises(ValidationError, match="times"):
-                evolve(spec, plus_state(), times)
+    if not takes_grid:
+        return
+    bad = [[0.0, np.nan], [0.0, np.inf], [[0.0, 1.0]]]
+    if needs_a_time:
+        bad.append([])
+    else:
+        assert evolve(spec, plus_state(), []).states.shape == (0, 2, 2)
+    for times in bad:
+        with pytest.raises(ValidationError, match="times"):
+            evolve(spec, plus_state(), times)
 
 
 def test_value_types_store_integers_through_the_checked_conversion():

@@ -148,6 +148,29 @@ def test_every_public_name_is_read_outside_the_tests():
     assert sorted(unread) == sorted(TEST_ONLY_PUBLIC_NAMES)
 
 
+def test_every_private_module_name_is_read_in_the_package():
+    # a module-level private function, class or constant that nothing
+    # in the package reads is a helper left behind by a change
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        read |= _read_names(path)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{path.name} {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    assert unread == []
+
+
 def test_pyproject_version_is_the_package_version():
     # every CSV's "# version:" line prints resodec.__version__
     tomllib = pytest.importorskip("tomllib")
