@@ -12,21 +12,25 @@ verify     truncated-reservoir oracle versus resonance theory
 Every CSV starts with a provenance comment header (configuration
 hash, seed, package version — never timestamps), so identical inputs
 produce byte-identical output.  Exit codes: 0 success, 1 validation
-error (a malformed command line included), 2 numerical failure, 3
-verification failure, 4 a bug; errors 1-3 go to standard error with the
-prefix ``ERROR[code]:``.  Each handler loads its inputs with a
+error (a malformed command line or a failed write included), 2
+numerical failure, 3 verification failure, 4 a bug; errors 1-3 go to
+standard error with the prefix ``ERROR[code]:``.  Handlers compute, and
+``run`` loads and writes: it loads the configuration once and writes
+the CSV once.  A handler reads the configuration with a
 ``resodec.config`` section loader (this module reads no configuration
-key), computes and writes.  A malformed value raises ValidationError in
-the loader, and a malformed flag in the parser; any other exception is
-a bug: ``run`` propagates it, ``main`` prints its traceback.
+key) and returns ``(columns, rows, footer)``; verify's adds the report
+that ``run`` prints after the CSV.  A malformed value
+raises ValidationError in the loader, and a malformed flag in the
+parser; any other exception is a bug: ``run`` propagates it, ``main``
+prints its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import logging
 import math
+import os
 import sys
 import traceback
 
@@ -56,8 +60,6 @@ from .resonances import check_nonoverlap, resonance_energies
 
 __all__ = ["run", "main", "build_parser"]
 
-log = logging.getLogger("resodec")
-
 LORENTZIAN_EPSILON = 1e-3
 
 
@@ -77,29 +79,30 @@ def _fmt(value) -> str:
     return format(float(value), ".12e")
 
 
-@contextlib.contextmanager
-def _open_output(path):
-    if path in (None, "-"):
-        yield sys.stdout
-    else:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                yield handle
-        except OSError as exc:
-            raise BadConfiguration(
-                f"cannot write output {path!r}: {exc}") from exc
+def _write_csv(path: str, cfg: dict, seed: int, columns, rows,
+               footer) -> None:
+    """Write one CSV, provenance header first, to ``path``."""
+    _write(path, [f"# config_hash: {config_hash(cfg)}", f"# seed: {seed}",
+                  f"# version: {__version__}", ",".join(columns),
+                  *(",".join(_fmt(v) for v in row) for row in rows),
+                  *footer])
 
 
-def _write_csv(stream, cfg: dict, seed: int, columns, rows,
-               footer_lines=()):
-    stream.write(f"# config_hash: {config_hash(cfg)}\n")
-    stream.write(f"# seed: {seed}\n")
-    stream.write(f"# version: {__version__}\n")
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
-    for line in footer_lines:
-        stream.write(line + "\n")
+def _write(path: str, lines) -> None:
+    """Write ``lines`` to ``path`` ('-' for standard output).  A failed
+    write to either, a full disk or a closed pipe, raises
+    BadConfiguration."""
+    try:
+        with contextlib.nullcontext(sys.stdout) if path == "-" else \
+                open(path, "w", encoding="utf-8", newline="") as out:
+            # a write per line: unbuffered, one long write to a pipe
+            # closed midway reports success for the part it delivered
+            for line in lines:
+                out.write(line + "\n")
+            out.flush()
+    except OSError as exc:
+        raise BadConfiguration(
+            f"cannot write output {path!r}: {exc}") from exc
 
 
 # =====================================================================
@@ -170,8 +173,7 @@ def _parse_times(text: str) -> tuple:
 # Subcommand handlers
 # =====================================================================
 
-def _cmd_spectrum(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_spectrum(args, cfg):
     spec = system_from_config(cfg)
     data = resonance_energies(spec, tol=args.tol)
     rows = [(r.e, s, eps.real, eps.imag, r.nu, r.gamma, len(r.pairs))
@@ -181,30 +183,20 @@ def _cmd_spectrum(args) -> int:
         rep = check_nonoverlap(spec, resonances=data)
         footer = [f"# nonoverlap_{name}: {_fmt(getattr(rep, name))}"
                   for name in ("margin", "min_gap", "max_shift", "passed")]
-    with _open_output(args.output) as out:
-        _write_csv(out, cfg, args.seed,
-                   ["e", "s", "Re(epsilon)", "Im(epsilon)", "nu",
-                    "gamma_e", "group_size"], rows, footer)
-    log.info("spectrum: %d resonance rows", len(rows))
-    return 0
+    return (["e", "s", "Re(epsilon)", "Im(epsilon)", "nu", "gamma_e",
+             "group_size"], rows, footer)
 
 
-def _cmd_rates(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_rates(args, cfg):
     reports = decoherence_rates(register_from_config(cfg), tol=args.tol)
     rows = [(r.e, r.gamma, r.gamma_conserving, r.gamma_exchange,
              r.gamma_cross, r.e0, r.hamming, len(r.pairs))
             for r in reports]
-    with _open_output(args.output) as out:
-        _write_csv(out, cfg, args.seed,
-                   ["e", "gamma", "gamma_conserving", "gamma_exchange",
-                    "gamma_cross", "e0", "hamming", "group_size"], rows)
-    log.info("rates: %d Bohr groups", len(rows))
-    return 0
+    return (["e", "gamma", "gamma_conserving", "gamma_exchange",
+             "gamma_cross", "e0", "hamming", "group_size"], rows, [])
 
 
-def _cmd_evolve(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_evolve(args, cfg):
     spec, rho0, times = evolve_from_config(
         cfg, None if args.times is None else _parse_times(args.times))
     if args.elements is not None:
@@ -222,15 +214,10 @@ def _cmd_evolve(args) -> int:
                        for part in ("re", "im")]
     rows = [[t, *cells(state)] for t, state in zip(traj.times, traj.states)]
     footer = ",".join(["# ergodic_mean", *map(_fmt, cells(traj.ergodic_mean))])
-    with _open_output(args.output) as out:
-        _write_csv(out, cfg, args.seed, columns, rows, [footer])
-    log.info("evolve: %d times, %d elements, max trace drift %.3e",
-             len(times), len(elements), traj.max_trace_deviation)
-    return 0
+    return columns, rows, [footer]
 
 
-def _cmd_scaling(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_scaling(args, cfg):
     template, n_list = scaling_from_config(cfg)
     table = scaling_study(template, n_list, seed=args.seed,
                           attenuate=args.attenuate, tol=args.tol)
@@ -238,16 +225,11 @@ def _cmd_scaling(args) -> int:
              row.max_gamma_exchange, row.gamma0) for row in table.rows]
     footer = [f"# {name}: {_fmt(getattr(table, name))}" for name in
               ("conserving_exponent", "exchange_exponent", "gamma0_spread")]
-    with _open_output(args.output) as out:
-        _write_csv(out, cfg, args.seed,
-                   ["N", "max_gamma_conserving", "max_gamma_exchange",
-                    "gamma0"], rows, footer)
-    log.info("scaling: sizes %s", [row.n_qubits for row in table.rows])
-    return 0
+    return (["N", "max_gamma_conserving", "max_gamma_exchange", "gamma0"],
+            rows, footer)
 
 
-def _cmd_xi(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_xi(args, cfg):
     ff, beta, grid = xi_from_config(cfg)
     rows = []
     for eta in grid:
@@ -255,37 +237,18 @@ def _cmd_xi(args) -> int:
         smoothed = xi_lorentzian_check(ff, beta, float(eta),
                                        LORENTZIAN_EPSILON)
         rows.append((eta, value, smoothed, abs(value - smoothed)))
-    with _open_output(args.output) as out:
-        _write_csv(out, cfg, args.seed,
-                   ["eta", "xi", "xi_lorentzian_eps1e-3", "abs_diff"],
-                   rows)
-    log.info("xi: %d grid points", len(rows))
-    return 0
+    return ["eta", "xi", "xi_lorentzian_eps1e-3", "abs_diff"], rows, []
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, cfg):
     from .oracle import verify    # scipy: only this command pays for it
-    cfg = load_config(args.config)
     system, vconfig, rho0 = verify_from_config(cfg)
     report = verify(system, vconfig, rho0=rho0)
-
     rows = [(c.name, c.deviation, c.tolerance,
              "PASS" if c.passed else "FAIL",
              c.detail.replace(",", ";")) for c in report.checks]
-    with _open_output(args.output) as out:
-        _write_csv(out, cfg, args.seed,
-                   ["check", "deviation", "tolerance", "status", "detail"],
-                   rows)
-    # Human-readable report; kept off the CSV stream when both share
-    # standard output.
-    report_stream = sys.stderr if args.output in (None, "-") else sys.stdout
-    for line in report.lines():
-        print(line, file=report_stream)
-    if not report.passed:
-        failed = sum(1 for c in report.checks if not c.passed)
-        raise VerificationFailure(
-            f"{failed} of {len(report.checks)} checks failed")
-    return 0
+    return (["check", "deviation", "tolerance", "status", "detail"], rows,
+            [], report)
 
 
 # =====================================================================
@@ -320,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility and ignored: "
                              "runs are single-threaded (numpy's BLAS "
                              "may still use several threads)")
-    common.add_argument("--verbose", "-v", action="store_true",
-                        help="log progress to standard error")
     # xi forms no Bohr groups and verify keeps the default clustering
     clustered = argparse.ArgumentParser(add_help=False)
     clustered.add_argument("--tol", type=_parse_tol, default=None,
@@ -375,10 +336,21 @@ def run(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:   # --help and --version exit 0
             return exc.code
-        logging.basicConfig(
-            level=logging.INFO if args.verbose else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
-        return args.handler(args)
+        cfg = load_config(args.config)
+        columns, rows, footer, *scorecard = args.handler(args, cfg)
+        _write_csv(args.output, cfg, args.seed, columns, rows, footer)
+        if scorecard:   # verify's report, kept off a CSV on standard output
+            report, = scorecard
+            if args.output != "-":
+                _write("-", report.lines())
+            else:
+                for line in report.lines():
+                    print(line, file=sys.stderr)
+            if not report.passed:
+                failed = sum(1 for c in report.checks if not c.passed)
+                raise VerificationFailure(
+                    f"{failed} of {len(report.checks)} checks failed")
+        return 0
     except ValidationError as exc:
         print(f"ERROR[1]: {exc}", file=sys.stderr)
         return 1
@@ -393,7 +365,14 @@ def run(argv=None) -> int:
 def main() -> None:
     """Exit with ``run``'s code; a bug prints its traceback and exits 4."""
     try:
-        sys.exit(run())
+        code = run()
     except Exception:
         traceback.print_exc()
-        sys.exit(4)
+        code = 4
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # run has reported the failed write; what stays buffered goes
+        # nowhere, so the interpreter's own flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

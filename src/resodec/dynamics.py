@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .model import DensityMatrix, FormFactor, SystemSpec, _reals
+from .model import DensityMatrix, FormFactor, SystemSpec, _form_factor, \
+    _real, _reals
 from .reservoir import (
     mean_inverse_frequency,
     pv_energy_shift,
@@ -305,6 +306,11 @@ def single_qubit_closed_form(a: float, b: float, c: complex, delta: float,
     through the mean inverse frequency and the principal-value shift,
     and D the signed thermal spectral density.
     """
+    _real(a, "a")
+    _real(b, "b")
+    _real(lam, "lam")
+    _reals(c, "c", ndim=0, dtype=complex, what="a finite number")
+    _form_factor(g, "g")
     rho0 = _as_state_array(rho0, 2)
     times = _time_grid(times)
 

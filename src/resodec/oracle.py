@@ -144,12 +144,12 @@ class TruncatedBath:
 
     @property
     def recurrence_time(self) -> float:
-        """2*pi over the grid spacing (uniform grids): the horizon
-        beyond which the discrete bath echoes back."""
-        if self.n_modes < 2:
-            return math.inf
+        """2*pi over the smallest nonzero gap between mode frequencies
+        (the spacing of a uniform grid): the horizon beyond which the
+        discrete bath echoes back; infinite when all modes coincide."""
         gaps = np.diff(np.sort(self.mode_frequencies))
-        return 2.0 * math.pi / float(gaps.min())
+        gaps = gaps[gaps > 0.0]
+        return 2.0 * math.pi / float(gaps.min()) if gaps.size else math.inf
 
     def occupancies(self) -> np.ndarray:
         """Untruncated thermal occupation number per mode."""
@@ -486,6 +486,8 @@ def dephasing_envelope(bath: TruncatedBath, g_m: float, g_n: float,
     levels.  The coherence itself is
     [rho_t]_{mn} = e^{i t (E_m - E_n)} F(t) [rho_0]_{mn}.
     """
+    _real(g_m, "g_m")
+    _real(g_n, "g_n")
     times = _time_grid(times)
     omega = bath.mode_frequencies
     ratio = (bath.mode_couplings / math.sqrt(2.0) / omega) ** 2

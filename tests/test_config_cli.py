@@ -1,6 +1,8 @@
 """Configuration schema, hashing, and the command-line surface."""
 
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -466,7 +468,7 @@ def test_main_exits_4_on_a_bug(tmp_path, monkeypatch, capsys):
     # and exit 4, never with a configuration error's 1
     import resodec.cli as cli
 
-    def broken(args):
+    def broken(*args):
         raise TypeError("bug in a handler")
 
     monkeypatch.setattr(cli, "_cmd_spectrum", broken)
@@ -483,6 +485,65 @@ def test_main_exits_4_on_a_bug(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("to_file", [False, True],
+                         ids=["xi csv", "verify report"])
+@pytest.mark.parametrize("error", [
+    BrokenPipeError(errno.EPIPE, "Broken pipe"),
+    OSError(errno.ENOSPC, "No space left on device"),
+], ids=["closed pipe", "full disk"])
+def test_a_failed_write_to_standard_output_exits_1(error, to_file, tmp_path,
+                                                   monkeypatch, capsys):
+    # a closed pipe or a full disk on standard output is an environment
+    # fault like an unwritable -o path: exit 1, never a bug's traceback;
+    # with the CSV in a file, verify's report is what goes there
+    class Failing:
+        def write(self, text):
+            raise error
+
+    argv = ["xi", "--config", str(XI_CFG)]
+    if to_file:
+        cfg = json.loads(VERIFY_CFG.read_text())
+        cfg["verify"]["n_modes"] = 5
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["verify", "--config", str(path),
+                "-o", str(tmp_path / "verify.csv")]
+    monkeypatch.setattr(sys, "stdout", Failing())
+    assert run(argv) == 1
+    assert capsys.readouterr().err == \
+        f"ERROR[1]: cannot write output '-': {error}\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"],
+                         ids=["buffered", "unbuffered"])
+def test_write_failures_exit_1_from_the_module(unbuffered):
+    # evolve's three-level CSV (75 kB) outgrows a 64 kB pipe, so closing
+    # the pipe after its first line fails a write; the interpreter's own
+    # flush at exit must not add a message or change the code
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "resodec", "evolve", "--config",
+         str(CONFIG_DIR / "three_level.json")], env=env, bufsize=0,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()      # unbuffered: byte by byte
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == 1
+    assert first.startswith(b"# config_hash: ")
+    assert err == "ERROR[1]: cannot write output '-': [Errno 32] Broken pipe\n"
+
+    if not os.path.exists("/dev/full"):
+        return
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "resodec", "xi", "--config", str(XI_CFG)],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+            timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr == ("ERROR[1]: cannot write output '-': "
+                           "[Errno 28] No space left on device\n")
 
 
 def test_verify_section_validation(tmp_path, capsys):
@@ -843,6 +904,8 @@ def test_tol_must_be_finite_and_positive(tol):
      "resodec: unrecognized arguments: --bogus"),
     (["spectrum"], "the following arguments are required: --config"),
     ([], "resodec: the following arguments are required: command"),
+    (["spectrum", "--config", str(QUBIT_CFG), "-v"],
+     "resodec: unrecognized arguments: -v"),
 ])
 def test_flag_errors_print_one_error_line(argv, message, capsys):
     # a usage error is a validation error like any other: exit 1 and one

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from resodec.dynamics import free_evolution
+from resodec.dynamics import free_evolution, single_qubit_closed_form
 from resodec.errors import (
     BadConfiguration,
     DimensionMismatch,
@@ -30,7 +30,7 @@ from resodec.model import (
     spin_configuration,
 )
 from resodec.oracle import FitResult, TruncatedBath, VerifyConfig, \
-    discretize_bath
+    dephasing_envelope, discretize_bath
 from resodec.register import RegisterTemplate, generic_field_check
 from resodec.reservoir import pv_energy_shift, xi, xi_lorentzian_check
 from resodec.resonances import bohr_spectrum
@@ -302,6 +302,8 @@ def test_beta_is_finite_and_positive_at_every_site(site, beta):
 def test_scales_reals_and_form_factor_fields_are_checked():
     spec = build_system([0.0, 1.0], [(0.1, SX, FF)], beta=1.0)
     half = np.eye(2) / 2.0
+    qubit = dict(a=0.0, b=0.5, c=1.0, delta=1.0, g=FF, beta=1.0, lam=0.01)
+    bath = TruncatedBath([1.0], [0.1], 1, 1.0)
     cases = [
         # positive scales
         *[(f"tol={v!r}", ValidationError, "tol must be finite and > 0",
@@ -349,6 +351,24 @@ def test_scales_reals_and_form_factor_fields_are_checked():
           for v in ("0.5", True, math.nan, math.inf, -0.5)],
         ("build_system strength='0.1'", ValidationError, "strength",
          lambda: build_system([0.0, 1.0], [("0.1", SX, FF)], 1.0)),
+        # the closed forms' scalars: a boolean is not 1, a string not a
+        # number, and g holds a FormFactor
+        *[(f"single_qubit_closed_form {name}={v!r}", ValidationError,
+           f"^{name} must be",
+           lambda name=name, v=v: single_qubit_closed_form(
+               **{**qubit, name: v}, rho0=half, times=[0.0]))
+          for name, values in (("a", (True, "0", None, math.nan)),
+                               ("b", (True, "0.5")),
+                               ("lam", ("0.01", True, math.inf)),
+                               ("c", (True, "1", None, [1.0, 0.0],
+                                      complex(1.0, math.nan))),
+                               ("g", ("ff", None, (0.5, 2))))
+          for v in values],
+        *[(f"dephasing_envelope {name}={v!r}", ValidationError,
+           f"^{name} must be a finite number",
+           lambda name=name, v=v: dephasing_envelope(
+               bath, **{"g_m": 0.0, "g_n": 0.0, name: v}, times=[1.0]))
+          for name in ("g_m", "g_n") for v in (True, "1.0", None, math.nan)],
         # arrays: a string, boolean, None, 10**400 or ragged row in any
         # array field is refused, never coerced
         *[(f"{label}={v!r}", BadConfiguration, match,

@@ -218,6 +218,17 @@ def test_bath_thermal_quantities():
     assert tiny_bath().recurrence_time == np.inf
 
 
+def test_recurrence_time_skips_repeated_frequencies():
+    # a repeated frequency is a zero gap, which echoes never; the bath
+    # recurs with its smallest nonzero gap, or never when all coincide
+    def bath(freqs):
+        return TruncatedBath(np.array(freqs), np.full(len(freqs), 0.1), 2,
+                             1.0)
+    assert bath([1.0, 1.0, 1.5]).recurrence_time == 4.0 * np.pi
+    assert bath([1.5, 1.0, 1.0]).recurrence_time == 4.0 * np.pi
+    assert bath([1.0, 1.0]).recurrence_time == np.inf
+
+
 def test_discretize_bath_midpoint_rule():
     bath = discretize_bath(FF, beta=2.0, n_modes=200, omega_max=2.0,
                            fock_cutoff=3)

@@ -1,5 +1,5 @@
 """Package structure: deferred imports, the one beta comparison, the
-one array conversion and the version literal."""
+one array conversion, the CLI's one pipeline and the version literal."""
 
 import ast
 
@@ -99,6 +99,30 @@ def test_module_level_imports_are_used():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_cli_handlers_only_compute():
+    # resodec.cli.run loads the configuration and writes the one CSV; a
+    # handler that reads a file or writes a stream is a second pipeline
+    # whose failures escape run's exit codes
+    io_calls = {"load_config", "open", "_open_output", "print"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_")]
+    assert len(handlers) == 6
+    sites = []
+    for func in handlers:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in io_calls:
+                sites.append(f"{func.name}:{node.lineno} {node.func.id}")
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "sys" \
+                    and node.attr in ("stdout", "stderr"):
+                sites.append(f"{func.name}:{node.lineno} sys.{node.attr}")
+    assert sites == []
 
 
 #: public names that nothing outside the tests reads yet, each with the
