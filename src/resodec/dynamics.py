@@ -199,15 +199,20 @@ def free_evolution(spec: SystemSpec, rho0, times) -> Trajectory:
     """
     rho0 = _as_state_array(rho0, spec.dim)
     times = _time_grid(times)
-    E = spec.energies
-    freq = E[:, None] - E[None, :]
-    phases = np.exp(1j * times[:, None, None] * freq[None, :, :])
-    states = phases * rho0[None, :, :]
-
     mean = np.zeros_like(rho0)
     m, n = bohr_spectrum(spec)[0.0].T
     mean[m, n] = rho0[m, n]
-    return Trajectory(times=times, states=states, ergodic_mean=mean)
+    return Trajectory(times=times,
+                      states=_free_states(spec.energies, rho0, times),
+                      ergodic_mean=mean)
+
+
+def _free_states(energies, rho0: np.ndarray, times: np.ndarray):
+    """(T, n, n) states of the uncoupled evolution: element (m, n) of
+    rho0 times e^{i t (E_m - E_n)}.  No Bohr clustering enters."""
+    freq = energies[:, None] - energies[None, :]
+    return np.exp(1j * times[:, None, None] * freq[None, :, :]) \
+        * rho0[None, :, :]
 
 
 # =====================================================================

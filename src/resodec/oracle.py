@@ -50,8 +50,8 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse
 
-from .dynamics import Trajectory, _as_state_array, _time_grid, \
-    free_evolution, resonance_evolution
+from .dynamics import Trajectory, _as_state_array, _free_states, \
+    _time_grid, resonance_evolution
 from .errors import (
     DimensionTooLarge,
     PoorFit,
@@ -152,8 +152,10 @@ class TruncatedBath:
         return 2.0 * math.pi / float(gaps.min()) if gaps.size else math.inf
 
     def occupancies(self) -> np.ndarray:
-        """Untruncated thermal occupation number per mode."""
-        return 1.0 / np.expm1(self.beta * self.mode_frequencies)
+        """Untruncated thermal occupation number per mode (0 where
+        beta * omega overflows expm1)."""
+        with np.errstate(over="ignore"):
+            return 1.0 / np.expm1(self.beta * self.mode_frequencies)
 
 
 def discretize_bath(form_factor: FormFactor, beta: float, n_modes: int,
@@ -459,7 +461,7 @@ def exact_evolve(spec: SystemSpec, bath, rho0, times) -> Trajectory:
             "averages the second half of the grid")
     active = _active_channels(spec, bath)
     states = _sector_evolve(spec, active, rho0, times) if active \
-        else free_evolution(spec, rho0, times).states
+        else _free_states(spec.energies, rho0, times)
     return Trajectory(times=times, states=states,
                       ergodic_mean=states[len(times) // 2:].mean(axis=0))
 

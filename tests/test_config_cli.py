@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -323,10 +324,25 @@ def test_every_module_lists_exactly_its_public_names():
         assert sorted(set(defined) - set(listed)) == [], info.name
 
 
+#: prints, as JSON, the scipy and mpmath modules that are loaded
+_LOADED = ("print(json.dumps(sorted(m for m in sys.modules "
+           "if m.split('.')[0] in ('scipy', 'mpmath'))))")
+
+
+def _beyond_quadpack(modules):
+    """The modules beyond what resodec.reservoir._quad loads: scipy's
+    compiled QUADPACK and, before it, scipy's top-level core."""
+    return [m for m in modules if m != "scipy.integrate._quadpack"
+            and not re.fullmatch(r"scipy(\._.*|\.version|\.__config__)?",
+                                 m)]
+
+
 def test_scipy_free_commands_load_no_scipy(tmp_path):
-    # only verify needs scipy (sparse products and Bessel coefficients):
-    # one interpreter runs every other command on its demo configuration
-    # without loading any of it
+    # only verify needs scipy at large (sparse products and Bessel
+    # coefficients): one interpreter runs spectrum, rates, evolve and
+    # scaling on their demo configurations without loading any of it,
+    # then xi, whose Lorentzian check loads scipy's compiled QUADPACK
+    # and scipy's core, but not scipy.integrate itself
     commands = [
         ["spectrum", "--config", str(QUBIT_CFG)],
         ["spectrum", "--config", str(CONFIG_DIR / "three_level.json"),
@@ -334,45 +350,52 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
         ["rates", "--config", str(REG4_CFG)],
         ["evolve", "--config", str(CONFIG_DIR / "three_level.json")],
         ["scaling", "--config", str(SCALING_CFG)],
-        ["xi", "--config", str(XI_CFG)],
     ]
     commands = [argv + ["-o", str(tmp_path / f"{i}.csv")]
                 for i, argv in enumerate(commands)]
+    xi_command = ["xi", "--config", str(XI_CFG),
+                  "-o", str(tmp_path / "xi.csv")]
     probe = ("import json, sys, resodec.cli; "
              "print([resodec.cli.run(argv) "
-             "for argv in json.loads(sys.argv[1])]); "
-             "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))")
+             f"for argv in json.loads(sys.argv[1])]); {_LOADED}; "
+             f"print(resodec.cli.run(json.loads(sys.argv[2]))); {_LOADED}")
     proc = subprocess.run([sys.executable, "-c", probe,
-                           json.dumps(commands)],
+                           json.dumps(commands), json.dumps(xi_command)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    codes, scipy_modules = proc.stdout.splitlines()
-    assert codes == "[0, 0, 0, 0, 0, 0]"
-    assert scipy_modules == "[]"
+    codes, before_xi, xi_code, after_xi = proc.stdout.splitlines()
+    assert (codes, json.loads(before_xi)) == ("[0, 0, 0, 0, 0]", [])
+    assert xi_code == "0"
+    assert "scipy.integrate._quadpack" in json.loads(after_xi)
+    assert _beyond_quadpack(json.loads(after_xi)) == []
 
 
 def test_closed_form_reservoir_diagnostics_load_no_scipy_or_mpmath():
     # Condition (A) and the inverse-frequency moment are closed forms;
-    # the Lorentzian check integrates with the package's QUADPACK port
-    probe = ("import sys; "
+    # the Lorentzian check then loads scipy's compiled QUADPACK and
+    # scipy's core, and neither scipy.integrate nor mpmath
+    probe = ("import json, sys; "
              "from resodec.model import FormFactor; "
              "from resodec.reservoir import check_condition_A, "
              "mean_inverse_frequency, xi_lorentzian_check; "
              "ff = FormFactor(radial_exponent=0.5, decay_exponent=2); "
              "print(check_condition_A(ff).passed, "
-             "mean_inverse_frequency(ff) > 0.0, "
-             "xi_lorentzian_check(ff, 2.0, 1.1, 1e-3) > 0.0); "
-             "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', 'mpmath')))")
+             f"mean_inverse_frequency(ff) > 0.0); {_LOADED}; "
+             f"print(xi_lorentzian_check(ff, 2.0, 1.1, 1e-3) > 0.0); "
+             f"{_LOADED}")
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["True True True", "[]"]
+    closed_forms, before, check, after = proc.stdout.splitlines()
+    assert (closed_forms, json.loads(before)) == ("True True", [])
+    assert check == "True"
+    assert "scipy.integrate._quadpack" in json.loads(after)
+    assert _beyond_quadpack(json.loads(after)) == []
 
 
 def test_oracle_loads_no_scipy_integrate():
-    # the oracle's weight check integrates with the QUADPACK port too
+    # the oracle's bath-weight check is a closed form (through
+    # scipy.special.gammainc), with no quadrature
     probe = ("import sys, resodec.oracle; "
              "print(sorted(m for m in sys.modules "
              "if m.startswith('scipy.integrate')))")

@@ -218,6 +218,23 @@ def test_bath_thermal_quantities():
     assert tiny_bath().recurrence_time == np.inf
 
 
+def test_cold_bath_occupancies_are_zero_without_an_overflow_warning():
+    # beta * omega passes expm1's overflow threshold (about 709.8) on
+    # most of this grid: there 1 / inf = 0 is the occupation, and no
+    # RuntimeWarning (an error in this suite) is raised
+    bath = discretize_bath(FormFactor(0.5, 1), 300.0, 20, 3.0, 2)
+    x = 300.0 * bath.mode_frequencies
+    cold = x > 709.8
+    assert cold.any() and not cold.all()
+    occ = bath.occupancies()
+    assert np.all(occ[cold] == 0.0)
+    assert np.array_equal(occ[~cold], 1.0 / np.expm1(x[~cold]))
+    spec = single_qubit_spec(a=0.0, b=0.0, c=1.0, delta=1.0,
+                             g=FormFactor(0.5, 1), beta=300.0, lam=0.01)
+    traj = exact_evolve(spec, bath, plus_state(), [0.0, 1.0])
+    assert np.all(np.isfinite(traj.states))
+
+
 def test_recurrence_time_skips_repeated_frequencies():
     # a repeated frequency is a zero gap, which echoes never; the bath
     # recurs with its smallest nonzero gap, or never when all coincide
@@ -462,6 +479,20 @@ def test_zero_coupling_follows_free_evolution():
     # active channel, not the free evolution's infinite-time mean
     assert np.array_equal(traj.ergodic_mean, traj.states[10:].mean(axis=0))
     assert abs(traj.ergodic_mean[0, 1]) > 1e-3
+
+
+def test_zero_coupling_needs_no_bohr_clustering():
+    # two levels 5e-9 apart are too close for the perturbative Bohr
+    # clustering to decide; with every channel off the oracle only
+    # rotates the phases, so it never asks
+    energies = np.array([0.0, 1.0, 1.0 + 5e-9])
+    spec = build_system(energies,
+                        [(0.0, np.ones((3, 3)), FormFactor(0.5, 1))], 1.0)
+    times = np.linspace(0.0, 5.0, 11)
+    traj = exact_evolve(spec, tiny_bath(), plus_state(3), times)
+    phases = np.exp(1j * times[:, None, None]
+                    * (energies[:, None] - energies[None, :]))
+    assert np.array_equal(traj.states, phases * plus_state(3))
 
 
 def test_dimension_guards():

@@ -2,6 +2,9 @@
 
 import math
 import random
+import subprocess
+import sys
+import textwrap
 import warnings
 from functools import partial
 
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from resodec import _quadpack, reservoir
+from resodec import reservoir
 from resodec.cli import run
 from resodec.errors import (
     InfraredDivergent,
@@ -21,6 +24,7 @@ from resodec.model import FormFactor
 from resodec.reservoir import (
     _density_array,
     _pv_transform,
+    _quad,
     angular_square,
     check_condition_A,
     half_line_transform,
@@ -351,11 +355,11 @@ def test_condition_a_zero_form_factor():
 
 
 # =====================================================================
-# The QUADPACK port against scipy.integrate.quad, bit for bit
+# The package's QUADPACK loader against scipy.integrate.quad, bit for bit
 # =====================================================================
 
 QUAD_TOLERANCES = {
-    "default": {},
+    "default": dict(epsabs=1.49e-8, epsrel=1.49e-8, limit=50),
     "package": reservoir._QUAD_KW,
     "limit200": dict(limit=200),
     "tight": dict(epsabs=0.0, epsrel=1e-13),
@@ -385,12 +389,12 @@ def _quad_family(name, rng):
 
 
 def _assert_quad_bitwise(f, a, b, **kw):
-    """The port calls f at scipy's nodes in scipy's order, returns its
+    """_quad calls f at scipy's nodes in scipy's order, returns its
     value and error estimate bit for bit and flags the same failures;
-    returns the port's (value, abserr, ier)."""
+    returns _quad's (value, abserr, ier)."""
     ours, theirs = [], []
-    value, abserr, ier = _quadpack.quad(
-        lambda x: ours.append(x) or f(x), a, b, **kw)
+    value, abserr, ier = _quad(lambda x: ours.append(x) or f(x), a, b,
+                               **{**QUAD_TOLERANCES["default"], **kw})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         out = integrate.quad(lambda x: theirs.append(x) or f(x), a, b,
@@ -426,7 +430,8 @@ def test_quadpack_port_failure_codes(f, b, code):
 def test_package_quadratures_are_bitwise_scipy(monkeypatch, tmp_path):
     # every integral the package evaluates on its shipped configurations:
     # the xi subcommand's Lorentzian check (the oracle's bath weight is
-    # a closed form)
+    # a closed form); _assert_quad_bitwise calls the _quad imported
+    # above, not the spy
     codes = []
 
     def spy(f, a, b, **kw):
@@ -434,8 +439,57 @@ def test_package_quadratures_are_bitwise_scipy(monkeypatch, tmp_path):
         codes.append(result[2])
         return result
 
-    monkeypatch.setattr(reservoir, "quad", spy)
+    monkeypatch.setattr(reservoir, "_quad", spy)
     assert run(["xi", "--config", str(CONFIG_DIR / "xi_grid.json"),
                 "-o", str(tmp_path / "xi.csv")]) == 0
     assert len(codes) == 162
     assert set(codes) == {0}
+
+
+def _probe(source):
+    """The lines that `source` prints in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(source)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_quad_loaded_first_serves_a_later_scipy_integrate():
+    # _quad loads scipy's extension without scipy.integrate; importing
+    # scipy.integrate afterwards finds that module, and quad returns
+    # _quad's value and error estimate on both interval forms
+    assert _probe("""
+        import math, sys
+        from resodec.reservoir import _quad
+        f = lambda x: x ** -0.3 * math.exp(-x)
+        ours = [_quad(f, 0.0, b, 1e-11, 1e-11, 400) for b in (2.0, math.inf)]
+        loaded = sys.modules["scipy.integrate._quadpack"]
+        print("scipy.integrate" in sys.modules)
+        import scipy.integrate
+        theirs = [scipy.integrate.quad(f, 0.0, b, epsabs=1e-11,
+                                       epsrel=1e-11, limit=400)
+                  for b in (2.0, math.inf)]
+        print([o[:2] for o in ours] == theirs, [o[2] for o in ours],
+              sys.modules["scipy.integrate._quadpack"] is loaded)
+        """) == ["False", "True [0, 0] True"]
+
+
+def test_quad_reuses_the_quadpack_that_scipy_loaded():
+    # with scipy.integrate imported first, _quad calls into the loaded
+    # module (spied on here) and loads no second copy
+    assert _probe("""
+        import importlib.util, math, sys
+        import scipy.integrate
+        loaded = sys.modules["scipy.integrate._quadpack"]
+        calls, qagse = [], loaded._qagse
+        loaded._qagse = lambda *args: calls.append(args[1:3]) or qagse(*args)
+        def refuse(spec):
+            raise AssertionError(f"second load of {spec.name}")
+        importlib.util.module_from_spec = refuse
+        from resodec.reservoir import _quad
+        f = lambda x: math.exp(-x * x)
+        ours = _quad(f, 0.0, 2.0, 1e-11, 1e-11, 400)
+        print(calls, sys.modules["scipy.integrate._quadpack"] is loaded)
+        print(ours[:2] == scipy.integrate.quad(f, 0.0, 2.0, epsabs=1e-11,
+                                               epsrel=1e-11, limit=400))
+        """) == ["[(0.0, 2.0)] True", "True"]
