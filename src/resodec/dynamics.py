@@ -227,17 +227,42 @@ def _reconstruct(resonances: list, rho0: np.ndarray, n: int,
     The states are filled element-major, into an (n, n, T) buffer in
     which each block writes its elements' time series as contiguous
     rows, and returned as its (T, n, n) transposed view (no copy).
+
+    Blocks are taken in conjugate pairs, the k-th from each end of the
+    sorted-e list, back to back so that one phase array is alive at a
+    time.  When the epsilons at -e are exactly -conj of those at +e,
+    the phases at -e are the conjugates of those at +e (complex exp
+    commutes with conjugation bit for bit), so one exponential serves
+    both; any other block exponentiates its own.
     """
     buffer = np.zeros((n, n, len(times)), dtype=complex)
     mean = np.zeros((n, n), dtype=complex)
-    for block in propagator_blocks(resonances):
+
+    def fill(block, phase):
         m, k = block.pairs.T
         comps = block.weights @ rho0[m, k]             # (s, dim)
-        phase = np.outer(times, 1j * block.epsilons)
-        np.exp(phase, out=phase)
-        buffer[m, k] = (phase @ comps).T
+        if len(m) == 1:
+            np.matmul(phase, comps, out=buffer[m[0], k[0]][:, None])
+        else:
+            buffer[m, k] = (phase @ comps).T
         for comp in comps[np.abs(block.epsilons) <= ZERO_RESONANCE_TOL]:
             mean[m, k] += comp
+
+    def phases(block):
+        phase = np.outer(times, 1j * block.epsilons)
+        return np.exp(phase, out=phase)
+
+    blocks = propagator_blocks(resonances)
+    for block, partner in zip(blocks[:(len(blocks) + 1) // 2],
+                              reversed(blocks)):
+        phase = phases(block)
+        fill(block, phase)
+        if partner is block:
+            continue
+        if np.array_equal(partner.epsilons, -np.conj(block.epsilons)):
+            fill(partner, np.conj(phase, out=phase))
+        else:
+            fill(partner, phases(partner))
     return buffer.transpose(2, 0, 1), mean
 
 

@@ -48,7 +48,7 @@ from .errors import (
     QuadratureNotConverged,
     ValidationError,
 )
-from .model import FormFactor, _beta, _positive, _real
+from .model import FormFactor, _beta, _positive, _real, _reals
 
 __all__ = [
     "ConditionAReport",
@@ -73,7 +73,9 @@ _QUAD_KW = dict(epsabs=1e-11, epsrel=1e-11, limit=400)
 _PV_TOL = 1e-8
 #: first step of the principal-value rules, and the steps tried in all
 _DE_STEP, _DE_LEVELS = 1.0 / 32.0, 4
-_PV_BLOCK = 64
+#: pole magnitudes per principal-value batch: up to twice as many
+#: poles, with about 2 MB of work arrays
+_PV_BLOCK = 32
 
 
 # =====================================================================
@@ -90,17 +92,30 @@ def _square_scalar(base: FormFactor, eta: float) -> float:
 
 def angular_square(base: FormFactor, eta):
     """S(eta): the angular integral of |g(eta, .)|^2 (isotropic closed
-    form: 4*pi*scale^2 * eta^(2p) * exp(-2 eta^m))."""
-    eta = np.asarray(eta, dtype=float)
+    form: 4*pi*scale^2 * eta^(2p) * exp(-2 eta^m)).  eta is a number or
+    an array of finite numbers (ValidationError otherwise)."""
+    return _angular_square(base, _reals(eta, "eta"))
+
+
+def _angular_square(base: FormFactor, eta: np.ndarray) -> np.ndarray:
+    """S(eta) elementwise for a float array eta, unchecked."""
     return (_FOUR_PI * base.overall_scale ** 2
             * eta ** (2.0 * base.radial_exponent)
             * np.exp(-2.0 * eta ** base.decay_exponent))
 
 
 def one_sided_density(base: FormFactor, eta):
-    """J(eta) = eta^2 * S(eta): zero-temperature emission density."""
-    eta = np.asarray(eta, dtype=float)
+    """J(eta) = eta^2 * S(eta): zero-temperature emission density.  eta
+    is a number or an array of finite numbers (ValidationError
+    otherwise)."""
+    eta = _reals(eta, "eta")
     return eta ** 2 * angular_square(base, eta)
+
+
+def _one_sided_density(base: FormFactor, eta: np.ndarray) -> np.ndarray:
+    """J(eta) elementwise for a float array eta, unchecked: the
+    principal-value kernels evaluate it at nodes they built."""
+    return eta ** 2 * _angular_square(base, eta)
 
 
 def xi(base: FormFactor, beta: float, eta: float) -> float:
@@ -201,8 +216,10 @@ def thermal_spectral_density(base: FormFactor, beta: float, u: float) -> float:
     D(u) = xi(|u|) (1 + sign(u) tanh(beta|u|/2)) / 2.
 
     D(u) for u > 0 weights decay processes releasing energy u into the
-    reservoir, D(-u) = exp(-beta*u) D(u) the reverse absorption.
+    reservoir, D(-u) = exp(-beta*u) D(u) the reverse absorption.  u
+    must be a finite number (ValidationError).
     """
+    u = _real(u, "u")
     x = xi(base, beta, abs(u))
     if u == 0.0:
         return 0.5 * x
@@ -255,40 +272,47 @@ def mean_inverse_frequency(base: FormFactor) -> float:
 # Principal-value machinery
 # =====================================================================
 
-def _xi_array(base: FormFactor, beta: float, u):
-    """Xi(u) = xi(|u|) elementwise, for u != 0."""
-    eta = np.abs(u)
-    return one_sided_density(base, eta) / np.tanh(beta * eta / 2.0)
+def _xi_pair(base: FormFactor, beta: float, eta):
+    """(Xi(eta), Xi(-eta)) elementwise for eta > 0: Xi(u) = xi(|u|)."""
+    xi_eta = _one_sided_density(base, eta) / np.tanh(beta * eta / 2.0)
+    return xi_eta, xi_eta
 
 
-def _density_array(base: FormFactor, beta: float, u):
-    """D(u) elementwise, for u != 0."""
-    eta = np.abs(u)
+def _density_pair(base: FormFactor, beta: float, eta):
+    """(D(eta), D(-eta)) elementwise for eta > 0."""
     t = np.tanh(beta * eta / 2.0)
-    return 0.5 * (one_sided_density(base, eta) / t) * (1.0 + np.sign(u) * t)
+    xi_eta = _one_sided_density(base, eta) / t
+    return 0.5 * xi_eta * (1.0 + t), 0.5 * xi_eta * (1.0 - t)
 
 
-def _pv_transform(f, poles) -> np.ndarray:
+def _pv_transform(pair, poles) -> np.ndarray:
     """P.V. int_R f(u) / (u - pole) du at every pole, in one batch.
 
-    f acts elementwise, decays at infinity and may kink only at 0.  A
-    window of half-width w = min(1, |pole|/2) (1 at pole 0) takes the
-    odd part (f(pole+s) - f(pole-s))/s; f(u)/(u - pole) is integrated
-    over the piece between 0 and the nearer window edge and two tails.
+    pair(eta) gives (f(eta), f(-eta)) elementwise for eta > 0; f decays
+    at infinity and may kink only at 0.  A window of half-width
+    w = min(1, |pole|/2) (1 at pole 0) takes the odd part
+    (f(pole+s) - f(pole-s))/s; f(u)/(u - pole) is integrated over the
+    piece between 0 and the nearer window edge and two tails.
     Double-exponential rules (Takahasi and Mori, Publ. RIMS 9, 721,
     1974) with error estimate |S_h - S_2h|; a pole above _PV_TOL is
-    redone alone at h/2.  Sums run along one pole's row, so no value
-    depends on the batch, and blocks of _PV_BLOCK poles (about 2 MB of
-    work arrays) bound the memory.
+    redone alone at h/2.  The poles +P and -P share one evaluation of
+    pair (see _de_pass).  Sums run along one pole's row, so no value
+    depends on the batch, and blocks of _PV_BLOCK magnitudes |pole|
+    (about 2 MB of work arrays) bound the memory.
     """
     poles = np.asarray(poles, dtype=float)
-    if poles.size > _PV_BLOCK:
-        return np.concatenate([_pv_transform(f, poles[i:i + _PV_BLOCK])
-                               for i in range(0, poles.size, _PV_BLOCK)])
+    mags, index = _magnitudes(poles)
+    if mags.size > _PV_BLOCK:
+        block = index // _PV_BLOCK
+        out = np.empty(poles.shape)
+        for b in range(block.max() + 1):
+            at = block == b
+            out[at] = _pv_transform(pair, poles[at])
+        return out
     out = np.empty(poles.shape)
     todo = np.arange(poles.size)
     for level in range(_DE_LEVELS):
-        total, err = _de_pass(f, poles[todo, None], _DE_STEP / 2 ** level)
+        total, err = _de_pass(pair, poles[todo], _DE_STEP / 2 ** level)
         ok = err <= np.maximum(_PV_TOL, _PV_TOL * np.abs(total))
         out[todo[ok]] = total[ok]
         todo, err = todo[~ok], err[~ok]
@@ -299,8 +323,27 @@ def _pv_transform(f, poles) -> np.ndarray:
         f"{poles[todo[0]]!r} exceeds tolerance")
 
 
-def _de_pass(f, p: np.ndarray, h: float) -> tuple:
-    """(S_h, |S_h - S_2h|) of _pv_transform's pieces at poles p (n, 1)."""
+def _magnitudes(poles: np.ndarray) -> tuple:
+    """(the distinct |pole| in increasing order, each pole's index into
+    them).  A sorted set: np.unique imports numpy.ma (about 15 ms and
+    0.4 MB) on its first call, and np.sort's vectorized sort pages in
+    about 0.2 MB that the register pipeline otherwise never loads."""
+    mags = np.array(sorted(set(np.abs(poles).tolist())), dtype=float)
+    return mags, np.searchsorted(mags, np.abs(poles))
+
+
+def _de_pass(pair, p: np.ndarray, h: float) -> tuple:
+    """(S_h, |S_h - S_2h|) of _pv_transform's pieces at the poles p.
+
+    The poles +P and -P of a magnitude P > 1e-14 read pair once, at the
+    nodes u > 0 of +P.  IEEE negation is exact and rounding symmetric,
+    so the nodes of -P are exactly -u: its finite piece runs over them
+    in reverse k order, its tails are those of +P swapped, and the tail
+    from 0 is the same for every pole.  Each row therefore holds, in the
+    same order, the values an evaluation of its own pole gives.  A pole
+    within 1e-14 of 0 has nodes on both sides of 0 and is evaluated
+    alone.
+    """
     # tanh-sinh, t in [-5, 5]: nodes kept as their distance q (in units
     # of b - a) to the nearer end, which they never round onto
     k = np.arange(-round(5.0 / h), round(5.0 / h) + 1)
@@ -310,29 +353,60 @@ def _de_pass(f, p: np.ndarray, h: float) -> tuple:
     j = np.arange(-round(5.5 / h), round(2.5 / h) + 1)
     y = np.exp(0.5 * np.pi * np.sinh(j * h))
     es_w = 0.5 * np.pi * np.cosh(j * h) * y
-    near = np.abs(p) <= 1e-14
-    pos, neg = (p > 0.0) & ~near, (p < 0.0) & ~near
-    w = np.where(near, 1.0, np.minimum(1.0, np.abs(p) / 2.0))
-    lo, hi = p - w, p + w
 
     def finite(a, b):
         return np.where(k > 0, b - (b - a) * q, a + (b - a) * q), \
             (b - a) * ts_w
 
-    def g(u):
-        return f(u) / (u - p)
+    def g(u, f_u, pole):
+        return f_u / (u - pole)
 
+    def sums(*pieces):
+        total = err = 0.0
+        for v, even in pieces:
+            fine = h * v.sum(axis=1)
+            total += fine
+            err += np.abs(fine - 2.0 * h * v[:, even].sum(axis=1))
+        return total, err
+
+    even_k, even_j = k % 2 == 0, j % 2 == 0
+    total, err = np.empty(p.shape), np.empty(p.shape)
+    near = np.abs(p) <= 1e-14
+    if near.any():
+        # window [p - 1, p + 1]; the piece between 0 and it is empty
+        def f(u):
+            return np.where(u > 0.0, *pair(np.abs(u)))
+
+        c = p[near, None]
+        s, ds = finite(0.0, 1.0)
+        left, right = (c - 1.0) - y, (c + 1.0) + y
+        total[near], err[near] = sums(
+            ((f(c + s) - f(c - s)) / s * ds, even_k),
+            (g(left, f(left), c) * es_w, even_j),
+            (g(right, f(right), c) * es_w, even_j))
+    if near.all():
+        return total, err
+    mags, row = _magnitudes(p[~near])
+    c = mags[:, None]
+    w = np.minimum(1.0, c / 2.0)
+    lo, hi = c - w, c + w
     s, ds = finite(0.0, w)
-    x, dx = finite(np.where(pos, 0.0, hi),
-                   np.where(pos, lo, np.where(neg, 0.0, hi)))
-    total = err = 0.0
-    for v, even in (((f(p + s) - f(p - s)) / s * ds, k % 2 == 0),
-                    (g(x) * dx, k % 2 == 0),
-                    (g(np.where(pos, 0.0, lo) - y) * es_w, j % 2 == 0),
-                    (g(np.where(neg, 0.0, hi) + y) * es_w, j % 2 == 0)):
-        fine = h * v.sum(axis=1)
-        total += fine
-        err += np.abs(fine - 2.0 * h * v[:, even].sum(axis=1))
+    x, dx = finite(0.0, lo)
+    t = hi + y
+    (a_plus, a_minus), (b_plus, b_minus) = pair(c + s), pair(c - s)
+    (x_plus, x_minus), (t_plus, t_minus) = pair(x), pair(t)
+    y_plus, y_minus = pair(y)
+    plus = sums(((a_plus - b_plus) / s * ds, even_k),
+                (g(x, x_plus, c) * dx, even_k),
+                (g(-y, y_minus, c) * es_w, even_j),
+                (g(t, t_plus, c) * es_w, even_j))
+    minus = sums(((b_minus - a_minus) / s * ds, even_k),
+                 (g(-x[:, ::-1], x_minus[:, ::-1], -c) * dx, even_k),
+                 (g(-t, t_minus, -c) * es_w, even_j),
+                 (g(y, y_plus, -c) * es_w, even_j))
+    negative = p[~near] < 0.0
+    total[~near] = np.where(negative, minus[0][row], plus[0][row])
+    err[~near] = np.where(negative, minus[1][row], plus[1][row])
     return total, err
 
 
@@ -341,23 +415,24 @@ def pv_energy_shift(base: FormFactor, beta: float, Delta: float) -> float:
 
     The integrand is the even extension Xi(u) = xi(|u|); any |c|^2/2
     style prefactor is the caller's business.  Finite for p > -1.
+    Delta must be a finite number (ValidationError).
     """
     _beta(beta)
+    Delta = _real(Delta, "Delta")
     if base.is_zero:
         return 0.0
     if base.radial_exponent <= -1.0:
         raise InfraredDivergent(
             "principal-value shift integrand is not integrable at zero "
             f"frequency for p = {base.radial_exponent} <= -1")
-    return float(_pv_transform(partial(_xi_array, base, beta),
-                               [float(Delta)])[0])
+    return float(_pv_transform(partial(_xi_pair, base, beta), [Delta])[0])
 
 
 def _half_line_transforms(base: FormFactor, beta: float, omegas) -> list:
     """W at every omega, with one batched principal-value transform."""
     densities = [thermal_spectral_density(base, beta, o) for o in omegas]
     shifts = np.zeros(len(omegas)) if base.is_zero else 0.5 * \
-        _pv_transform(partial(_density_array, base, beta), omegas)
+        _pv_transform(partial(_density_pair, base, beta), omegas)
     return [complex(0.5 * np.pi * d, float(s))
             for d, s in zip(densities, shifts)]
 
@@ -368,9 +443,10 @@ def half_line_transform(base: FormFactor, beta: float,
     W(omega) = (pi/2) D(omega) + i s(omega).
 
     Its real part drives golden-rule decay at Bohr gap omega, its
-    imaginary part the corresponding energy (Lamb-type) shift.
+    imaginary part the corresponding energy (Lamb-type) shift.  omega
+    must be a finite number (ValidationError).
     """
-    return _half_line_transforms(base, beta, [float(omega)])[0]
+    return _half_line_transforms(base, beta, [_real(omega, "omega")])[0]
 
 
 # =====================================================================

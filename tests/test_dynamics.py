@@ -1,10 +1,12 @@
 """Reconstruction of reduced dynamics from the resonance data."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from resodec import dynamics
 from resodec.errors import DimensionMismatch
 from resodec.model import (
     DensityMatrix,
@@ -27,7 +29,7 @@ from resodec.resonances import (
     resonance_energies,
 )
 
-from conftest import single_qubit_spec
+from conftest import sidon_spec, single_qubit_spec
 
 QUBIT = dict(a=0.25, b=-0.45, c=0.6 + 0.3j, delta=1.1,
              g=FormFactor(radial_exponent=-0.5, decay_exponent=1,
@@ -168,7 +170,7 @@ def _reference_blocks(resonances):
     return blocks
 
 
-def _per_block_reference(spec, rho0, times):
+def _per_block_reference(spec, rho0, times, resonances):
     """States and ergodic mean block by block, as the former
     PropagatorBlock.propagate and .ergodic_component computed them,
     from the reference blocks."""
@@ -176,7 +178,6 @@ def _per_block_reference(spec, rho0, times):
     times = np.asarray(times, dtype=float)
     states = np.zeros((len(times), spec.dim, spec.dim), dtype=complex)
     mean = np.zeros((spec.dim, spec.dim), dtype=complex)
-    resonances = resonance_energies(spec)
     for r, (epsilons, weights) in zip(resonances,
                                       _reference_blocks(resonances)):
         m, k = r.pairs.T
@@ -221,24 +222,6 @@ def _template_register(n_qubits):
     return register_to_system(template.realize(n_qubits, seed=1))
 
 
-def _sidon_spec(rng, n=20):
-    """n levels on a Sidon set (a_k = 2pk + (k^2 mod p), p = 53): all
-    n(n - 1) nonzero Bohr frequencies are distinct, so every group but
-    e = 0 has one pair, coupled by two dense channels."""
-    p = 53
-    k = np.sort(rng.choice(p, size=n, replace=False))
-    a = 2 * p * k + (k * k) % p
-    couplings = []
-    for ff in (FormFactor(radial_exponent=-0.5, decay_exponent=1),
-               FormFactor(radial_exponent=0.5, decay_exponent=2,
-                          overall_scale=2.0)):
-        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        couplings.append((7e-4, (raw + raw.conj().T) / (2.0 * np.sqrt(n)),
-                          ff))
-    unit = 3.0 / (2.0 * p * p)
-    return build_system(unit * (a - a.min()), couplings, beta=1.0)
-
-
 @pytest.mark.parametrize("case", ["merged_classes", "twenty_levels",
                                   "template_five_qubits", "sidon"])
 def test_blocks_match_the_group_by_group_reference_bitwise(case):
@@ -246,7 +229,7 @@ def test_blocks_match_the_group_by_group_reference_bitwise(case):
     spec = {"merged_classes": _merged_class_register,
             "twenty_levels": lambda: _two_channel_spec(rng),
             "template_five_qubits": lambda: _template_register(5),
-            "sidon": lambda: _sidon_spec(rng)}[case]()
+            "sidon": lambda: sidon_spec(rng)}[case]()
     resonances = resonance_energies(spec)
     sizes = {len(r.pairs) for r in resonances}
     if case == "merged_classes":
@@ -266,26 +249,66 @@ def test_blocks_match_the_group_by_group_reference_bitwise(case):
         assert block.weights.tobytes() == weights.tobytes()
 
 
+class _CountingNumpy:
+    """numpy, with its calls of exp counted."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        self.exp_calls += 1
+        return np.exp(*args, **kwargs)
+
+
 @pytest.mark.parametrize("case", ["merged_classes", "twenty_levels",
-                                  "empty_grid"])
-def test_reconstruction_matches_the_per_block_reference_bitwise(case):
+                                  "empty_grid", "sidon", "non_hermitian",
+                                  "one_ulp"])
+def test_reconstruction_matches_the_per_block_reference_bitwise(
+        case, monkeypatch):
     rng = np.random.default_rng(11)
     if case == "twenty_levels":
         spec = _two_channel_spec(rng)
+    elif case in ("sidon", "non_hermitian", "one_ulp"):
+        spec = sidon_spec(rng)
     else:
         spec = _merged_class_register()
+    resonances = resonance_energies(spec)
     if case == "merged_classes":
-        assert any(r.nu < len(r.pairs) for r in resonance_energies(spec))
+        assert any(r.nu < len(r.pairs) for r in resonances)
     rho0 = _random_pure_state(rng, spec.dim)
+    if case == "non_hermitian":
+        # conjugate groups share phases, never states
+        rho0 = rho0 + 0.5j * rng.normal(size=rho0.shape)
+    if case == "one_ulp":
+        # the group at -e no longer mirrors the one at +e exactly, so
+        # each exponentiates its own phases
+        r = resonances[3]
+        assert r.e < 0.0 and len(r.pairs) == 1
+        eps = r.epsilons.copy()
+        eps[0] = complex(np.nextafter(eps[0].real, 0.0), eps[0].imag)
+        resonances[3] = dataclasses.replace(r, epsilons=eps)
     times = [] if case == "empty_grid" else np.linspace(0.0, 400.0, 57)
-    want_states, want_mean = _per_block_reference(spec, rho0, times)
+    want_states, want_mean = _per_block_reference(spec, rho0, times,
+                                                  resonances)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(dynamics, "np", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # overlap warning
-        traj = resonance_evolution(spec, rho0, times)
+        traj = resonance_evolution(spec, rho0, times, resonances)
+    monkeypatch.undo()
+    # 381 groups: one exponential per conjugate pair, one for e = 0
+    if case in ("sidon", "non_hermitian"):
+        assert counting.exp_calls == 191
+    if case == "one_ulp":
+        assert counting.exp_calls == 192
     assert traj.states.shape == want_states.shape
     assert traj.states.tobytes() == want_states.tobytes()
     assert traj.ergodic_mean.tobytes() == want_mean.tobytes()
-    assert ergodic_mean(spec, rho0).tobytes() == want_mean.tobytes()
+    assert ergodic_mean(spec, rho0, resonances).tobytes() == \
+        want_mean.tobytes()
     if case == "empty_grid":
         assert traj.max_trace_deviation == 0.0
         assert traj.max_hermiticity_deviation == 0.0

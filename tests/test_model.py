@@ -32,7 +32,15 @@ from resodec.model import (
 from resodec.oracle import FitResult, TruncatedBath, VerifyConfig, \
     dephasing_envelope, discretize_bath
 from resodec.register import RegisterTemplate, generic_field_check
-from resodec.reservoir import pv_energy_shift, xi, xi_lorentzian_check
+from resodec.reservoir import (
+    angular_square,
+    half_line_transform,
+    one_sided_density,
+    pv_energy_shift,
+    thermal_spectral_density,
+    xi,
+    xi_lorentzian_check,
+)
 from resodec.resonances import bohr_spectrum
 
 RNG = np.random.default_rng(20240817)
@@ -349,6 +357,18 @@ def test_scales_reals_and_form_factor_fields_are_checked():
         *[(f"xi_lorentzian_check eta={v!r}", ValidationError, "eta",
            lambda v=v: xi_lorentzian_check(FF, 1.0, v, 0.1))
           for v in ("0.5", True, math.nan, math.inf, -0.5)],
+        # the reservoir's frequencies: a string or boolean is not a
+        # number, and NaN or infinity is refused before any quadrature
+        *[(f"{site.__name__} {name}={v!r}", ValidationError,
+           f"^{name} must be", lambda site=site, v=v: site(FF, 1.0, v))
+          for site, name in ((pv_energy_shift, "Delta"),
+                             (half_line_transform, "omega"),
+                             (thermal_spectral_density, "u"))
+          for v in ("1", True, None, math.nan, math.inf)],
+        *[(f"{site.__name__} eta={v!r}", ValidationError, "^eta must be",
+           lambda site=site, v=v: site(FF, v))
+          for site in (one_sided_density, angular_square)
+          for v in ("1", True, None, math.nan, math.inf, [1.0, math.inf])],
         ("build_system strength='0.1'", ValidationError, "strength",
          lambda: build_system([0.0, 1.0], [("0.1", SX, FF)], 1.0)),
         # the closed forms' scalars: a boolean is not 1, a string not a

@@ -1,5 +1,6 @@
 """Spectral functions checked against independent integral oracles."""
 
+import itertools
 import math
 import random
 import subprocess
@@ -22,9 +23,10 @@ from resodec.errors import (
 )
 from resodec.model import FormFactor
 from resodec.reservoir import (
-    _density_array,
+    _density_pair,
     _pv_transform,
     _quad,
+    _xi_pair,
     angular_square,
     check_condition_A,
     half_line_transform,
@@ -36,7 +38,7 @@ from resodec.reservoir import (
     xi_lorentzian_check,
 )
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, sidon_spec
 
 RNG = np.random.default_rng(20240818)
 
@@ -295,7 +297,7 @@ def cauchy_reference(f, pole):
 @pytest.mark.parametrize("p, m", [(-0.5, 1), (0.5, 2), (-0.3, 1)])
 def test_pv_transform_matches_cauchy_quadrature(p, m, beta):
     ff = make_ff(p, m)
-    got = _pv_transform(partial(_density_array, ff, beta), PV_POLES)
+    got = _pv_transform(partial(_density_pair, ff, beta), PV_POLES)
     for pole, value in zip(PV_POLES, got):
         want = cauchy_reference(
             lambda u: thermal_spectral_density(ff, beta, u), pole)
@@ -303,7 +305,7 @@ def test_pv_transform_matches_cauchy_quadrature(p, m, beta):
 
 
 def test_pv_transform_is_independent_of_the_batch(monkeypatch):
-    f = partial(_density_array, make_ff(0.5, 2), 1.0)
+    f = partial(_density_pair, make_ff(0.5, 2), 1.0)
     poles = np.array(PV_POLES)
     batched = _pv_transform(f, poles)
     # bitwise: every pole is summed along its own row
@@ -315,6 +317,140 @@ def test_pv_transform_is_independent_of_the_batch(monkeypatch):
     monkeypatch.setattr(reservoir, "_PV_TOL", 0.0)
     with pytest.raises(QuadratureNotConverged):
         _pv_transform(f, poles)
+
+
+def _reference_xi(base, beta, u):
+    """Xi(u) = xi(|u|) elementwise, for u != 0."""
+    eta = np.abs(u)
+    return one_sided_density(base, eta) / np.tanh(beta * eta / 2.0)
+
+
+def _reference_density(base, beta, u):
+    """D(u) elementwise, for u != 0."""
+    eta = np.abs(u)
+    t = np.tanh(beta * eta / 2.0)
+    return 0.5 * (one_sided_density(base, eta) / t) * (1.0 + np.sign(u) * t)
+
+
+def _reference_pv_transform(f, poles, tol=1e-8):
+    """The principal-value transform as it was before conjugate poles
+    shared their integrand values: every pole evaluates f at its own
+    signed nodes, in blocks of 64 poles.  Frozen as the bitwise
+    reference of _pv_transform."""
+    poles = np.asarray(poles, dtype=float)
+    if poles.size > 64:
+        return np.concatenate([_reference_pv_transform(f, poles[i:i + 64],
+                                                        tol)
+                               for i in range(0, poles.size, 64)])
+    out = np.empty(poles.shape)
+    todo = np.arange(poles.size)
+    for level in range(4):
+        total, err = _reference_de_pass(f, poles[todo, None],
+                                        1.0 / 32.0 / 2 ** level)
+        ok = err <= np.maximum(tol, tol * np.abs(total))
+        out[todo[ok]] = total[ok]
+        todo, err = todo[~ok], err[~ok]
+        if not todo.size:
+            return out
+    raise QuadratureNotConverged(
+        f"principal-value error estimate {err[0]:.2e} at pole "
+        f"{poles[todo[0]]!r} exceeds tolerance")
+
+
+def _reference_de_pass(f, p, h):
+    """(S_h, |S_h - S_2h|) of the reference's pieces at poles p (n, 1)."""
+    k = np.arange(-round(5.0 / h), round(5.0 / h) + 1)
+    q = 1.0 / (1.0 + np.exp(np.pi * np.sinh(np.abs(k * h))))
+    ts_w = np.pi * np.cosh(k * h) * q * (1.0 - q)
+    j = np.arange(-round(5.5 / h), round(2.5 / h) + 1)
+    y = np.exp(0.5 * np.pi * np.sinh(j * h))
+    es_w = 0.5 * np.pi * np.cosh(j * h) * y
+    near = np.abs(p) <= 1e-14
+    pos, neg = (p > 0.0) & ~near, (p < 0.0) & ~near
+    w = np.where(near, 1.0, np.minimum(1.0, np.abs(p) / 2.0))
+    lo, hi = p - w, p + w
+
+    def finite(a, b):
+        return np.where(k > 0, b - (b - a) * q, a + (b - a) * q), \
+            (b - a) * ts_w
+
+    def g(u):
+        return f(u) / (u - p)
+
+    s, ds = finite(0.0, w)
+    x, dx = finite(np.where(pos, 0.0, hi),
+                   np.where(pos, lo, np.where(neg, 0.0, hi)))
+    total = err = 0.0
+    for v, even in (((f(p + s) - f(p - s)) / s * ds, k % 2 == 0),
+                    (g(x) * dx, k % 2 == 0),
+                    (g(np.where(pos, 0.0, lo) - y) * es_w, j % 2 == 0),
+                    (g(np.where(neg, 0.0, hi) + y) * es_w, j % 2 == 0)):
+        fine = h * v.sum(axis=1)
+        total += fine
+        err += np.abs(fine - 2.0 * h * v[:, even].sum(axis=1))
+    return total, err
+
+
+#: PV_POLES with both zeros, poles on either side of the near-zero
+#: bound 1e-14, and poles whose mirror is absent
+REFERENCE_POLES = PV_POLES + [-0.0, 1e-15, -1e-15, 3e-14, -3e-14, 1e-14,
+                              -2.5, 0.7, -40.0]
+
+
+def _transform_or_error(transform, f, poles):
+    """The transform's bytes, or the message it raised."""
+    try:
+        return transform(f, poles).tobytes()
+    except QuadratureNotConverged as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 30.0])
+@pytest.mark.parametrize("pair, reference",
+                         [(_density_pair, _reference_density),
+                          (_xi_pair, _reference_xi)])
+def test_pv_transform_is_bitwise_the_per_pole_reference(pair, reference,
+                                                       beta):
+    spec = sidon_spec(np.random.default_rng(5))
+    e = spec.energies
+    gaps = sorted({round(g, 12) for g in (e[:, None] - e).ravel().tolist()})
+    assert len(gaps) == 381
+    ffs = [term.form_factor for term in spec.couplings] \
+        + [make_ff(-0.3, 1), make_ff(1.5, 1, 0.3)]
+    outcomes = set()
+    for ff, poles in itertools.product(ffs, (gaps, REFERENCE_POLES, [])):
+        want = _transform_or_error(_reference_pv_transform,
+                                   partial(reference, ff, beta), poles)
+        got = _transform_or_error(_pv_transform, partial(pair, ff, beta),
+                                  poles)
+        assert got == want, (ff, poles[:3])
+        outcomes.add(type(got))
+    if beta == 1.0:
+        # p = -0.3 fails at the poles +-1e-15 next to its kink at 0
+        assert outcomes == {bytes, str}
+
+
+def test_pv_transform_refines_like_the_reference(monkeypatch):
+    ff, beta = make_ff(-0.5, 1), 1.0
+    steps = []
+    de_pass = reservoir._de_pass
+    monkeypatch.setattr(reservoir, "_de_pass", lambda pair, p, h: (
+        steps.append(h), de_pass(pair, p, h))[1])
+    for tol in (1e-8, 1e-13):
+        monkeypatch.setattr(reservoir, "_PV_TOL", tol)
+        got = _pv_transform(partial(_density_pair, ff, beta),
+                            REFERENCE_POLES)
+        want = _reference_pv_transform(partial(_reference_density, ff, beta),
+                                       REFERENCE_POLES, tol)
+        assert got.tobytes() == want.tobytes()
+    assert min(steps) == 1.0 / 32.0 / 8
+    monkeypatch.setattr(reservoir, "_PV_TOL", 0.0)
+    with pytest.raises(QuadratureNotConverged) as exc:
+        _pv_transform(partial(_xi_pair, ff, beta), REFERENCE_POLES)
+    with pytest.raises(QuadratureNotConverged) as want:
+        _reference_pv_transform(partial(_reference_xi, ff, beta),
+                                REFERENCE_POLES, 0.0)
+    assert str(exc.value) == str(want.value)
 
 
 # =====================================================================
