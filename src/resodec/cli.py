@@ -241,7 +241,9 @@ def _cmd_xi(args, cfg):
 
 
 def _cmd_verify(args, cfg):
-    from .oracle import verify    # scipy: only this command pays for it
+    # scipy (scipy.sparse and two compiled modules): only this
+    # command pays for it
+    from .oracle import verify
     system, vconfig, rho0 = verify_from_config(cfg)
     report = verify(system, vconfig, rho0=rho0)
     rows = [(c.name, c.deviation, c.tolerance,

@@ -62,7 +62,8 @@ from .errors import (
 from .model import FormFactor, SystemSpec, _beta, _integer, _positive, \
     _real, _reals
 from .resonances import ZERO_RESONANCE_TOL, resonance_energies
-from .reservoir import _radial_moment, one_sided_density
+from .reservoir import _radial_moment, _scipy_extension, \
+    one_sided_density
 
 __all__ = [
     "TruncatedBath",
@@ -221,22 +222,39 @@ def _sector_ladder(freqs: np.ndarray, cap: int):
     the vacuum (index 0) up, level j as the sorted j-tuples of occupied
     modes in lexicographic order.  Returns their energies and, for every
     creation move source --a_k^dag--> target, the arrays (target,
-    source, k, sqrt(n_k + 1))."""
+    source, k, sqrt(n_k + 1)).
+
+    A move's target is found by rank, not by search: among the sorted
+    j-tuples of M modes, those that agree with (a_1, ..., a_j) before
+    place i and hold v < a_i there number C(M - v + r - 1, r) for each
+    v in [a_(i-1), a_i) (a_0 = 0, r = j - i places left), which sums to
+    C(M - a_(i-1) + r, r + 1) - C(M - a_i + r, r + 1)."""
     n_modes = freqs.size
     level = np.zeros((1, 0), dtype=np.intp)
     energy, target, source, mode, factor = [np.zeros(1)], [], [], [], []
     offset = 0
-    for _ in range(cap):
+    for j in range(1, cap + 1):
         n_level = len(level)
         src = np.repeat(np.arange(n_level), n_modes)
         k = np.tile(np.arange(n_modes), n_level)
+        parent = level[src]
         factor.append(np.sqrt(1.0 + np.count_nonzero(
-            level[src] == k[:, None], axis=1)))
-        grown = np.sort(np.column_stack([level[src], k]), axis=1)
-        level, dest = np.unique(grown, axis=0, return_inverse=True)
+            parent == k[:, None], axis=1)))
+        grown = np.sort(np.column_stack([parent, k]), axis=1)
+        # rest[:, i] = M - a_i, with a_0 = 0 in column 0
+        rest = n_modes - np.column_stack([np.zeros(len(grown), np.intp),
+                                          grown])
+        dest = np.zeros(len(grown), dtype=np.intp)
+        for i in range(j):
+            r = j - 1 - i
+            count = np.array([math.comb(x + r, r + 1)
+                              for x in range(n_modes + 1)], dtype=np.intp)
+            dest += count[rest[:, i]] - count[rest[:, i + 1]]
+        level = np.empty((math.comb(n_modes + j - 1, j), j), dtype=np.intp)
+        level[dest] = grown
         source.append(offset + src)
         offset += n_level
-        target.append(offset + dest.ravel())
+        target.append(offset + dest)
         mode.append(k)
         energy.append(freqs[level].sum(axis=1))
     return tuple(map(np.concatenate, (energy, target, source, mode, factor)))
@@ -365,9 +383,11 @@ def _chebyshev_states(diag, terms, lo, hi, rho0, times) -> np.ndarray:
     paid once per group; the recurrence vectors are summed into the
     outputs CHEBYSHEV_BATCH at a time, each output taking only the
     terms it needs, in row blocks of SECTOR_ROW_BLOCK so that no
-    output-sized temporary is formed.
+    output-sized temporary is formed.  The Bessel functions J_k are
+    scipy.special's ufunc ``jv``, taken from its compiled module without
+    importing the ``scipy.special`` package.
     """
-    from scipy.special import jv
+    jv = _scipy_extension("scipy.special._special_ufuncs").jv
 
     n_bath, n_sys = diag.shape
     n_low = terms[0][0].shape[0]

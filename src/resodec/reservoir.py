@@ -26,7 +26,9 @@ Everything is a pure function of immutable inputs.  Importing this
 module costs numpy alone.  ``xi_lorentzian_check`` integrates with
 QUADPACK (``_quad``): scipy's compiled extension, the one behind
 ``scipy.integrate.quad``, loaded on first use without importing the
-``scipy.integrate`` package (about 0.5 s).
+``scipy.integrate`` package (about 0.5 s); ``_radial_moment`` takes
+``gammainc`` from ``scipy.special``'s compiled ufunc module the same way
+(``_scipy_extension``), without the ``scipy.special`` package.
 """
 
 from __future__ import annotations
@@ -189,23 +191,32 @@ def xi_lorentzian_check(base: FormFactor, beta: float, eta: float,
     return total
 
 
+def _scipy_extension(name: str):
+    """scipy's compiled module ``name``, "scipy.<subpackage>.<module>",
+    loaded from the subpackage's directory once, after scipy's core
+    alone, and registered under ``name``.  The subpackage's __init__
+    never runs (``scipy.integrate``'s costs about 0.5 s;
+    ``scipy.special``'s 75-113 ms and 5.6 MB, against 1 ms and 1.3 MB
+    for ``_special_ufuncs``), a module that scipy has loaded already is
+    reused, and a later import of the subpackage finds this one."""
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+        subpackage = name.split(".")[1]
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(d, subpackage) for d in scipy.__path__])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
+
+
 def _quad(f, a: float, b: float, epsabs: float, epsrel: float,
           limit: int) -> tuple:
     """(value, abserr, ier) of QUADPACK's QAGS over [a, b], or of its
     QAGI over [a, inf) for b = inf: the calls that scipy.integrate.quad
-    makes, on the same extension module, so the bits are scipy's.  The
-    module is loaded from scipy's directory once, after scipy's core
-    alone; scipy/integrate/__init__.py never runs, and a module that
-    scipy has loaded already is reused."""
-    name = "scipy.integrate._quadpack"
-    quadpack = sys.modules.get(name)
-    if quadpack is None:
-        import scipy
-        spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(d, "integrate") for d in scipy.__path__])
-        quadpack = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(quadpack)
-        sys.modules[name] = quadpack
+    makes, on the same extension module, so the bits are scipy's."""
+    quadpack = _scipy_extension("scipy.integrate._quadpack")
     if b == math.inf:
         return quadpack._qagie(f, a, 1, (), 0, epsabs, epsrel, limit)
     return quadpack._qagse(f, a, b, (), 0, epsabs, epsrel, limit)
@@ -231,14 +242,17 @@ def _radial_moment(base: FormFactor, k: int,
                    upper: float = math.inf) -> float:
     """int_0^upper r^k S(r) dr = 4*pi*scale^2 * Gamma(s)
     P(s, 2 upper^m) / (m * 2^s), s = (2p + 1 + k)/m, P = gammainc (1,
-    and no scipy, for upper = inf).  Past an overflow (of Gamma(s) from
-    s ~ 171.6 on) Gamma(s) P / 2^s is taken in log space; a moment
-    outside the float range raises NumericalError."""
+    and no scipy, for upper = inf; otherwise the ufunc that
+    scipy.special re-exports, taken from its compiled module).  Past an
+    overflow (of Gamma(s) from s ~ 171.6 on) Gamma(s) P / 2^s is taken
+    in log space; a moment outside the float range raises
+    NumericalError."""
     m = base.decay_exponent
     s = (2.0 * base.radial_exponent + 1.0 + k) / m
     share = 1.0
     if math.isfinite(upper):
-        from scipy.special import gammainc
+        gammainc = _scipy_extension(
+            "scipy.special._special_ufuncs").gammainc
         share = float(gammainc(s, 2.0 * upper ** m))
     prefactor = _FOUR_PI * base.overall_scale ** 2
     moment = math.inf
@@ -428,9 +442,10 @@ def pv_energy_shift(base: FormFactor, beta: float, Delta: float) -> float:
     return float(_pv_transform(partial(_xi_pair, base, beta), [Delta])[0])
 
 
-def _half_line_transforms(base: FormFactor, beta: float, omegas) -> list:
-    """W at every omega, with one batched principal-value transform."""
-    densities = [thermal_spectral_density(base, beta, o) for o in omegas]
+def _half_line_transforms(base: FormFactor, beta: float, omegas,
+                          densities) -> list:
+    """W at every omega from the densities D(omega) there, with one
+    batched principal-value transform."""
     shifts = np.zeros(len(omegas)) if base.is_zero else 0.5 * \
         _pv_transform(partial(_density_pair, base, beta), omegas)
     return [complex(0.5 * np.pi * d, float(s))
@@ -446,7 +461,9 @@ def half_line_transform(base: FormFactor, beta: float,
     imaginary part the corresponding energy (Lamb-type) shift.  omega
     must be a finite number (ValidationError).
     """
-    return _half_line_transforms(base, beta, [_real(omega, "omega")])[0]
+    omega = _real(omega, "omega")
+    return _half_line_transforms(
+        base, beta, [omega], [thermal_spectral_density(base, beta, omega)])[0]
 
 
 # =====================================================================

@@ -147,7 +147,9 @@ def _channel_tables(spec: SystemSpec, mixes) -> list:
     K[m, k] = sum_j G[m, j] G[j, k] W(E_m - E_j), and the density table
     D[a, b] = D(E_b - E_a) on G's support (zero elsewhere), the only
     entries any group's jump term reads.  Gaps are rounded to 1e-12, so
-    gaps equal up to clustering noise share one W and one D value.
+    gaps equal up to clustering noise share one W and one D value.  D
+    is evaluated once per key; D(-k) is read from key -k, which a
+    Hermitian G always has, and evaluated only where it is absent.
     """
     E = spec.energies
     tables = []
@@ -159,8 +161,13 @@ def _channel_tables(spec: SystemSpec, mixes) -> list:
         m, j = np.nonzero(np.abs(G) > 0.0)
         gaps = [round(g, 12) for g in (E[m] - E[j]).tolist()]
         keys = sorted(set(gaps))
-        w_of = dict(zip(keys, _half_line_transforms(ff, spec.beta, keys)))
-        d_of = {k: thermal_spectral_density(ff, spec.beta, -k) for k in keys}
+        density = {k: thermal_spectral_density(ff, spec.beta, k)
+                   for k in keys}
+        w_of = dict(zip(keys, _half_line_transforms(
+            ff, spec.beta, keys, list(density.values()))))
+        d_of = {k: density[-k] if -k in density
+                else thermal_spectral_density(ff, spec.beta, -k)
+                for k in keys}
         W = np.zeros_like(G)
         D = np.zeros(G.shape)
         W[m, j] = [w_of[g] for g in gaps]

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -394,15 +395,27 @@ def test_closed_form_reservoir_diagnostics_load_no_scipy_or_mpmath():
 
 
 def test_oracle_loads_no_scipy_integrate():
-    # the oracle's bath-weight check is a closed form (through
-    # scipy.special.gammainc), with no quadrature
-    probe = ("import sys, resodec.oracle; "
-             "print(sorted(m for m in sys.modules "
-             "if m.startswith('scipy.integrate')))")
+    # the oracle's bath-weight check is a closed form (through gammainc),
+    # with no quadrature; gammainc and the Chebyshev coefficients' jv
+    # come from scipy.special's compiled ufunc module, without the
+    # scipy.special package
+    probe = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from resodec.model import FormFactor, build_system
+        from resodec.oracle import discretize_bath, exact_evolve
+        ff = FormFactor(radial_exponent=0.5, decay_exponent=2)
+        spec = build_system([0.0, 1.0], [(0.05, [[0, 1], [1, 0]], ff)],
+                            beta=2.0)
+        bath = discretize_bath(ff, 2.0, 30, 3.0, 2)
+        exact_evolve(spec, bath, np.eye(2) / 2, [0.0, 0.5, 1.0])
+        print(sorted(m for m in sys.modules
+                     if m.startswith(("scipy.integrate", "scipy.special"))))
+        """)
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]"]
+    assert proc.stdout.splitlines() == ["['scipy.special._special_ufuncs']"]
 
 
 def test_verify_import_failure_is_not_exit_1(monkeypatch):

@@ -35,6 +35,7 @@ from resodec.reservoir import (
 )
 from resodec.oracle import (
     SECTOR_OCCUPANCY_TOL,
+    STATE_SPACE_LIMIT,
     TruncatedBath,
     VerificationCheck,
     VerificationReport,
@@ -45,7 +46,8 @@ from resodec.oracle import (
     fit_decay,
     verify,
 )
-from resodec.oracle import _scaled_spec, _thermofield_modes
+from resodec.oracle import _scaled_spec, _sector_dimension, \
+    _sector_ladder, _thermofield_modes
 
 from conftest import REPO_ROOT, single_qubit_spec
 
@@ -564,6 +566,57 @@ def test_thermofield_modes_double_past_the_cold_prefix():
     assert np.array_equal(fb, [1.5, -1.5])
     assert np.allclose(kb, 0.2 * np.sqrt([1.0 + nb[0], nb[0]]),
                        rtol=1e-15, atol=0.0)
+
+
+def _reference_sector_ladder(freqs, cap):
+    """_sector_ladder with each level found by np.unique of the grown
+    tuples, as it was before target states were found by rank."""
+    n_modes = freqs.size
+    level = np.zeros((1, 0), dtype=np.intp)
+    energy, target, source, mode, factor = [np.zeros(1)], [], [], [], []
+    offset = 0
+    for _ in range(cap):
+        n_level = len(level)
+        src = np.repeat(np.arange(n_level), n_modes)
+        k = np.tile(np.arange(n_modes), n_level)
+        factor.append(np.sqrt(1.0 + np.count_nonzero(
+            level[src] == k[:, None], axis=1)))
+        grown = np.sort(np.column_stack([level[src], k]), axis=1)
+        level, dest = np.unique(grown, axis=0, return_inverse=True)
+        source.append(offset + src)
+        offset += n_level
+        target.append(offset + dest.ravel())
+        mode.append(k)
+        energy.append(freqs[level].sum(axis=1))
+    return tuple(map(np.concatenate, (energy, target, source, mode, factor)))
+
+
+def _assert_same_ladder(freqs, cap):
+    got = _sector_ladder(freqs, cap)
+    want = _reference_sector_ladder(freqs, cap)
+    assert len(got) == len(want) == 5
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_modes, cap", [
+    (n, cap) for n in (1, 2, 7, 40, 200) for cap in (1, 2, 3, 4)
+    if _sector_dimension(1, n, cap) <= STATE_SPACE_LIMIT])
+def test_sector_ladder_is_bytewise_the_unique_reference(n_modes, cap):
+    freqs = np.random.default_rng(n_modes * 10 + cap).uniform(
+        0.01, 3.0, n_modes)
+    _assert_same_ladder(freqs, cap)
+
+
+def test_sector_ladder_with_thermofield_partners_is_the_reference():
+    # a warm bath's partner modes sit at negative frequencies after the
+    # bath's own, so level energies mix signs
+    spec = single_qubit_spec(**QUBIT)
+    bath = discretize_bath(FF, 0.5, 12, 3.0, 3)
+    [(freqs, _)] = _thermofield_modes([(spec.couplings[0], bath)])
+    assert freqs.size > bath.n_modes and np.any(freqs < 0.0)
+    _assert_same_ladder(freqs, 3)
 
 
 def test_thermofield_doubling_boundary():

@@ -610,6 +610,22 @@ def test_quad_loaded_first_serves_a_later_scipy_integrate():
         """) == ["False", "True [0, 0] True"]
 
 
+def test_special_ufuncs_loaded_first_serve_a_later_scipy_special():
+    # the oracle's jv and gammainc come from scipy.special's compiled
+    # module, loaded without scipy.special; importing scipy.special
+    # afterwards finds that module and re-exports the same ufuncs
+    assert _probe("""
+        import sys
+        from resodec.reservoir import _scipy_extension
+        ufuncs = _scipy_extension("scipy.special._special_ufuncs")
+        print(sorted(m for m in sys.modules if m.startswith("scipy.special")))
+        import scipy.special
+        print(scipy.special.jv is ufuncs.jv,
+              scipy.special.gammainc is ufuncs.gammainc,
+              sys.modules["scipy.special._special_ufuncs"] is ufuncs)
+        """) == ["['scipy.special._special_ufuncs']", "True True True"]
+
+
 def test_quad_reuses_the_quadpack_that_scipy_loaded():
     # with scipy.integrate imported first, _quad calls into the loaded
     # module (spied on here) and loads no second copy

@@ -1,8 +1,11 @@
 """Bohr grouping and level-shift spectra against closed forms."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from resodec import resonances
 from resodec.errors import (
     AmbiguousClustering,
     DefectiveLevelShift,
@@ -10,6 +13,7 @@ from resodec.errors import (
 )
 from resodec.model import CouplingTerm, FormFactor, SystemSpec, build_system
 from resodec.reservoir import (
+    _half_line_transforms,
     half_line_transform,
     mean_inverse_frequency,
     pv_energy_shift,
@@ -26,7 +30,7 @@ from resodec.resonances import (
     resonance_energies,
 )
 
-from conftest import single_qubit_spec
+from conftest import sidon_spec, single_qubit_spec
 
 RNG = np.random.default_rng(20240819)
 
@@ -162,6 +166,66 @@ def test_channel_tables_share_entries_of_rounded_gaps():
     assert D[0, 1] == D[0, 2] == thermal_spectral_density(ff, beta, 0.8)
     assert D[1, 0] == D[2, 0] == thermal_spectral_density(ff, beta, -0.8)
     assert D[1, 2] == D[2, 1] == 0.0
+
+
+def _reference_channel_tables(spec):
+    """(K, D) of every channel, D evaluated at k for W and again at -k
+    for the density table, as _channel_tables did before it read D(-k)
+    from key -k."""
+    E, beta = spec.energies, spec.beta
+    tables = []
+    for term in spec.couplings:
+        ff, G = term.form_factor, term.matrix
+        m, j = np.nonzero(np.abs(G) > 0.0)
+        gaps = [round(g, 12) for g in (E[m] - E[j]).tolist()]
+        keys = sorted(set(gaps))
+        w_of = dict(zip(keys, _half_line_transforms(
+            ff, beta, keys,
+            [thermal_spectral_density(ff, beta, k) for k in keys])))
+        d_of = {k: thermal_spectral_density(ff, beta, -k) for k in keys}
+        W = np.zeros_like(G)
+        D = np.zeros(G.shape)
+        W[m, j] = [w_of[g] for g in gaps]
+        D[m, j] = [d_of[g] for g in gaps]
+        tables.append(((G * W) @ G, D))
+    return tables
+
+
+def _counted_channel_tables(monkeypatch, spec):
+    """(_channel_tables' (K, D) per channel, its count of D calls)."""
+    calls = []
+    density = resonances.thermal_spectral_density
+    monkeypatch.setattr(resonances, "thermal_spectral_density",
+                        lambda *args: calls.append(args) or density(*args))
+    tables = _channel_tables(spec, [[1.0] * len(spec.couplings)])
+    return [(K, D) for _, _, K, D in tables], len(calls)
+
+
+def test_channel_tables_evaluate_d_once_per_gap(monkeypatch):
+    # every gap k of a Hermitian coupling has its negative -k among the
+    # keys, so D(-k) is the density at key -k: 381 calls per channel of
+    # the Sidon spec where the reference makes 762, and the same bytes
+    spec = sidon_spec(np.random.default_rng(5))
+    got, calls = _counted_channel_tables(monkeypatch, spec)
+    assert calls == 2 * 381
+    want = _reference_channel_tables(spec)
+    for (K, D), (K_ref, D_ref) in zip(got, want, strict=True):
+        assert K.dtype == K_ref.dtype and K.tobytes() == K_ref.tobytes()
+        assert D.dtype == D_ref.dtype and D.tobytes() == D_ref.tobytes()
+
+
+def test_channel_tables_evaluate_d_at_a_missing_negative_gap(monkeypatch):
+    # a one-way support (no CouplingTerm holds one: its matrix is
+    # Hermitian) has no key -k, so D(-k) is evaluated at each key
+    term = SimpleNamespace(
+        form_factor=FormFactor(radial_exponent=0.5, decay_exponent=2),
+        matrix=np.array([[0, 1, 0.5], [0, 0, 2], [0, 0, 0]], dtype=complex))
+    spec = SimpleNamespace(energies=np.array([0.0, 0.7, 1.9]),
+                           couplings=(term,), beta=1.5)
+    got, calls = _counted_channel_tables(monkeypatch, spec)
+    assert calls == 2 * 3
+    [(K, D)], [(K_ref, D_ref)] = got, _reference_channel_tables(spec)
+    assert K.tobytes() == K_ref.tobytes() and D.tobytes() == D_ref.tobytes()
 
 
 # =====================================================================
