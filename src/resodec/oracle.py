@@ -62,8 +62,7 @@ from .errors import (
 from .model import FormFactor, SystemSpec, _beta, _integer, _positive, \
     _real, _reals
 from .resonances import ZERO_RESONANCE_TOL, resonance_energies
-from .reservoir import _radial_moment, _scipy_extension, \
-    one_sided_density
+from .reservoir import _radial_moment, _special_ufunc, one_sided_density
 
 __all__ = [
     "TruncatedBath",
@@ -385,9 +384,9 @@ def _chebyshev_states(diag, terms, lo, hi, rho0, times) -> np.ndarray:
     terms it needs, in row blocks of SECTOR_ROW_BLOCK so that no
     output-sized temporary is formed.  The Bessel functions J_k are
     scipy.special's ufunc ``jv``, taken from its compiled module without
-    importing the ``scipy.special`` package.
+    importing the ``scipy.special`` package (``_special_ufunc``).
     """
-    jv = _scipy_extension("scipy.special._special_ufuncs").jv
+    jv = _special_ufunc("jv")
 
     n_bath, n_sys = diag.shape
     n_low = terms[0][0].shape[0]

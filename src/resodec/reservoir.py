@@ -28,7 +28,8 @@ QUADPACK (``_quad``): scipy's compiled extension, the one behind
 ``scipy.integrate.quad``, loaded on first use without importing the
 ``scipy.integrate`` package (about 0.5 s); ``_radial_moment`` takes
 ``gammainc`` from ``scipy.special``'s compiled ufunc module the same way
-(``_scipy_extension``), without the ``scipy.special`` package.
+(``_special_ufunc``), without the ``scipy.special`` package where the
+installed scipy has that module.
 """
 
 from __future__ import annotations
@@ -198,17 +199,34 @@ def _scipy_extension(name: str):
     never runs (``scipy.integrate``'s costs about 0.5 s;
     ``scipy.special``'s 75-113 ms and 5.6 MB, against 1 ms and 1.3 MB
     for ``_special_ufuncs``), a module that scipy has loaded already is
-    reused, and a later import of the subpackage finds this one."""
+    reused, and a later import of the subpackage finds this one.  A
+    scipy release without the module raises ModuleNotFoundError."""
     module = sys.modules.get(name)
     if module is None:
         import scipy
         subpackage = name.split(".")[1]
         spec = importlib.machinery.PathFinder.find_spec(
             name, [os.path.join(d, subpackage) for d in scipy.__path__])
+        if spec is None:
+            raise ModuleNotFoundError(
+                f"scipy {scipy.__version__} has no module {name}", name=name)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[name] = module
     return module
+
+
+def _special_ufunc(fn: str):
+    """scipy.special's ufunc ``fn``, from its compiled module
+    ``_special_ufuncs`` (see ``_scipy_extension``).  On a scipy release
+    whose compiled modules are laid out otherwise (older releases keep
+    their ufuncs in ``_ufuncs``) ``fn`` comes from the ``scipy.special``
+    package, the same object by another import path."""
+    try:
+        return getattr(_scipy_extension("scipy.special._special_ufuncs"), fn)
+    except (ImportError, AttributeError):
+        import scipy.special
+        return getattr(scipy.special, fn)
 
 
 def _quad(f, a: float, b: float, epsabs: float, epsrel: float,
@@ -251,9 +269,7 @@ def _radial_moment(base: FormFactor, k: int,
     s = (2.0 * base.radial_exponent + 1.0 + k) / m
     share = 1.0
     if math.isfinite(upper):
-        gammainc = _scipy_extension(
-            "scipy.special._special_ufuncs").gammainc
-        share = float(gammainc(s, 2.0 * upper ** m))
+        share = float(_special_ufunc("gammainc")(s, 2.0 * upper ** m))
     prefactor = _FOUR_PI * base.overall_scale ** 2
     moment = math.inf
     with contextlib.suppress(OverflowError):

@@ -148,8 +148,8 @@ def _channel_tables(spec: SystemSpec, mixes) -> list:
     D[a, b] = D(E_b - E_a) on G's support (zero elsewhere), the only
     entries any group's jump term reads.  Gaps are rounded to 1e-12, so
     gaps equal up to clustering noise share one W and one D value.  D
-    is evaluated once per key; D(-k) is read from key -k, which a
-    Hermitian G always has, and evaluated only where it is absent.
+    is evaluated once per key; D(-k) is read from key -k, which G's
+    exactly Hermitian support (see CouplingTerm) always holds.
     """
     E = spec.energies
     tables = []
@@ -165,9 +165,7 @@ def _channel_tables(spec: SystemSpec, mixes) -> list:
                    for k in keys}
         w_of = dict(zip(keys, _half_line_transforms(
             ff, spec.beta, keys, list(density.values()))))
-        d_of = {k: density[-k] if -k in density
-                else thermal_spectral_density(ff, spec.beta, -k)
-                for k in keys}
+        d_of = {k: density[-k] for k in keys}
         W = np.zeros_like(G)
         D = np.zeros(G.shape)
         W[m, j] = [w_of[g] for g in gaps]

@@ -626,6 +626,36 @@ def test_special_ufuncs_loaded_first_serve_a_later_scipy_special():
         """) == ["['scipy.special._special_ufuncs']", "True True True"]
 
 
+def test_scipy_extension_raises_import_error_for_a_missing_module():
+    # a scipy release without the module gives ModuleNotFoundError (an
+    # ImportError), not module_from_spec's AttributeError on None
+    with pytest.raises(ModuleNotFoundError, match="_no_such_module"):
+        reservoir._scipy_extension("scipy.special._no_such_module")
+    assert "scipy.special._no_such_module" not in sys.modules
+
+
+def test_special_ufuncs_fall_back_to_scipy_special(monkeypatch):
+    # with no compiled _special_ufuncs to find (as on scipy releases that
+    # keep their ufuncs in _ufuncs), jv and gammainc come from the
+    # scipy.special package, and the moment keeps its bits
+    import importlib.machinery
+
+    import scipy.special
+    ff = FormFactor(radial_exponent=0.5, decay_exponent=2)
+    want = reservoir._radial_moment(ff, 2, upper=1.3)
+    find_spec = importlib.machinery.PathFinder.find_spec
+    name = "scipy.special._special_ufuncs"
+    monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(
+        importlib.machinery.PathFinder, "find_spec",
+        lambda fullname, *args: None if fullname == name
+        else find_spec(fullname, *args))
+    assert reservoir._special_ufunc("jv") is scipy.special.jv
+    assert reservoir._special_ufunc("gammainc") is scipy.special.gammainc
+    assert reservoir._radial_moment(ff, 2, upper=1.3) == want
+    assert name not in sys.modules
+
+
 def test_quad_reuses_the_quadpack_that_scipy_loaded():
     # with scipy.integrate imported first, _quad calls into the loaded
     # module (spied on here) and loads no second copy

@@ -1,7 +1,5 @@
 """Bohr grouping and level-shift spectra against closed forms."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -212,20 +210,6 @@ def test_channel_tables_evaluate_d_once_per_gap(monkeypatch):
     for (K, D), (K_ref, D_ref) in zip(got, want, strict=True):
         assert K.dtype == K_ref.dtype and K.tobytes() == K_ref.tobytes()
         assert D.dtype == D_ref.dtype and D.tobytes() == D_ref.tobytes()
-
-
-def test_channel_tables_evaluate_d_at_a_missing_negative_gap(monkeypatch):
-    # a one-way support (no CouplingTerm holds one: its matrix is
-    # Hermitian) has no key -k, so D(-k) is evaluated at each key
-    term = SimpleNamespace(
-        form_factor=FormFactor(radial_exponent=0.5, decay_exponent=2),
-        matrix=np.array([[0, 1, 0.5], [0, 0, 2], [0, 0, 0]], dtype=complex))
-    spec = SimpleNamespace(energies=np.array([0.0, 0.7, 1.9]),
-                           couplings=(term,), beta=1.5)
-    got, calls = _counted_channel_tables(monkeypatch, spec)
-    assert calls == 2 * 3
-    [(K, D)], [(K_ref, D_ref)] = got, _reference_channel_tables(spec)
-    assert K.tobytes() == K_ref.tobytes() and D.tobytes() == D_ref.tobytes()
 
 
 # =====================================================================
