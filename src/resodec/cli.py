@@ -241,8 +241,8 @@ def _cmd_xi(args, cfg):
 
 
 def _cmd_verify(args, cfg):
-    # scipy (scipy.sparse and two compiled modules): only this
-    # command pays for it
+    # scipy (three compiled modules, no subpackage): only this command
+    # pays for it
     from .oracle import verify
     system, vconfig, rho0 = verify_from_config(cfg)
     report = verify(system, vconfig, rho0=rho0)

@@ -270,7 +270,7 @@ def verify_from_config(cfg: dict) -> tuple:
     "initial_state"; any other key, and nonzero lambdas on a system
     whose coupling strengths are all zero, raise BadConfiguration.
     """
-    from .oracle import VerifyConfig    # scipy.sparse: only verify pays
+    from .oracle import VerifyConfig    # scipy: only verify pays
     system = system_from_config(cfg)
     fields = dataclasses.fields(VerifyConfig)
     section = _known(cfg.get("verify", {}),

@@ -29,12 +29,15 @@ Per channel, the real sparse creation half of the ladder operator,
 which raises the states below the top excitation level by one quantum,
 and its transpose act on the bath index; the small coupling matrix acts
 on the system index of the sub-top rows only, never on the top level
-that holds most of the sector.  The state is propagated by Chebyshev
-expansion inside Gershgorin spectral bounds, and each grid state is
-traced down to the system as soon as it is reached.  K is the Fock
-cutoff unless the sector, partner modes included, would exceed
-STATE_SPACE_LIMIT; a lower K is used then and reported with a
-TruncationWarning.
+that holds most of the sector.  The sparse products are scipy's
+compiled kernels ``csr_matvecs`` and ``csc_matvecs``, the ones behind
+``scipy.sparse``'s products, called on CSR arrays built from the
+ladder, without importing the ``scipy.sparse`` package.  The state is
+propagated by Chebyshev expansion inside Gershgorin spectral bounds,
+and each grid state is traced down to the system as soon as it is
+reached.  K is the Fock cutoff unless the sector, partner modes
+included, would exceed STATE_SPACE_LIMIT; a lower K is used then and
+reported with a TruncationWarning.
 
 The pure-dephasing envelope of a diagonal coupling is the
 independent-boson closed form, with no Fock cutoff.
@@ -48,7 +51,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse
 
 from .dynamics import Trajectory, _as_state_array, _free_states, \
     _time_grid, resonance_evolution
@@ -62,7 +64,8 @@ from .errors import (
 from .model import FormFactor, SystemSpec, _beta, _integer, _positive, \
     _real, _reals
 from .resonances import ZERO_RESONANCE_TOL, resonance_energies
-from .reservoir import _radial_moment, _special_ufunc, one_sided_density
+from .reservoir import _radial_moment, _scipy_extension, _special_ufunc, \
+    one_sided_density
 
 __all__ = [
     "TruncatedBath",
@@ -321,6 +324,7 @@ def _sector_evolve(spec: SystemSpec, active, rho0, times) -> np.ndarray:
     # = sum_k amp_k a_k^dag the real creation half of channel r's ladder.
     # U_r only creates, so its columns are the n_low states below the
     # top level, and U_r^T only lands on them
+    sparsetools = _scipy_extension("scipy.sparse._sparsetools")
     energy, target, source, mode, factor = _sector_ladder(freqs, cap)
     n_bath = energy.size
     n_low = _sector_dimension(1, freqs.size, cap - 1)
@@ -329,17 +333,27 @@ def _sector_evolve(spec: SystemSpec, active, rho0, times) -> np.ndarray:
     for (term, _), (_, kappa) in zip(active, modes):
         amps = term.strength * kappa / math.sqrt(2.0)
         own = (mode >= start) & (mode < start + kappa.size)
-        # U_r^T, stored as CSR (n_low x n_bath); its transpose is U_r
-        up_t = scipy.sparse.csr_matrix(
-            (amps[mode[own] - start] * factor[own],
-             (source[own], target[own])), shape=(n_low, n_bath))
+        # U_r^T (n_low x n_bath) as canonical CSR arrays, which read
+        # column-wise are U_r: the ladder lists its moves by source, and
+        # one source's targets rise with the mode, so the rows come in
+        # order with sorted, distinct columns.  The state-space limit
+        # keeps every index below 2**31
+        indptr = np.searchsorted(source[own], np.arange(n_low + 1)) \
+            .astype(np.int32)
+        indices = target[own].astype(np.int32)
+        data = amps[mode[own] - start] * factor[own]
         start += kappa.size
-        terms.append((up_t, term.matrix))
+        terms.append(((indptr, indices, data), term.matrix))
         # U_r and U_r^T share no entry, so the row sums of |U_r + U_r^T|
-        # are the column sums of |U_r^T| plus its row sums on the low rows
-        magnitude = abs(up_t)
-        row_sums = np.asarray(magnitude.sum(axis=0)).ravel()
-        row_sums[:n_low] += np.asarray(magnitude.sum(axis=1)).ravel()
+        # are the column sums of |U_r^T| plus its row sums on the low
+        # rows, each summed in scipy.sparse's order: a product with ones
+        # from zero, and a reduction over each nonempty row
+        magnitude = np.abs(data)
+        row_sums = np.zeros(n_bath)
+        sparsetools.csc_matvec(n_bath, n_low, indptr, indices, magnitude,
+                               np.ones(n_low), row_sums)
+        filled = np.flatnonzero(np.diff(indptr))
+        row_sums[filled] += np.add.reduceat(magnitude, indptr[filled])
         radius += np.outer(row_sums, np.abs(term.matrix).sum(axis=1))
         # U_r takes j quanta to j + 1 with norm at most |amp| sqrt(j + 1),
         # so |U_r + U_r^T| <= 2 sqrt(cap) |amp|
@@ -353,10 +367,16 @@ def _sector_evolve(spec: SystemSpec, active, rho0, times) -> np.ndarray:
     return _chebyshev_states(diag, terms, lo, hi, rho0, times)
 
 
-def _real_product(sparse, array):
-    """Real sparse matrix times a complex array, as one real product on
-    the interleaved real and imaginary parts."""
-    return (sparse @ array.view(np.float64)).view(np.complex128)
+def _real_product(kernel, up_t, array, result):
+    """result = A array for a complex array, as one real product on the
+    interleaved real and imaginary parts.  ``kernel`` is scipy's
+    compiled ``csr_matvecs``, for A = U^T with ``up_t`` the CSR arrays
+    (indptr, indices, data) of U^T, or ``csc_matvecs``, for A = U, the
+    same arrays read column-wise.  The kernels add into ``result``, so
+    it is zeroed first, as in ``scipy.sparse``'s product."""
+    result.fill(0.0)
+    kernel(result.shape[0], array.shape[0], 2 * result.shape[1], *up_t,
+           array.view(np.float64).ravel(), result.view(np.float64).ravel())
 
 
 def _chebyshev_states(diag, terms, lo, hi, rho0, times) -> np.ndarray:
@@ -365,14 +385,18 @@ def _chebyshev_states(diag, terms, lo, hi, rho0, times) -> np.ndarray:
     arrays Z with spectrum in [lo, hi]; rho0 sits on the bath vacuum,
     row 0.
 
-    ``terms`` holds per channel G_r and the transpose U_r^T (CSR,
-    n_low x n_bath) of the real creation half U_r of the bath ladder;
-    the n_low columns of U_r are the states below the top excitation
-    level, stacked first.  H Z is applied as
-    diag * Z + sum_r [U_r (Z[:n_low] G_r^T), plus (U_r^T Z) G_r^T on
-    rows :n_low], so the system-side matrix products run on the n_low
-    sub-top rows only, never on the top level that holds most of the
-    sector.
+    ``terms`` holds per channel G_r and the canonical CSR arrays
+    (indptr, indices, data) of the transpose U_r^T (n_low x n_bath) of
+    the real creation half U_r of the bath ladder; the n_low columns of
+    U_r are the states below the top excitation level, stacked first.
+    H Z is applied as diag * Z + sum_r [U_r (Z[:n_low] G_r^T), plus
+    (U_r^T Z) G_r^T on rows :n_low], so the system-side matrix products
+    run on the n_low sub-top rows only, never on the top level that
+    holds most of the sector.  The sparse products are scipy's compiled
+    ``csc_matvecs`` (U_r) and ``csr_matvecs`` (U_r^T), taken from
+    ``scipy.sparse._sparsetools`` without importing the ``scipy.sparse``
+    package (``_scipy_extension``); each writes into a scratch array
+    allocated once per run, which is then added to the output.
 
     Chebyshev expansion (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967
     (1984)): exp(i dt H) = e^{i c dt} sum_k (2 - delta_k0) i^k J_k(h dt)
@@ -387,25 +411,34 @@ def _chebyshev_states(diag, terms, lo, hi, rho0, times) -> np.ndarray:
     importing the ``scipy.special`` package (``_special_ufunc``).
     """
     jv = _special_ufunc("jv")
+    sparsetools = _scipy_extension("scipy.sparse._sparsetools")
 
     n_bath, n_sys = diag.shape
-    n_low = terms[0][0].shape[0]
+    n_low = terms[0][0][0].size - 1
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     diag2 = (2.0 / half) * (diag - center)
-    ops = [(up_t.T, up_t, (2.0 / half) * gmat.T) for up_t, gmat in terms]
+    ops = [(up_t, (2.0 / half) * gmat.T) for up_t, gmat in terms]
     row_blocks = [slice(a, a + SECTOR_ROW_BLOCK)
                   for a in range(0, n_bath, SECTOR_ROW_BLOCK)]
     # ring[2:] holds a batch of recurrence vectors, ring[:2] the two before
     ring = np.empty((CHEBYSHEV_BATCH + 2, n_bath, n_sys), dtype=complex)
     outs = np.empty((CHEBYSHEV_OUTPUTS, n_bath, n_sys), dtype=complex)
+    # the sparse products' outputs, added to the step's output after
+    # each product: the kernels add into their output, and summing into
+    # the step's output straight away would reorder the additions
+    wide = np.empty((n_bath, n_sys), dtype=complex)
+    narrow = np.empty((n_low, n_sys), dtype=complex)
 
     def step(prev, cur, out):
         # out = 2 T cur - prev for T = (H - center) / half, or T cur
         np.multiply(diag2, cur, out=out)
         low = out[:n_low]
-        for up, up_t, g in ops:
-            out += _real_product(up, cur[:n_low] @ g)
-            low += _real_product(up_t, cur) @ g
+        for up_t, g in ops:
+            _real_product(sparsetools.csc_matvecs, up_t, cur[:n_low] @ g,
+                          wide)
+            out += wide
+            _real_product(sparsetools.csr_matvecs, up_t, cur, narrow)
+            low += narrow @ g
         if prev is None:
             out *= 0.5
         else:

@@ -35,6 +35,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+# numpy.random is loaded with the module (about 12 ms), not by the
+# first register that realize draws
+from numpy.random import default_rng
 
 from .errors import BadConfiguration, RegisterTooLarge, \
     TooLargeForExhaustiveCheck, ValidationError
@@ -264,7 +267,7 @@ class RegisterTemplate:
     def realize(self, n_qubits: int, seed: int,
                 attenuate: bool = False) -> RegisterSpec:
         """Concrete register of ``n_qubits`` qubits with drawn fields."""
-        rng = np.random.default_rng([seed, n_qubits])
+        rng = default_rng([seed, n_qubits])
         lo, hi = self.b_interval
         B = rng.uniform(lo, hi, n_qubits)
         lam1, lam2 = self.lambda1, self.lambda2

@@ -198,9 +198,14 @@ def _scipy_extension(name: str):
     alone, and registered under ``name``.  The subpackage's __init__
     never runs (``scipy.integrate``'s costs about 0.5 s;
     ``scipy.special``'s 75-113 ms and 5.6 MB, against 1 ms and 1.3 MB
-    for ``_special_ufuncs``), a module that scipy has loaded already is
-    reused, and a later import of the subpackage finds this one.  A
-    scipy release without the module raises ModuleNotFoundError."""
+    for ``_special_ufuncs``; ``scipy.sparse``'s about 300 modules and
+    22 MB, against 2.3 MB for ``_sparsetools``), a module that scipy has
+    loaded already is reused, and a later import of the subpackage finds
+    this one.  Loaded in this order, the module is never set as an
+    attribute of its subpackage: once the subpackage is imported, the
+    attribute lookup ``scipy.sparse._sparsetools`` fails, while an
+    import statement naming the module gives it.  A scipy release
+    without the module raises ModuleNotFoundError."""
     module = sys.modules.get(name)
     if module is None:
         import scipy

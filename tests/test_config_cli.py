@@ -398,7 +398,8 @@ def test_oracle_loads_no_scipy_integrate():
     # the oracle's bath-weight check is a closed form (through gammainc),
     # with no quadrature; gammainc and the Chebyshev coefficients' jv
     # come from scipy.special's compiled ufunc module, without the
-    # scipy.special package
+    # scipy.special package, and the ladder products from scipy.sparse's
+    # compiled kernels, without the scipy.sparse package
     probe = textwrap.dedent("""
         import sys
         import numpy as np
@@ -410,12 +411,14 @@ def test_oracle_loads_no_scipy_integrate():
         bath = discretize_bath(ff, 2.0, 30, 3.0, 2)
         exact_evolve(spec, bath, np.eye(2) / 2, [0.0, 0.5, 1.0])
         print(sorted(m for m in sys.modules
-                     if m.startswith(("scipy.integrate", "scipy.special"))))
+                     if m.startswith(("scipy.integrate", "scipy.special",
+                                      "scipy.sparse"))))
         """)
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["['scipy.special._special_ufuncs']"]
+    assert proc.stdout.splitlines() == [
+        "['scipy.sparse._sparsetools', 'scipy.special._special_ufuncs']"]
 
 
 def test_verify_import_failure_is_not_exit_1(monkeypatch):

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse
 
+from resodec import oracle
+from resodec.config import load_config, system_from_config, \
+    verify_from_config
 from resodec.errors import (
     BadConfiguration,
     DimensionMismatch,
@@ -46,10 +50,10 @@ from resodec.oracle import (
     fit_decay,
     verify,
 )
-from resodec.oracle import _scaled_spec, _sector_dimension, \
-    _sector_ladder, _thermofield_modes
+from resodec.oracle import _active_channels, _scaled_spec, \
+    _sector_dimension, _sector_ladder, _thermofield_modes
 
-from conftest import REPO_ROOT, single_qubit_spec
+from conftest import CONFIG_DIR, REPO_ROOT, single_qubit_spec
 
 FF = FormFactor(radial_exponent=0.5, decay_exponent=2)
 QUBIT = dict(a=0.2, b=-0.4, c=0.7, delta=1.0, g=FF, beta=1.0, lam=0.01)
@@ -617,6 +621,98 @@ def test_sector_ladder_with_thermofield_partners_is_the_reference():
     [(freqs, _)] = _thermofield_modes([(spec.couplings[0], bath)])
     assert freqs.size > bath.n_modes and np.any(freqs < 0.0)
     _assert_same_ladder(freqs, 3)
+
+
+def _reference_ladder_operators(spec, baths, cap):
+    """Each channel's U_r^T as scipy.sparse.csr_matrix builds it from
+    the ladder's moves, and the Gershgorin bounds (lo, hi) from the row
+    and column sums that scipy.sparse computes: the sector engine's
+    set-up as it was before it called scipy's compiled kernels on CSR
+    arrays of its own."""
+    active = _active_channels(spec, baths)
+    modes = _thermofield_modes(active)
+    freqs = np.concatenate([f for f, _ in modes])
+    energy, target, source, mode, factor = _sector_ladder(freqs, cap)
+    n_bath = energy.size
+    n_low = _sector_dimension(1, freqs.size, cap - 1)
+    diag = energy[:, None] + spec.energies[None, :]
+    ups, radius, coupling_norm, start = [], np.zeros_like(diag), 0.0, 0
+    for (term, _), (_, kappa) in zip(active, modes):
+        amps = term.strength * kappa / math.sqrt(2.0)
+        own = (mode >= start) & (mode < start + kappa.size)
+        up_t = scipy.sparse.csr_matrix(
+            (amps[mode[own] - start] * factor[own],
+             (source[own], target[own])), shape=(n_low, n_bath))
+        start += kappa.size
+        ups.append(up_t)
+        magnitude = abs(up_t)
+        row_sums = np.asarray(magnitude.sum(axis=0)).ravel()
+        row_sums[:n_low] += np.asarray(magnitude.sum(axis=1)).ravel()
+        radius += np.outer(row_sums, np.abs(term.matrix).sum(axis=1))
+        coupling_norm += (2.0 * math.sqrt(cap) * np.linalg.norm(amps)
+                          * np.linalg.norm(term.matrix, 2))
+    lo = max(float(np.min(diag - radius)), diag.min() - coupling_norm)
+    hi = min(float(np.max(diag + radius)), diag.max() + coupling_norm)
+    return ups, lo, hi
+
+
+def _verify_qubit_case():
+    system, vconfig, _ = verify_from_config(
+        load_config(CONFIG_DIR / "verify_qubit.json"))
+    baths = [discretize_bath(t.form_factor, system.beta, vconfig.n_modes,
+                             vconfig.omega_max, vconfig.fock_cutoff)
+             for t in system.couplings]
+    return _scaled_spec(system, vconfig.lambdas[0]), baths, 2
+
+
+def _three_level_case():
+    spec = system_from_config(load_config(CONFIG_DIR / "three_level.json"))
+    bath = discretize_bath(spec.couplings[0].form_factor, spec.beta, 80,
+                           1.9, 3)
+    return spec, [bath], 2
+
+
+def _warm_two_channel_case():
+    g1 = np.array([[0.3, 0.5 - 0.4j, 0.0], [0.5 + 0.4j, -0.2, 0.6],
+                   [0.0, 0.6, 0.1]])
+    g2 = np.diag([0.4, -0.1, 0.2]).astype(complex)
+    spec = build_system([0.0, 0.8, 1.7], [(0.05, g1, FF), (0.03, g2, FF)],
+                        beta=0.7)
+    baths = [discretize_bath(FF, 0.7, 9, 3.0, 3),
+             discretize_bath(FF, 0.7, 6, 3.0, 3)]
+    # both channels take thermofield partners, at negative frequencies
+    assert all(np.any(f < 0.0) for f, _ in _thermofield_modes(
+        _active_channels(spec, baths)))
+    return spec, baths, 3
+
+
+@pytest.mark.parametrize("case", [_verify_qubit_case, _three_level_case,
+                                  _warm_two_channel_case])
+def test_sector_operators_are_bytewise_the_scipy_sparse_reference(
+        case, monkeypatch):
+    # the CSR arrays of each U_r^T, and through its row and column sums
+    # every Chebyshev coefficient's spectral bounds lo and hi, are those
+    # that scipy.sparse gives; the recurrence is captured, not run
+    spec, baths, cap = case()
+    seen = {}
+
+    def capture(diag, terms, lo, hi, rho0, times):
+        seen.update(terms=terms, lo=lo, hi=hi)
+        return np.zeros((len(times), spec.dim, spec.dim), dtype=complex)
+
+    monkeypatch.setattr(oracle, "_chebyshev_states", capture)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        exact_evolve(spec, baths, plus_state(spec.dim), [0.0])
+    ups, lo, hi = _reference_ladder_operators(spec, baths, cap)
+    assert len(seen["terms"]) == len(ups)
+    for (arrays, _), up_t in zip(seen["terms"], ups):
+        for got, want in zip(arrays, (up_t.indptr, up_t.indices,
+                                      up_t.data)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert np.float64(seen["lo"]).tobytes() == np.float64(lo).tobytes()
+    assert np.float64(seen["hi"]).tobytes() == np.float64(hi).tobytes()
 
 
 def test_thermofield_doubling_boundary():

@@ -626,6 +626,33 @@ def test_special_ufuncs_loaded_first_serve_a_later_scipy_special():
         """) == ["['scipy.special._special_ufuncs']", "True True True"]
 
 
+def test_sparsetools_loaded_by_the_oracle_serve_a_later_scipy_sparse():
+    # the oracle's sparse products call scipy.sparse's compiled kernels,
+    # loaded without scipy.sparse; importing scipy.sparse afterwards
+    # finds that module, and a CSR product through scipy.sparse is still
+    # right
+    assert _probe("""
+        import sys
+        import numpy as np
+        from resodec.model import FormFactor, build_system
+        from resodec.oracle import discretize_bath, exact_evolve
+        ff = FormFactor(radial_exponent=0.5, decay_exponent=2)
+        spec = build_system([0.0, 1.0], [(0.05, [[0, 1], [1, 0]], ff)],
+                            beta=2.0)
+        exact_evolve(spec, discretize_bath(ff, 2.0, 30, 3.0, 2),
+                     np.eye(2) / 2, [0.0, 0.5])
+        kernels = sys.modules["scipy.sparse._sparsetools"]
+        import scipy.sparse
+        import scipy.sparse._sparsetools as imported
+        print(imported is kernels,
+              scipy.sparse._compressed._sparsetools is kernels)
+        dense = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+        vecs = np.arange(6.0).reshape(3, 2)
+        print(np.array_equal(scipy.sparse.csr_matrix(dense) @ vecs,
+                             dense @ vecs))
+        """) == ["True True", "True"]
+
+
 def test_scipy_extension_raises_import_error_for_a_missing_module():
     # a scipy release without the module gives ModuleNotFoundError (an
     # ImportError), not module_from_spec's AttributeError on None
