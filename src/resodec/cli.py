@@ -54,7 +54,7 @@ from .errors import (
     VerificationFailure,
 )
 from .dynamics import resonance_evolution
-from .register import DEFAULT_SEED, decoherence_rates, scaling_study
+from .model import DEFAULT_SEED
 from .reservoir import xi, xi_lorentzian_check
 from .resonances import check_nonoverlap, resonance_energies
 
@@ -188,6 +188,9 @@ def _cmd_spectrum(args, cfg):
 
 
 def _cmd_rates(args, cfg):
+    # numpy.random (the register layer's field draws): only rates and
+    # scaling pay for it
+    from .register import decoherence_rates
     reports = decoherence_rates(register_from_config(cfg), tol=args.tol)
     rows = [(r.e, r.gamma, r.gamma_conserving, r.gamma_exchange,
              r.gamma_cross, r.e0, r.hamming, len(r.pairs))
@@ -218,6 +221,7 @@ def _cmd_evolve(args, cfg):
 
 
 def _cmd_scaling(args, cfg):
+    from .register import scaling_study    # numpy.random, as in rates
     template, n_list = scaling_from_config(cfg)
     table = scaling_study(template, n_list, seed=args.seed,
                           attenuate=args.attenuate, tol=args.tol)

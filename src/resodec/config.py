@@ -58,7 +58,6 @@ from .model import (
     _reals,
     register_to_system,
 )
-from .register import RegisterTemplate
 
 __all__ = [
     "load_config",
@@ -237,6 +236,7 @@ def evolve_from_config(cfg: dict, times: tuple | None = None) -> tuple:
 def scaling_from_config(cfg: dict) -> tuple:
     """(RegisterTemplate, register sizes) from the "scaling" section
     plus beta; without "b_interval", RegisterTemplate's default holds."""
+    from .register import RegisterTemplate   # numpy.random: scaling pays
     section = _known(_require(cfg, "scaling"),
                      ("n_list", "lambda1", "lambda2", "g1", "g2",
                       "b_interval"), "scaling")

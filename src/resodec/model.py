@@ -56,6 +56,9 @@ HERMITICITY_TOL = 1e-12
 #: 9-qubit run peaks at 0.83 GB.  scaling_study, which evaluates only
 #: two group sizes, peaks near 90 MB at N = 9
 MAX_QUBITS = 9
+#: field-draw seed of register.scaling_study, and the CLI's --seed
+#: default
+DEFAULT_SEED = 0xD1CE
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:

@@ -42,6 +42,7 @@ from numpy.random import default_rng
 from .errors import BadConfiguration, RegisterTooLarge, \
     TooLargeForExhaustiveCheck, ValidationError
 from .model import (
+    DEFAULT_SEED,
     MAX_QUBITS,
     FormFactor,
     RegisterSpec,
@@ -66,9 +67,6 @@ __all__ = [
     "decoherence_rates",
     "scaling_study",
 ]
-
-#: field-draw seed of scaling_study, and the CLI's --seed default
-DEFAULT_SEED = 0xD1CE
 
 
 # =====================================================================

@@ -281,23 +281,44 @@ class ResonanceData:
         return len(self.classes)
 
 
+def _plain_diagonal(lam_mats: np.ndarray) -> np.ndarray:
+    """Mask of the stacked matrices whose off-diagonal entries are all
+    exactly zero and whose diagonal is finite: every size-1 group, and
+    every group that only a diagonal channel couples."""
+    d = lam_mats.shape[-1]
+    off = (lam_mats != 0) & ~np.eye(d, dtype=bool)
+    return ~off.any(axis=(-2, -1)) & np.isfinite(
+        np.diagonal(lam_mats, axis1=-2, axis2=-1)).all(axis=-1)
+
+
 def _diagonalize_groups(es, groups, lam_mats: np.ndarray,
                         lam: float) -> list:
     """ResonanceData of same-size Bohr groups, sorted by e, from their
     stacked level-shift matrices (one batched eigendecomposition).
 
-    Raises DefectiveLevelShift naming the first group whose eigenvector
-    basis has condition number above DEFECTIVE_COND.
+    A diagonal matrix (``_plain_diagonal``) takes its diagonal and the
+    identity basis, which are LAPACK's eig results bit for bit (as long
+    as no entry is so large or small that eig rescales the matrix), and
+    is never defective.  Raises DefectiveLevelShift naming the first
+    other group whose eigenvector basis has condition number above
+    DEFECTIVE_COND.
     """
-    deltas, vr = np.linalg.eig(lam_mats)
-    cond = np.linalg.cond(vr)
-    defective = ~np.isfinite(cond) | (cond > DEFECTIVE_COND)
-    if defective.any():
-        i = int(np.argmax(defective))
-        raise DefectiveLevelShift(
-            f"level-shift matrix of group e = {es[i]:.6g} has "
-            f"eigenvector condition number {cond[i]:.3e} "
-            f"(> {DEFECTIVE_COND:.0e})")
+    plain = _plain_diagonal(lam_mats)
+    deltas = np.diagonal(lam_mats, axis1=-2, axis2=-1).astype(complex)
+    vr = np.zeros(lam_mats.shape, dtype=complex)
+    vr[plain] = np.eye(lam_mats.shape[-1])
+    hard = np.flatnonzero(~plain)
+    if hard.size:
+        hard_deltas, hard_vr = np.linalg.eig(lam_mats[hard])
+        cond = np.linalg.cond(hard_vr)
+        defective = ~np.isfinite(cond) | (cond > DEFECTIVE_COND)
+        if defective.any():
+            i = int(np.argmax(defective))
+            raise DefectiveLevelShift(
+                f"level-shift matrix of group e = {es[hard[i]]:.6g} has "
+                f"eigenvector condition number {cond[i]:.3e} "
+                f"(> {DEFECTIVE_COND:.0e})")
+        deltas[hard], vr[hard] = hard_deltas, hard_vr
     order = np.lexsort((deltas.imag.round(12), deltas.real.round(12)),
                        axis=-1)
     deltas = np.take_along_axis(deltas, order, axis=-1)

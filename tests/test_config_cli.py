@@ -371,6 +371,39 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
     assert _beyond_quadpack(json.loads(after_xi)) == []
 
 
+def test_only_register_commands_load_numpy_random(tmp_path):
+    # numpy.random comes with the register layer, whose field draws only
+    # rates and scaling need: one interpreter runs spectrum (both demo
+    # configurations), evolve and xi without loading either, then rates,
+    # which loads both; scaling, alone in a second one, loads both too
+    free = [
+        ["spectrum", "--config", str(QUBIT_CFG)],
+        ["spectrum", "--config", str(CONFIG_DIR / "three_level.json"),
+         "--check-nonoverlap"],
+        ["evolve", "--config", str(CONFIG_DIR / "three_level.json")],
+        ["xi", "--config", str(XI_CFG)],
+    ]
+    rates = [["rates", "--config", str(REG4_CFG)]]
+    scaling = [["scaling", "--config", str(SCALING_CFG)]]
+    loaded = ("print(json.dumps(sorted({'numpy.random', 'resodec.register'}"
+              " & set(sys.modules))))")
+    probe = ("import json, sys, resodec.cli\n"
+             "for argvs in json.loads(sys.argv[1]):\n"
+             "    print([resodec.cli.run(argv) for argv in argvs])\n"
+             f"    {loaded}")
+    both = ["numpy.random", "resodec.register"]
+    for runs, want in (([free, rates], [[], both]), ([scaling], [both])):
+        runs = [[argv + ["-o", str(tmp_path / f"{argv[0]}{i}.csv")]
+                 for i, argv in enumerate(argvs)] for argvs in runs]
+        proc = subprocess.run([sys.executable, "-c", probe,
+                               json.dumps(runs)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[::2] == [str([0] * len(argvs)) for argvs in runs]
+        assert [json.loads(line) for line in lines[1::2]] == want
+
+
 def test_closed_form_reservoir_diagnostics_load_no_scipy_or_mpmath():
     # Condition (A) and the inverse-frequency moment are closed forms;
     # the Lorentzian check then loads scipy's compiled QUADPACK and

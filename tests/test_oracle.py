@@ -656,13 +656,19 @@ def _reference_ladder_operators(spec, baths, cap):
     return ups, lo, hi
 
 
-def _verify_qubit_case():
+def _verify_qubit_case(n_modes=None):
+    """verify_qubit's first lambda on its cold bath, with the configured
+    200 modes (the cap is lowered from 3 to 2) or ``n_modes``."""
     system, vconfig, _ = verify_from_config(
         load_config(CONFIG_DIR / "verify_qubit.json"))
-    baths = [discretize_bath(t.form_factor, system.beta, vconfig.n_modes,
+    n_modes = n_modes or vconfig.n_modes
+    baths = [discretize_bath(t.form_factor, system.beta, n_modes,
                              vconfig.omega_max, vconfig.fock_cutoff)
              for t in system.couplings]
-    return _scaled_spec(system, vconfig.lambdas[0]), baths, 2
+    cap = max(k for k in range(2, vconfig.fock_cutoff + 1)
+              if _sector_dimension(system.dim, n_modes, k)
+              <= STATE_SPACE_LIMIT)
+    return _scaled_spec(system, vconfig.lambdas[0]), baths, cap
 
 
 def _three_level_case():
@@ -713,6 +719,111 @@ def test_sector_operators_are_bytewise_the_scipy_sparse_reference(
             assert got.tobytes() == want.tobytes()
     assert np.float64(seen["lo"]).tobytes() == np.float64(lo).tobytes()
     assert np.float64(seen["hi"]).tobytes() == np.float64(hi).tobytes()
+
+
+def _reference_chebyshev_states(diag, terms, lo, hi, rho0, times):
+    """_chebyshev_states as it was when each step took scipy.sparse
+    products, (U @ z.view(float)).view(complex), of the CSR matrices
+    U_r^T in ``terms`` (beside G_r) and of their transposes, each
+    product into a fresh array."""
+    jv = oracle._special_ufunc("jv")
+    n_bath, n_sys = diag.shape
+    n_low = terms[0][0].shape[0]
+    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    diag2 = (2.0 / half) * (diag - center)
+    ops = [(up_t.T, up_t, (2.0 / half) * gmat.T) for up_t, gmat in terms]
+    row_blocks = [slice(a, a + oracle.SECTOR_ROW_BLOCK)
+                  for a in range(0, n_bath, oracle.SECTOR_ROW_BLOCK)]
+    batch, n_out = oracle.CHEBYSHEV_BATCH, oracle.CHEBYSHEV_OUTPUTS
+    ring = np.empty((batch + 2, n_bath, n_sys), dtype=complex)
+    outs = np.empty((n_out, n_bath, n_sys), dtype=complex)
+
+    def product(sparse, array):
+        return (sparse @ array.view(np.float64)).view(np.complex128)
+
+    def step(prev, cur, out):
+        np.multiply(diag2, cur, out=out)
+        low = out[:n_low]
+        for up, up_t, g in ops:
+            out += product(up, cur[:n_low] @ g)
+            low += product(up_t, cur) @ g
+        if prev is None:
+            out *= 0.5
+        else:
+            out -= prev
+
+    def propagate(vec, steps):
+        ks = np.arange(int(1.5 * half * np.abs(steps).max()) + 40)
+        table = jv(ks, half * steps[:, None]) \
+            * np.array([1, 1j, -1, -1j])[ks % 4] \
+            * np.where(ks > 0, 2.0, 1.0) \
+            * np.exp(1j * center * steps)[:, None]
+        tail = np.cumsum(np.abs(table[:, ::-1]), axis=1)[:, ::-1]
+        table[tail < oracle.CHEBYSHEV_TOL] = 0.0
+        needed = np.count_nonzero(tail >= oracle.CHEBYSHEV_TOL, axis=1)
+        n_terms = needed.max()
+        ring[2] = vec
+        outs[:steps.size] = 0.0
+        for k0 in range(0, n_terms, batch):
+            count = min(batch, n_terms - k0)
+            for slot in range(2 + (k0 == 0), 2 + count):
+                step(ring[slot - 2] if k0 + slot > 3 else None,
+                     ring[slot - 1], ring[slot])
+            live = slice(np.argmax(needed > k0), steps.size)
+            coef = table[live, k0:k0 + count]
+            for rows in row_blocks:
+                outs[live, rows] += (coef @ ring[2:2 + count, rows]
+                                     .reshape(count, -1)) \
+                    .reshape(coef.shape[0], -1, n_sys)
+            ring[:2] = ring[count:count + 2]
+
+    states = np.zeros((len(times), n_sys, n_sys), dtype=complex)
+    evals, evecs = np.linalg.eigh(rho0)
+    for weight, sys_vec in zip(evals, evecs.T):
+        if abs(weight) <= 1e-12:
+            continue
+        vec = np.zeros((n_bath, n_sys), dtype=complex)
+        vec[0] = sys_vec
+        t_now = 0.0
+        for first in range(0, len(times), n_out):
+            group = times[first:first + n_out]
+            propagate(vec, group - t_now)
+            for j, out in enumerate(outs[:group.size]):
+                states[first + j] += weight * (out.T @ out.conj())
+            vec, t_now = outs[group.size - 1], group[-1]
+    return states
+
+
+@pytest.mark.parametrize("case", [lambda: _verify_qubit_case(40),
+                                  _three_level_case, _warm_two_channel_case],
+                         ids=["verify_qubit", "three_level", "warm"])
+def test_chebyshev_states_are_bytewise_the_scipy_sparse_recurrence(
+        case, monkeypatch):
+    # the recurrence on scipy's compiled kernels, with its scratch
+    # arrays, adds in scipy.sparse's order: its states equal, byte for
+    # byte, those of the scipy.sparse products it replaced, on a mixed
+    # initial state and five grid times (two output groups)
+    spec, baths, cap = case()
+    chebyshev, seen = oracle._chebyshev_states, {}
+
+    def capture(diag, terms, lo, hi, rho0, times):
+        seen.update(args=(diag, terms, lo, hi, rho0, times))
+        return np.zeros((len(times), spec.dim, spec.dim), dtype=complex)
+
+    monkeypatch.setattr(oracle, "_chebyshev_states", capture)
+    rho0 = 0.6 * plus_state(spec.dim) + 0.4 * np.eye(spec.dim) / spec.dim
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        exact_evolve(spec, baths, rho0, [0.0, 1.5, 4.0, 9.0, 12.5])
+    diag, terms, lo, hi, rho0, times = seen["args"]
+    ups, _, _ = _reference_ladder_operators(spec, baths, cap)
+    got = chebyshev(diag, terms, lo, hi, rho0, times)
+    want = _reference_chebyshev_states(
+        diag, [(up_t, gmat) for up_t, (_, gmat) in zip(ups, terms)],
+        lo, hi, rho0, times)
+    assert np.count_nonzero(np.linalg.eigvalsh(rho0) > 1e-12) > 1
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_thermofield_doubling_boundary():

@@ -12,27 +12,47 @@ from conftest import REPO_ROOT
 PACKAGE = REPO_ROOT / "src" / "resodec"
 
 
+def _package_imports(tree):
+    """(node, module) of each import of a resodec module under ``tree``,
+    the module named relative to the package ("" for the package)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0:
+            if module.split(".")[0] != "resodec":
+                continue
+            module = module.partition(".")[2]
+        yield node, module
+
+
 def test_package_modules_import_each_other_at_module_level():
-    # a function-local import hides a cycle in the import graph; only
-    # the oracle (scipy) is deferred, so that the commands other than
-    # verify start without it
-    deferred = set()
+    # a function-local import hides a cycle in the import graph.  Only
+    # two modules are deferred, so that the commands which do not need
+    # them start without scipy (the oracle: only verify loads it) or
+    # numpy.random (the register layer: only rates and scaling load it)
+    allowed = {"oracle", "register"}
+    deferred, graph = set(), {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        local = set()
         for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(func):
-                if not isinstance(node, ast.ImportFrom):
-                    continue
-                module = node.module or ""
-                if node.level == 0:
-                    if module.split(".")[0] != "resodec":
-                        continue
-                    module = module.partition(".")[2]
-                if module != "oracle":
-                    deferred.add(f"{path.name}:{node.lineno} {module}")
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node, module in _package_imports(func):
+                    local.add(node)
+                    if module not in allowed:
+                        deferred.add(f"{path.name}:{node.lineno} {module}")
+        graph[path.stem] = {module for node, module in _package_imports(tree)
+                            if node not in local}
     assert sorted(deferred) == []
+    # a deferral must not hide a cycle either: no deferred module
+    # reaches a module that defers it through module-level imports
+    reached, todo = set(), list(allowed)
+    while todo:
+        for module in graph.get(todo.pop(), set()) - reached:
+            reached.add(module)
+            todo.append(module)
+    assert reached & {"cli", "config"} == set()
 
 
 def test_beta_is_compared_only_in_its_checked_conversion():

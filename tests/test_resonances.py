@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from resodec import resonances
+from resodec.config import load_config, register_from_config, \
+    scaling_from_config
 from resodec.errors import (
     AmbiguousClustering,
     DefectiveLevelShift,
     ValidationError,
 )
-from resodec.model import CouplingTerm, FormFactor, SystemSpec, build_system
+from resodec.model import DEFAULT_SEED, CouplingTerm, FormFactor, \
+    SystemSpec, build_system, register_to_system
 from resodec.reservoir import (
     _half_line_transforms,
     half_line_transform,
@@ -28,7 +31,7 @@ from resodec.resonances import (
     resonance_energies,
 )
 
-from conftest import sidon_spec, single_qubit_spec
+from conftest import CONFIG_DIR, sidon_spec, single_qubit_spec
 
 RNG = np.random.default_rng(20240819)
 
@@ -363,6 +366,94 @@ def test_defective_matrix_in_batched_stack_is_named():
                                stack[[0, 2]], 0.1)
     assert [r.e for r in good] == [es[0], es[2]]
     assert np.array_equal(good[1].deltas, [1.0, 3.0])
+
+
+def _same_data(fast, slow):
+    """Byte equality of two lists of ResonanceData."""
+    assert len(fast) == len(slow)
+    for a, b in zip(fast, slow):
+        assert a.e == b.e
+        for name in ("deltas", "right_vectors", "epsilons"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes(), (a.e, name)
+        assert np.float64(a.gamma).tobytes() == np.float64(b.gamma).tobytes()
+
+
+def _with_and_without_diagonal_shortcut(monkeypatch, compute):
+    """compute() with diagonal stacks read off, then with every stack
+    through eig and cond; also the (size, diagonal count, count) of
+    every batch of the first run."""
+    seen = []
+    plain = resonances._plain_diagonal
+
+    def spy(lam_mats):
+        mask = plain(lam_mats)
+        seen.append((lam_mats.shape[-1], int(mask.sum()), len(mask)))
+        return mask
+
+    with monkeypatch.context() as patch:
+        patch.setattr(resonances, "_plain_diagonal", spy)
+        fast = compute()
+        patch.setattr(resonances, "_plain_diagonal",
+                      lambda lam_mats: np.zeros(len(lam_mats), dtype=bool))
+        return fast, compute(), seen
+
+
+def test_diagonal_level_shift_stacks_are_eig_bit_for_bit(monkeypatch):
+    # a stack with exactly zero off-diagonal entries skips eig and cond:
+    # its deltas, basis, epsilons and gamma are eig's, byte for byte, on
+    # every size-1 class and on the conserving-only stacks of a J = 0
+    # register (reg4 and the scaling template at N = 2..6, in the three
+    # channel mixes of decoherence_rates)
+    template, _ = scaling_from_config(
+        load_config(CONFIG_DIR / "scaling.json"))
+    regs = [register_from_config(load_config(CONFIG_DIR / "reg4.json"))]
+    regs += [template.realize(n, DEFAULT_SEED) for n in range(2, 7)]
+    for reg in regs:
+        spec = register_to_system(reg)
+        mixes = [(reg.lambda1, reg.lambda2), (reg.lambda1, 0.0),
+                 (0.0, reg.lambda2)]
+        fast, slow, seen = _with_and_without_diagonal_shortcut(
+            monkeypatch, lambda: resonances._resonance_mixes(
+                spec, mixes, bohr_spectrum(spec)))
+        for a, b in zip(fast, slow):
+            _same_data(a, b)
+        assert all(n_plain == n for d, n_plain, n in seen if d == 1)
+        assert any(d > 1 and n_plain == n for d, n_plain, n in seen)
+    for spec in (sidon_spec(np.random.default_rng(4)), random_spec(5, 2, 9)):
+        fast, slow, seen = _with_and_without_diagonal_shortcut(
+            monkeypatch, lambda: resonance_energies(spec))
+        _same_data(fast, slow)
+        assert any(d == 1 and n_plain == n > 0 for d, n_plain, n in seen)
+
+
+def test_random_diagonal_stacks_are_eig_bit_for_bit(monkeypatch):
+    # ties, signed zeros in both parts, and a non-diagonal stack beside
+    # the diagonal ones in one batch
+    rng = np.random.default_rng(17)
+    values = np.array([0.0, -0.0, 0.25, -1.5, 3e-17, -2e-3, 0.7])
+    for d in (1, 2, 3, 5, 8):
+        stack = np.zeros((6, d, d), dtype=complex)
+        diag = np.diagonal(stack, axis1=1, axis2=2).copy()
+        diag.real = rng.choice(values, size=diag.shape)
+        diag.imag = rng.choice(values, size=diag.shape)
+        diag[1:3] = diag[0]                      # whole stacks alike
+        diag[3, -1] = diag[3, 0]                 # a tie inside one
+        diag[4] = 0.5 * np.arange(d) - 0.25j     # distinct: not defective
+        stack[:, np.arange(d), np.arange(d)] = diag
+        if d > 1:
+            stack[4, 0, -1] = 0.125              # not diagonal: eig
+            stack[5, -1, 0] = -0.0               # -0.0 is exactly zero
+        es = np.linspace(-1.0, 1.0, len(stack))
+        groups = [np.zeros((d, 2), dtype=int)] * len(stack)
+        fast, slow, seen = _with_and_without_diagonal_shortcut(
+            monkeypatch, lambda: _diagonalize_groups(es, groups, stack, 0.1))
+        _same_data(fast, slow)
+        assert seen == [(d, len(stack) - (d > 1), len(stack))]
+    # a non-finite diagonal keeps eig's path
+    stack = np.diag([np.nan, 1.0]).astype(complex)[None]
+    assert not resonances._plain_diagonal(stack).any()
 
 
 def test_level_shift_operator_is_the_pipeline_matrix():
