@@ -64,63 +64,57 @@ __all__ = [
 class PropagatorBlock:
     """Explicit propagator of one Bohr group, as data.
 
-    ``pairs`` is the group's (d, 2) array of index pairs, ``epsilons``
-    holds the distinct resonance energies of the group and
-    ``weights[s]`` the spectral weight matrix of mode s, so that the
-    group's element vector evolves as
-    v(t) = sum_s exp(i t epsilons[s]) weights[s] @ v(0)
-    (evaluated by ``resonance_evolution`` and ``ergodic_mean``).
-    Mode s is one class of coinciding level shifts
-    (``ResonanceData.classes``): its weight is R[:, idx] @ inv(R)[idx, :]
-    for the class's indices idx into the right eigenvectors R, and its
-    epsilon the mean of the class's resonance energies.  The weights
-    sum to the identity, so at vanishing coupling the block reduces to
-    the free rotation e^{i t e}.
+    ``pairs`` is the group's (d, 2) array of index pairs, ``right`` the
+    right eigenvectors R of its level-shift matrix and ``left`` their
+    inverse L.  Mode s is the class c = classes[s] of coinciding level
+    shifts (``ResonanceData.classes``), with weight W_s = R[:, c] @
+    L[c, :] and resonance energy ``epsilons[s]``, the mean of the
+    class's epsilons, so that the group's element vector evolves as
+    v(t) = sum_s exp(i t epsilons[s]) W_s @ v(0)
+    (evaluated by ``resonance_evolution`` and ``ergodic_mean``).  The
+    weights sum to the identity, so at vanishing coupling the block
+    reduces to the free rotation e^{i t e}.  No weight is stored (a
+    group of size d would hold d^3 numbers); ``_reconstruct`` forms
+    each where it uses it, never as the bit-changing factored product.
     """
 
     e: float
     pairs: np.ndarray
     epsilons: np.ndarray
-    weights: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    classes: tuple
 
 
 def propagator_blocks(resonances: list) -> list:
     """One PropagatorBlock per Bohr group, in sorted-e order.
 
-    The groups of one size invert their eigenvector bases in one call,
-    and split into batches of groups with the same class partition.  A
-    group whose deltas the closeness mask (``_coinciding``) finds
-    pairwise distinct has the all-singletons partition, without
+    The groups of one size invert their eigenvector bases in one call.
+    A group whose deltas the closeness mask (``_coinciding``) finds
+    pairwise distinct has one singleton class per index and its own
+    epsilons (the mean of one element is that element), without
     calling ``ResonanceData.classes``; any other group has its
-    ``classes``.  Each class of a batch then takes one stacked matmul
-    and one mean, indexed as a group-by-group pass indexes one group,
-    so every value is the one that pass gives.
+    ``classes`` and the mean of each one's epsilons.  No weight is
+    formed here.
     """
     blocks = [None] * len(resonances)
     for size in {len(r.pairs) for r in resonances}:
         idx = [i for i, r in enumerate(resonances) if len(r.pairs) == size]
-        right = np.stack([resonances[i].right_vectors for i in idx])
-        left = np.linalg.inv(right)
-        deltas = np.stack([resonances[i].deltas for i in idx])
-        epsilons = np.stack([resonances[i].epsilons for i in idx])
-        merged = _coinciding(deltas).sum(axis=(1, 2)) > size
-        singletons = tuple((s,) for s in range(size))
-        batches = {}
-        for j, (i, m) in enumerate(zip(idx, merged.tolist())):
-            partition = tuple(tuple(c.tolist())
-                              for c in resonances[i].classes) \
-                if m else singletons
-            batches.setdefault(partition, []).append(j)
-        for partition, js in batches.items():
-            r_js, l_js, eps_js = right[js], left[js], epsilons[js]
-            weights = np.stack([r_js[:, :, c] @ l_js[:, c, :]
-                                for c in partition], axis=1)
-            eps = np.stack([eps_js[:, c].mean(axis=-1) for c in partition],
-                           axis=1)
-            for j, w, eps_j in zip(js, weights, eps):
-                r = resonances[idx[j]]
-                blocks[idx[j]] = PropagatorBlock(e=r.e, pairs=r.pairs,
-                                                 epsilons=eps_j, weights=w)
+        lefts = np.linalg.inv(
+            np.stack([resonances[i].right_vectors for i in idx]))
+        merged = _coinciding(np.stack([resonances[i].deltas for i in idx])) \
+            .sum(axis=(1, 2)) > size
+        singletons = tuple(np.arange(size)[:, None])
+        for i, left, m in zip(idx, lefts, merged.tolist()):
+            r = resonances[i]
+            classes, epsilons = singletons, r.epsilons
+            if m:
+                classes = r.classes
+                epsilons = np.array([r.epsilons[c].mean() for c in classes])
+            blocks[i] = PropagatorBlock(e=r.e, pairs=r.pairs,
+                                        epsilons=epsilons,
+                                        right=r.right_vectors, left=left,
+                                        classes=classes)
     return blocks
 
 
@@ -223,6 +217,9 @@ def _reconstruct(resonances: list, rho0: np.ndarray, n: int,
                  times: np.ndarray) -> tuple:
     """(states, ergodic mean) of an n-level system: per block, the mode
     components W_s v(0) summed with their phases, and the zero modes'.
+    Each weight W_s = R[:, c] @ L[c, :] is formed just before its
+    component is taken, so one d x d weight is alive at a time; the
+    cheaper factored R[:, c] @ (L[c, :] @ v(0)) changes bits.
 
     The states are filled element-major, into an (n, n, T) buffer in
     which each block writes its elements' time series as contiguous
@@ -240,7 +237,9 @@ def _reconstruct(resonances: list, rho0: np.ndarray, n: int,
 
     def fill(block, phase):
         m, k = block.pairs.T
-        comps = block.weights @ rho0[m, k]             # (s, dim)
+        v = rho0[m, k]
+        comps = np.array([(block.right[:, c] @ block.left[c, :]) @ v
+                          for c in block.classes])     # (s, dim)
         if len(m) == 1:
             np.matmul(phase, comps, out=buffer[m[0], k[0]][:, None])
         else:

@@ -222,9 +222,9 @@ def _sector_dimension(n_sys: int, n_modes: int, cap: int) -> int:
 def _sector_ladder(freqs: np.ndarray, cap: int):
     """Bath states with at most ``cap`` quanta, stacked by level from
     the vacuum (index 0) up, level j as the sorted j-tuples of occupied
-    modes in lexicographic order.  Returns their energies and, for every
-    creation move source --a_k^dag--> target, the arrays (target,
-    source, k, sqrt(n_k + 1)).
+    modes in lexicographic order.  Returns their energies and, for the
+    n_low states s below the top level, the (n_low, M) move tables
+    a_k^dag: s --> target[s, k] with factor[s, k] = sqrt(n_k + 1).
 
     A move's target is found by rank, not by search: among the sorted
     j-tuples of M modes, those that agree with (a_1, ..., a_j) before
@@ -233,7 +233,7 @@ def _sector_ladder(freqs: np.ndarray, cap: int):
     C(M - a_(i-1) + r, r + 1) - C(M - a_i + r, r + 1)."""
     n_modes = freqs.size
     level = np.zeros((1, 0), dtype=np.intp)
-    energy, target, source, mode, factor = [np.zeros(1)], [], [], [], []
+    energy, target, factor = [np.zeros(1)], [], []
     offset = 0
     for j in range(1, cap + 1):
         n_level = len(level)
@@ -241,7 +241,7 @@ def _sector_ladder(freqs: np.ndarray, cap: int):
         k = np.tile(np.arange(n_modes), n_level)
         parent = level[src]
         factor.append(np.sqrt(1.0 + np.count_nonzero(
-            parent == k[:, None], axis=1)))
+            parent == k[:, None], axis=1)).reshape(n_level, n_modes))
         grown = np.sort(np.column_stack([parent, k]), axis=1)
         # rest[:, i] = M - a_i, with a_0 = 0 in column 0
         rest = n_modes - np.column_stack([np.zeros(len(grown), np.intp),
@@ -254,12 +254,10 @@ def _sector_ladder(freqs: np.ndarray, cap: int):
             dest += count[rest[:, i]] - count[rest[:, i + 1]]
         level = np.empty((math.comb(n_modes + j - 1, j), j), dtype=np.intp)
         level[dest] = grown
-        source.append(offset + src)
         offset += n_level
-        target.append(offset + dest)
-        mode.append(k)
+        target.append((offset + dest).reshape(n_level, n_modes))
         energy.append(freqs[level].sum(axis=1))
-    return tuple(map(np.concatenate, (energy, target, source, mode, factor)))
+    return tuple(map(np.concatenate, (energy, target, factor)))
 
 
 def _thermofield_modes(active) -> list:
@@ -325,42 +323,39 @@ def _sector_evolve(spec: SystemSpec, active, rho0, times) -> np.ndarray:
     # U_r only creates, so its columns are the n_low states below the
     # top level, and U_r^T only lands on them
     sparsetools = _scipy_extension("scipy.sparse._sparsetools")
-    energy, target, source, mode, factor = _sector_ladder(freqs, cap)
-    n_bath = energy.size
-    n_low = _sector_dimension(1, freqs.size, cap - 1)
+    energy, target, factor = _sector_ladder(freqs, cap)
+    n_bath, n_low = energy.size, len(target)
     diag = energy[:, None] + spec.energies[None, :]
     terms, radius, coupling_norm, start = [], np.zeros_like(diag), 0.0, 0
     for (term, _), (_, kappa) in zip(active, modes):
         amps = term.strength * kappa / math.sqrt(2.0)
-        own = (mode >= start) & (mode < start + kappa.size)
+        own = slice(start, start + kappa.size)
         # U_r^T (n_low x n_bath) as canonical CSR arrays, which read
-        # column-wise are U_r: the ladder lists its moves by source, and
-        # one source's targets rise with the mode, so the rows come in
-        # order with sorted, distinct columns.  The state-space limit
-        # keeps every index below 2**31
-        indptr = np.searchsorted(source[own], np.arange(n_low + 1)) \
-            .astype(np.int32)
-        indices = target[own].astype(np.int32)
-        data = amps[mode[own] - start] * factor[own]
+        # column-wise are U_r: row s holds the moves of source s by the
+        # channel's own modes, whose targets rise with the mode, so the
+        # columns are sorted and distinct.  The state-space limit keeps
+        # every index below 2**31
+        indptr = (kappa.size * np.arange(n_low + 1)).astype(np.int32)
+        indices = target[:, own].ravel().astype(np.int32)
+        data = (amps * factor[:, own]).ravel()
         start += kappa.size
         terms.append(((indptr, indices, data), term.matrix))
         # U_r and U_r^T share no entry, so the row sums of |U_r + U_r^T|
         # are the column sums of |U_r^T| plus its row sums on the low
         # rows, each summed in scipy.sparse's order: a product with ones
-        # from zero, and a reduction over each nonempty row
+        # from zero, and a reduction over each row (none is empty)
         magnitude = np.abs(data)
         row_sums = np.zeros(n_bath)
         sparsetools.csc_matvec(n_bath, n_low, indptr, indices, magnitude,
                                np.ones(n_low), row_sums)
-        filled = np.flatnonzero(np.diff(indptr))
-        row_sums[filled] += np.add.reduceat(magnitude, indptr[filled])
+        row_sums[:n_low] += np.add.reduceat(magnitude, indptr[:-1])
         radius += np.outer(row_sums, np.abs(term.matrix).sum(axis=1))
         # U_r takes j quanta to j + 1 with norm at most |amp| sqrt(j + 1),
         # so |U_r + U_r^T| <= 2 sqrt(cap) |amp|
         coupling_norm += (2.0 * math.sqrt(cap) * np.linalg.norm(amps)
                           * np.linalg.norm(term.matrix, 2))
     # the ladder's index arrays would otherwise live through the recurrence
-    del energy, target, source, mode, factor, own, magnitude
+    del energy, target, factor, magnitude
     # Gershgorin discs, intersected with |H - diag| <= coupling_norm
     lo = max(float(np.min(diag - radius)), diag.min() - coupling_norm)
     hi = min(float(np.max(diag + radius)), diag.max() + coupling_norm)

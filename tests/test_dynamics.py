@@ -1,6 +1,7 @@
 """Reconstruction of reduced dynamics from the resonance data."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -132,7 +133,8 @@ def test_block_weights_resolve_identity_and_average():
     spec = single_qubit_spec(**QUBIT)
     blocks = propagator_blocks(resonance_energies(spec))
     for block in blocks:
-        ident = np.sum(block.weights, axis=0)
+        ident = sum(block.right[:, c] @ block.left[c, :]
+                    for c in block.classes)
         assert np.allclose(ident, np.eye(len(block.pairs)), atol=1e-10)
 
 
@@ -245,8 +247,11 @@ def test_blocks_match_the_group_by_group_reference_bitwise(case):
         assert block.e == r.e and block.pairs is r.pairs
         assert block.epsilons.dtype == weights.dtype == complex
         assert block.epsilons.tobytes() == epsilons.tobytes()
-        assert block.weights.shape == weights.shape
-        assert block.weights.tobytes() == weights.tobytes()
+        assert len(block.classes) == len(weights)
+        for c, weight in zip(block.classes, weights):
+            formed = block.right[:, c] @ block.left[c, :]
+            assert formed.shape == weight.shape
+            assert formed.tobytes() == weight.tobytes()
 
 
 class _CountingNumpy:
@@ -265,12 +270,14 @@ class _CountingNumpy:
 
 @pytest.mark.parametrize("case", ["merged_classes", "twenty_levels",
                                   "empty_grid", "sidon", "non_hermitian",
-                                  "one_ulp"])
+                                  "one_ulp", "template_five_qubits"])
 def test_reconstruction_matches_the_per_block_reference_bitwise(
         case, monkeypatch):
     rng = np.random.default_rng(11)
     if case == "twenty_levels":
         spec = _two_channel_spec(rng)
+    elif case == "template_five_qubits":
+        spec = _template_register(5)
     elif case in ("sidon", "non_hermitian", "one_ulp"):
         spec = sidon_spec(rng)
     else:
@@ -278,6 +285,8 @@ def test_reconstruction_matches_the_per_block_reference_bitwise(
     resonances = resonance_energies(spec)
     if case == "merged_classes":
         assert any(r.nu < len(r.pairs) for r in resonances)
+    if case == "template_five_qubits":
+        assert {len(r.pairs) for r in resonances} == {1, 2, 4, 8, 16, 32}
     rho0 = _random_pure_state(rng, spec.dim)
     if case == "non_hermitian":
         # conjugate groups share phases, never states
@@ -327,6 +336,25 @@ def test_states_are_an_element_major_view():
     assert states.dtype == complex
     assert states.base is not None
     assert states.strides[0] == states.itemsize
+
+
+def test_register_evolution_allocates_no_weight_stack():
+    # the six-qubit template has Bohr groups of up to 64 elements; a
+    # stored d x d weight per mode would take sum d^3 = 10^6 complex
+    # numbers (15 MiB), while the eigenvector factors, one formed
+    # weight and the states peak near 1.6 MiB
+    spec = _template_register(6)
+    resonances = resonance_energies(spec)
+    rho0 = np.full((spec.dim, spec.dim), 1.0 / spec.dim, dtype=complex)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # overlap warning
+            resonance_evolution(spec, rho0, [0.0, 1.0], resonances)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 # =====================================================================

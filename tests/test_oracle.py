@@ -574,7 +574,8 @@ def test_thermofield_modes_double_past_the_cold_prefix():
 
 def _reference_sector_ladder(freqs, cap):
     """_sector_ladder with each level found by np.unique of the grown
-    tuples, as it was before target states were found by rank."""
+    tuples, as it was before target states were found by rank, and its
+    moves as flat arrays (target, source, mode, factor)."""
     n_modes = freqs.size
     level = np.zeros((1, 0), dtype=np.intp)
     energy, target, source, mode, factor = [np.zeros(1)], [], [], [], []
@@ -596,9 +597,15 @@ def _reference_sector_ladder(freqs, cap):
 
 
 def _assert_same_ladder(freqs, cap):
-    got = _sector_ladder(freqs, cap)
+    # the move tables, read row by row, are the reference's flat moves:
+    # row s lists source s's moves, column k is mode k
+    energy, target, factor = _sector_ladder(freqs, cap)
+    n_low, n_modes = target.shape
+    assert factor.shape == target.shape and n_modes == freqs.size
+    got = (energy, target.ravel(), np.repeat(np.arange(n_low), n_modes),
+           np.tile(np.arange(n_modes), n_low), factor.ravel())
     want = _reference_sector_ladder(freqs, cap)
-    assert len(got) == len(want) == 5
+    assert len(want) == 5
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -625,14 +632,15 @@ def test_sector_ladder_with_thermofield_partners_is_the_reference():
 
 def _reference_ladder_operators(spec, baths, cap):
     """Each channel's U_r^T as scipy.sparse.csr_matrix builds it from
-    the ladder's moves, and the Gershgorin bounds (lo, hi) from the row
-    and column sums that scipy.sparse computes: the sector engine's
-    set-up as it was before it called scipy's compiled kernels on CSR
-    arrays of its own."""
+    the reference ladder's moves, and the Gershgorin bounds (lo, hi)
+    from the row and column sums that scipy.sparse computes: the sector
+    engine's set-up as it was before it called scipy's compiled kernels
+    on CSR arrays of its own."""
     active = _active_channels(spec, baths)
     modes = _thermofield_modes(active)
     freqs = np.concatenate([f for f, _ in modes])
-    energy, target, source, mode, factor = _sector_ladder(freqs, cap)
+    energy, target, source, mode, factor = _reference_sector_ladder(freqs,
+                                                                    cap)
     n_bath = energy.size
     n_low = _sector_dimension(1, freqs.size, cap - 1)
     diag = energy[:, None] + spec.energies[None, :]
