@@ -267,8 +267,7 @@ def verify_from_config(cfg: dict) -> tuple:
 
     The "verify" section is optional.  Its keys are VerifyConfig's
     fields, each read as the type of its default, plus
-    "initial_state"; any other key, and nonzero lambdas on a system
-    whose coupling strengths are all zero, raise BadConfiguration.
+    "initial_state"; any other key raises BadConfiguration.
     """
     from .oracle import VerifyConfig    # scipy: only verify pays
     system = system_from_config(cfg)
@@ -280,10 +279,6 @@ def verify_from_config(cfg: dict) -> tuple:
                             "verify")
               for f in fields if f.name in section}
     vconfig = VerifyConfig(**kwargs)
-    if system.overall_coupling == 0.0 and any(vconfig.lambdas):
-        raise BadConfiguration(
-            "verify rescales the coupling to each lambda, but every "
-            "coupling strength is zero")
     rho0 = None
     if "initial_state" in section:
         rho0 = _initial_state(section, "verify", system.dim)

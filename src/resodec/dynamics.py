@@ -213,10 +213,12 @@ def _free_states(energies, rho0: np.ndarray, times: np.ndarray):
 # Resonance reconstruction
 # =====================================================================
 
-def _reconstruct(resonances: list, rho0: np.ndarray, n: int,
+def _reconstruct(blocks: list, rho0: np.ndarray, n: int,
                  times: np.ndarray) -> tuple:
-    """(states, ergodic mean) of an n-level system: per block, the mode
-    components W_s v(0) summed with their phases, and the zero modes'.
+    """(states, ergodic mean) of an n-level system from its propagator
+    blocks (all of them, in sorted-e order, or a subset): per block, the
+    mode components W_s v(0) summed with their phases, and the zero
+    modes'.  Elements of no given block stay zero.
     Each weight W_s = R[:, c] @ L[c, :] is formed just before its
     component is taken, so one d x d weight is alive at a time; the
     cheaper factored R[:, c] @ (L[c, :] @ v(0)) changes bits.
@@ -251,7 +253,6 @@ def _reconstruct(resonances: list, rho0: np.ndarray, n: int,
         phase = np.outer(times, 1j * block.epsilons)
         return np.exp(phase, out=phase)
 
-    blocks = propagator_blocks(resonances)
     for block, partner in zip(blocks[:(len(blocks) + 1) // 2],
                               reversed(blocks)):
         phase = phases(block)
@@ -288,24 +289,27 @@ def resonance_evolution(spec: SystemSpec, rho0, times,
             "second-order expansion may be inaccurate here"
             % report.margin, UserWarning, stacklevel=2)
 
-    states, mean = _reconstruct(resonances, rho0, spec.dim, times)
+    states, mean = _reconstruct(propagator_blocks(resonances), rho0,
+                                spec.dim, times)
     return Trajectory(times=times, states=states, ergodic_mean=mean)
 
 
 def ergodic_mean(spec: SystemSpec, rho0,
                  resonances: list | None = None) -> np.ndarray:
     """Infinite-time average of the reconstructed evolution, assembled
-    directly from the zero-resonance modes without evaluating a
-    trajectory.  ``resonances`` defaults to ``resonance_energies(spec)``;
-    a given list whose groups do not cover the spec's elements exactly
-    once raises DimensionMismatch.
+    from the blocks that hold a zero-resonance mode only, without
+    evaluating a trajectory.  ``resonances`` defaults to
+    ``resonance_energies(spec)``; a given list whose groups do not cover
+    the spec's elements exactly once raises DimensionMismatch.
     """
     rho0 = _as_state_array(rho0, spec.dim)
     if resonances is None:
         resonances = resonance_energies(spec)
     else:
         _check_cover(resonances, spec.dim)
-    return _reconstruct(resonances, rho0, spec.dim, np.empty(0))[1]
+    blocks = [b for b in propagator_blocks(resonances)
+              if np.any(np.abs(b.epsilons) <= ZERO_RESONANCE_TOL)]
+    return _reconstruct(blocks, rho0, spec.dim, np.empty(0))[1]
 
 
 # =====================================================================

@@ -354,22 +354,15 @@ class RegisterSpec:
 def build_system(energies, couplings, beta) -> SystemSpec:
     """Validate and assemble a SystemSpec.
 
-    ``couplings`` may contain CouplingTerm instances or
-    ``(strength, matrix, form_factor)`` tuples.  Energies are stored in
-    the order given (no sorting).
+    ``couplings`` is a sequence of ``(strength, matrix, form_factor)``
+    tuples.  Energies are stored in the order given (no sorting).
     """
     energies = _reals(energies, "energies", ndim=1)
-    terms = []
-    for c in couplings:
-        if isinstance(c, CouplingTerm):
-            terms.append(c)
-        else:
-            strength, matrix, ff = c
-            terms.append(CouplingTerm(
-                strength=_real(strength, "coupling strength"),
-                matrix=matrix, form_factor=ff))
+    terms = tuple(CouplingTerm(strength=_real(strength, "coupling strength"),
+                               matrix=matrix, form_factor=ff)
+                  for strength, matrix, ff in couplings)
     return SystemSpec(dim=len(energies), energies=energies,
-                      couplings=tuple(terms), beta=_beta(beta))
+                      couplings=terms, beta=_beta(beta))
 
 
 def spin_configuration(index, n: int) -> np.ndarray:

@@ -556,16 +556,13 @@ def dephasing_envelope(bath: TruncatedBath, g_m: float, g_n: float,
 class FitResult:
     """Exponential-decay fit of one matrix element.
 
-    ``rate`` and ``frequency`` come from log-linear fits of the
-    magnitude and unwrapped phase of the element minus its tail-average
-    asymptote; ``residual`` is the RMS log-magnitude misfit over the
-    fitted window.
+    ``rate`` comes from a log-linear fit of the magnitude of the element
+    minus its tail-average asymptote; ``residual`` is the RMS
+    log-magnitude misfit over the fitted window.
     """
 
     rate: float
-    frequency: float
     residual: float
-    window: tuple
 
     def __post_init__(self):
         rate = _real(self.rate, "rate")
@@ -575,7 +572,7 @@ class FitResult:
 
 
 def fit_decay(trajectory: Trajectory, element: tuple) -> FitResult:
-    """Fit |x(t) - asymptote| = C e^{-rate t} with phase drift.
+    """Fit |x(t) - asymptote| = C e^{-rate t}.
 
     The asymptote is the average over the last quarter of the samples;
     the fit window keeps samples whose deviation exceeds 2% of the
@@ -591,12 +588,10 @@ def fit_decay(trajectory: Trajectory, element: tuple) -> FitResult:
 
     tail = max(5, len(t) // 4)
     asymptote = y[-tail:].mean()
-    dev = y - asymptote
-    amp = np.abs(dev)
+    amp = np.abs(y - asymptote)
     scale = float(amp.max())
     if scale <= 1e-12 * max(1.0, abs(asymptote)):
-        return FitResult(rate=0.0, frequency=0.0, residual=0.0,
-                         window=(float(t[0]), float(t[-1])))
+        return FitResult(rate=0.0, residual=0.0)
 
     keep = amp >= 0.02 * scale
     # fit a contiguous leading window: stop at the first drop-out
@@ -605,7 +600,7 @@ def fit_decay(trajectory: Trajectory, element: tuple) -> FitResult:
         raise PoorFit(
             f"only {cut} samples before the signal reaches the tail "
             "floor; enlarge the grid density")
-    tk, devk, ampk = t[:cut], dev[:cut], amp[:cut]
+    tk, ampk = t[:cut], amp[:cut]
 
     efolds = math.log(ampk[0] / ampk[-1]) if ampk[-1] > 0.0 else math.inf
     if efolds < 2.0:
@@ -622,11 +617,7 @@ def fit_decay(trajectory: Trajectory, element: tuple) -> FitResult:
             f"RMS log-residual {residual:.3g} exceeds "
             f"{FIT_RESIDUAL_LIMIT:g}; the window or bath resolution is "
             "inadequate")
-    phase = np.unwrap(np.angle(devk))
-    frequency = float(np.polyfit(tk, phase, 1)[0])
-    return FitResult(rate=max(0.0, -float(slope)), frequency=frequency,
-                     residual=residual,
-                     window=(float(tk[0]), float(tk[-1])))
+    return FitResult(rate=max(0.0, -float(slope)), residual=residual)
 
 
 # =====================================================================
@@ -715,7 +706,9 @@ def verify(system: SystemSpec, config: VerifyConfig = VerifyConfig(),
     the uniform pure superposition, which populates every matrix
     element), and trajectory deviation, per-element decay rates, and
     the long-time state are compared.  The report carries one PASS/FAIL
-    entry per check; nothing is raised for a failed comparison.
+    entry per check; nothing is raised for a failed comparison.  A
+    nonzero lambda on a system whose coupling strengths are all zero
+    raises ValidationError before any bath is discretized.
     """
     n = system.dim
     if rho0 is None:
@@ -724,6 +717,7 @@ def verify(system: SystemSpec, config: VerifyConfig = VerifyConfig(),
     else:
         rho0 = _as_state_array(rho0, n)
 
+    specs = [_scaled_spec(system, lam) for lam in config.lambdas]
     checks = []
     try:
         baths = [discretize_bath(t.form_factor, system.beta,
@@ -735,9 +729,8 @@ def verify(system: SystemSpec, config: VerifyConfig = VerifyConfig(),
             name="bath-discretization", deviation=math.inf,
             tolerance=0.01, passed=False, detail=str(exc)),))
 
-    for lam in config.lambdas:
+    for lam, spec in zip(config.lambdas, specs):
         tag = f"lambda={lam:g}"
-        spec = _scaled_spec(system, lam)
         resonances = resonance_energies(spec)
         gammas = [r.gamma for r in resonances if r.gamma > 0.0]
         t_rec = min(b.recurrence_time for b in baths)

@@ -56,7 +56,6 @@ from .model import FormFactor, _beta, _positive, _real, _reals
 __all__ = [
     "ConditionAReport",
     "check_condition_A",
-    "angular_square",
     "xi",
     "xi_lorentzian_check",
     "pv_energy_shift",
@@ -93,32 +92,20 @@ def _square_scalar(base: FormFactor, eta: float) -> float:
             * math.exp(-2.0 * eta ** base.decay_exponent))
 
 
-def angular_square(base: FormFactor, eta):
-    """S(eta): the angular integral of |g(eta, .)|^2 (isotropic closed
-    form: 4*pi*scale^2 * eta^(2p) * exp(-2 eta^m)).  eta is a number or
-    an array of finite numbers (ValidationError otherwise)."""
-    return _angular_square(base, _reals(eta, "eta"))
-
-
-def _angular_square(base: FormFactor, eta: np.ndarray) -> np.ndarray:
-    """S(eta) elementwise for a float array eta, unchecked."""
-    return (_FOUR_PI * base.overall_scale ** 2
-            * eta ** (2.0 * base.radial_exponent)
-            * np.exp(-2.0 * eta ** base.decay_exponent))
-
-
 def one_sided_density(base: FormFactor, eta):
-    """J(eta) = eta^2 * S(eta): zero-temperature emission density.  eta
-    is a number or an array of finite numbers (ValidationError
-    otherwise)."""
-    eta = _reals(eta, "eta")
-    return eta ** 2 * angular_square(base, eta)
+    """J(eta) = eta^2 * S(eta): zero-temperature emission density, with
+    S(eta) = 4*pi*scale^2 * eta^(2p) * exp(-2 eta^m) the angular
+    integral of |g(eta, .)|^2.  eta is a number or an array of finite
+    numbers (ValidationError otherwise)."""
+    return _one_sided_density(base, _reals(eta, "eta"))
 
 
 def _one_sided_density(base: FormFactor, eta: np.ndarray) -> np.ndarray:
     """J(eta) elementwise for a float array eta, unchecked: the
     principal-value kernels evaluate it at nodes they built."""
-    return eta ** 2 * _angular_square(base, eta)
+    return eta ** 2 * (_FOUR_PI * base.overall_scale ** 2
+                       * eta ** (2.0 * base.radial_exponent)
+                       * np.exp(-2.0 * eta ** base.decay_exponent))
 
 
 def xi(base: FormFactor, beta: float, eta: float) -> float:

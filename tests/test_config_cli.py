@@ -646,6 +646,17 @@ def test_verify_section_validation(tmp_path, capsys):
     assert run(["verify", "--config", str(path)]) == 1
     assert "dimension 2" in capsys.readouterr().err
 
+    # verify itself refuses to rescale an uncoupled system to a nonzero
+    # lambda, before it discretizes a bath or writes a row
+    cfg = json.loads(VERIFY_CFG.read_text())
+    cfg["couplings"][0]["strength"] = 0.0
+    path.write_text(json.dumps(cfg))
+    assert run(["verify", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("ERROR[1]: cannot rescale a spec with zero "
+                            "coupling to a nonzero lambda\n")
+    assert captured.out == ""
+
     assert run(["spectrum", "--config", str(QUBIT_CFG), "--tol", "0"]) == 1
 
 
@@ -978,6 +989,18 @@ def test_tol_must_be_finite_and_positive(tol):
     ([], "resodec: the following arguments are required: command"),
     (["spectrum", "--config", str(QUBIT_CFG), "-v"],
      "resodec: unrecognized arguments: -v"),
+    *[(["evolve", "--config", str(CONFIG_DIR / "three_level.json"),
+        *flags], message) for flags, message in (
+        (["--elements", "0"], "element selection '0' is not of the form m,n"),
+        (["--elements", "a,b"],
+         "element selection 'a,b' has non-integer indices"),
+        (["--elements", "0,5"], "element (0,5) outside a dimension-3 matrix"),
+        (["--elements", ";"], "empty element selection"),
+        (["--times", "0:10"], "--times must be start:stop:num with numeric "
+                              "fields, got '0:10'"))],
+    (["spectrum", "--config", str(QUBIT_CFG), "--seed",
+      "0x10000000000000000"],
+     "resodec spectrum: argument --seed: seed must fit in 64 unsigned bits"),
 ])
 def test_flag_errors_print_one_error_line(argv, message, capsys):
     # a usage error is a validation error like any other: exit 1 and one

@@ -79,11 +79,14 @@ def test_free_mean_keeps_degenerate_coherences():
 def test_reconstruction_matches_single_qubit_closed_form():
     rho0 = pure_state([0.6, 0.8 * np.exp(0.4j)])
     times = np.linspace(0.0, 60.0, 121)
-    spec = single_qubit_spec(**QUBIT)
-    got = resonance_evolution(spec, rho0, times)
-    want = single_qubit_closed_form(rho0=rho0, times=times, **QUBIT)
-    assert np.max(np.abs(got.states - want.states)) <= 1e-10
-    assert np.allclose(got.ergodic_mean, want.ergodic_mean, atol=1e-10)
+    # c = 0: no transitions, so the populations stay frozen
+    for qubit in (QUBIT, dict(QUBIT, c=0.0)):
+        spec = single_qubit_spec(**qubit)
+        got = resonance_evolution(spec, rho0, times)
+        want = single_qubit_closed_form(rho0=rho0, times=times, **qubit)
+        assert np.max(np.abs(got.states - want.states)) <= 1e-10
+        assert np.allclose(got.ergodic_mean, want.ergodic_mean,
+                           atol=1e-10)
 
 
 def test_zero_coupling_reduces_to_free_rotation():
@@ -316,8 +319,16 @@ def test_reconstruction_matches_the_per_block_reference_bitwise(
     assert traj.states.shape == want_states.shape
     assert traj.states.tobytes() == want_states.tobytes()
     assert traj.ergodic_mean.tobytes() == want_mean.tobytes()
-    assert ergodic_mean(spec, rho0, resonances).tobytes() == \
-        want_mean.tobytes()
+    # the mean evaluates only the groups that hold a zero mode: here
+    # one, the e = 0 group
+    zero_groups = sum(bool(np.any(np.abs(r.epsilons) <= ZERO_RESONANCE_TOL))
+                      for r in resonances)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(dynamics, "np", counting)
+    mean = ergodic_mean(spec, rho0, resonances)
+    monkeypatch.undo()
+    assert counting.exp_calls == zero_groups == 1
+    assert mean.tobytes() == want_mean.tobytes()
     if case == "empty_grid":
         assert traj.max_trace_deviation == 0.0
         assert traj.max_hermiticity_deviation == 0.0

@@ -33,7 +33,6 @@ from resodec.oracle import FitResult, TruncatedBath, VerifyConfig, \
     dephasing_envelope, discretize_bath
 from resodec.register import RegisterTemplate, generic_field_check
 from resodec.reservoir import (
-    angular_square,
     half_line_transform,
     one_sided_density,
     pv_energy_shift,
@@ -345,7 +344,7 @@ def test_scales_reals_and_form_factor_fields_are_checked():
                     (0.45, math.nan), 0.5)],
         # a NaN rate compares false with the bound
         *[(f"FitResult.rate={v!r}", ValidationError, match,
-           lambda v=v: FitResult(v, 0.0, 0.0, (0.0, 1.0)))
+           lambda v=v: FitResult(v, 0.0))
           for v, match in ((math.nan, "rate must be a finite number"),
                            (-1.0, "rate must be >= 0"))],
         ("VerifyConfig.lambdas=0.02", ValidationError, "lambdas",
@@ -365,9 +364,8 @@ def test_scales_reals_and_form_factor_fields_are_checked():
                              (half_line_transform, "omega"),
                              (thermal_spectral_density, "u"))
           for v in ("1", True, None, math.nan, math.inf)],
-        *[(f"{site.__name__} eta={v!r}", ValidationError, "^eta must be",
-           lambda site=site, v=v: site(FF, v))
-          for site in (one_sided_density, angular_square)
+        *[(f"one_sided_density eta={v!r}", ValidationError, "^eta must be",
+           lambda v=v: one_sided_density(FF, v))
           for v in ("1", True, None, math.nan, math.inf, [1.0, math.inf])],
         ("build_system strength='0.1'", ValidationError, "strength",
          lambda: build_system([0.0, 1.0], [("0.1", SX, FF)], 1.0)),

@@ -27,7 +27,6 @@ from resodec.reservoir import (
     _pv_transform,
     _quad,
     _xi_pair,
-    angular_square,
     check_condition_A,
     half_line_transform,
     mean_inverse_frequency,
@@ -132,10 +131,12 @@ def test_thermal_density_detailed_balance():
 
 
 def test_one_sided_density_relation():
+    # J(eta) = eta^2 S(eta), S the isotropic 4 pi scale^2 eta^(2p) e^(-2 eta^m)
     ff = make_ff(0.7, 1, scale=0.9)
     eta = np.array([0.2, 1.0, 1.7])
     assert np.allclose(one_sided_density(ff, eta),
-                       eta ** 2 * angular_square(ff, eta), rtol=1e-14)
+                       4.0 * np.pi * 0.9 ** 2 * eta ** (2 * 0.7 + 2)
+                       * np.exp(-2.0 * eta), rtol=1e-14)
 
 
 # =====================================================================
