@@ -54,7 +54,7 @@ HERMITICITY_TOL = 1e-12
 #: 2^N 3^N complex entries (the eigenvectors of every group) for each
 #: of three channel mixes (0.48 GB at N = 9, 2.9 GB at N = 10), and a
 #: 9-qubit run peaks at 0.83 GB.  scaling_study, which evaluates only
-#: two group sizes, peaks near 90 MB at N = 9
+#: two group sizes, peaks near 110 MB at N = 9
 MAX_QUBITS = 9
 #: field-draw seed of register.scaling_study, and the CLI's --seed
 #: default
@@ -169,6 +169,8 @@ class FormFactor:
     ``g(u) = overall_scale * u**radial_exponent * exp(-u**decay_exponent)``,
     the same in every direction, so integrating |g|^2 over directions
     gives the factor 4*pi, and ``overall_scale`` is the one amplitude.
+    It is nonzero: a coupling strength of 0 is what switches a channel
+    off.
 
     Square integrability on R^3 requires ``2*radial_exponent + 2 > -1``.
     """
@@ -183,7 +185,10 @@ class FormFactor:
             raise ValidationError(f"decay_exponent must be 1 or 2, got {m}")
         object.__setattr__(self, "decay_exponent", m)
         _real(self.radial_exponent, "radial_exponent")
-        _real(self.overall_scale, "overall_scale")
+        if _real(self.overall_scale, "overall_scale") == 0.0:
+            raise ValidationError(
+                "overall_scale must be nonzero; a coupling strength of 0 "
+                "switches a channel off")
         if 2.0 * self.radial_exponent + 2.0 <= -1.0:
             raise ValidationError(
                 "form factor is not square integrable on R^3: need "
@@ -191,6 +196,8 @@ class FormFactor:
 
     @property
     def is_zero(self) -> bool:
+        # always False, since a zero scale is refused; only the
+        # benchmark harness (perfbench/tracing.py) still reads it
         return self.overall_scale == 0.0
 
 
@@ -355,12 +362,20 @@ def build_system(energies, couplings, beta) -> SystemSpec:
     """Validate and assemble a SystemSpec.
 
     ``couplings`` is a sequence of ``(strength, matrix, form_factor)``
-    tuples.  Energies are stored in the order given (no sorting).
+    tuples (or lists); any other entry raises BadConfiguration.
+    Energies are stored in the order given (no sorting).
     """
     energies = _reals(energies, "energies", ndim=1)
-    terms = tuple(CouplingTerm(strength=_real(strength, "coupling strength"),
-                               matrix=matrix, form_factor=ff)
-                  for strength, matrix, ff in couplings)
+    terms = []
+    for i, entry in enumerate(couplings):
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 3):
+            raise BadConfiguration(
+                f"couplings[{i}] must be a (strength, matrix, form_factor) "
+                "triple")
+        strength, matrix, ff = entry
+        terms.append(CouplingTerm(
+            strength=_real(strength, "coupling strength"), matrix=matrix,
+            form_factor=ff))
     return SystemSpec(dim=len(energies), energies=energies,
                       couplings=terms, beta=_beta(beta))
 

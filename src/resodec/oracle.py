@@ -180,14 +180,13 @@ def discretize_bath(form_factor: FormFactor, beta: float, n_modes: int,
     bath = TruncatedBath(mode_frequencies=freqs,
                          mode_couplings=np.sqrt(weights),
                          fock_cutoff=fock_cutoff, beta=beta)
-    if not form_factor.is_zero:
-        target = _radial_moment(form_factor, 2, omega_max)
-        total = float(weights.sum())
-        if abs(total - target) > 0.01 * abs(target):
-            raise WeightMismatch(
-                f"discretized spectral weight {total:.6g} deviates from "
-                f"the continuum integral {target:.6g} by more than 1% "
-                f"(n_modes = {n_modes}); refine the grid")
+    target = _radial_moment(form_factor, 2, omega_max)
+    total = float(weights.sum())
+    if abs(total - target) > 0.01 * abs(target):
+        raise WeightMismatch(
+            f"discretized spectral weight {total:.6g} deviates from "
+            f"the continuum integral {target:.6g} by more than 1% "
+            f"(n_modes = {n_modes}); refine the grid")
     return bath
 
 
@@ -206,7 +205,7 @@ def _active_channels(spec: SystemSpec, bath) -> list:
             f"{len(baths)} baths supplied for {len(spec.couplings)} "
             "coupling channels")
     active = [(t, b) for t, b in zip(spec.couplings, baths)
-              if t.strength != 0.0 and not t.form_factor.is_zero]
+              if t.strength != 0.0]
     if single and len(active) > 1:
         raise ValidationError(
             "a single bath cannot serve several active coupling "

@@ -23,10 +23,9 @@ partition into flip patterns (sigma_j - tau_j per qubit): the group of
 a flip pattern holds 2^(agreeing qubits) pairs, the fastest conserving
 and exchange rates sit on the all-flipped groups (size 1: |e0| = 2N,
 and the exchange rate adds up over the flipped qubits), and gamma0 on
-the e = 0 group, the only one of size 2^N.  It evaluates only the
-size-1 class for the conserving channel and both classes for the
-exchange channel; any other group count warns and evaluates every
-group.
+the e = 0 group, the only one of size 2^N.  It evaluates only those
+two size classes, in one pass for both channels; any other group count
+warns and evaluates every group.
 """
 
 from __future__ import annotations
@@ -314,11 +313,6 @@ def _loglog_slope(ns, values) -> float:
     return float(slope)
 
 
-def _size_classes(spectrum: dict, sizes) -> dict:
-    """The groups of ``spectrum`` whose sizes are in ``sizes``."""
-    return {e: pairs for e, pairs in spectrum.items() if len(pairs) in sizes}
-
-
 def scaling_study(template: RegisterTemplate, n_list,
                   seed: int = DEFAULT_SEED, attenuate: bool = False,
                   tol: float | None = None,
@@ -326,20 +320,19 @@ def scaling_study(template: RegisterTemplate, n_list,
     """Decay-rate scaling with register size.
 
     For each N the template is realized with freshly drawn fields and
-    one resonance-pipeline pass per channel yields its single-channel
-    spectrum: the conserving-only one gives max_e gamma_e, the
-    exchange-only one gives max_e gamma_e and the e = 0 thermalization
-    rate gamma0.  Exponents
-    are log-log least-squares fits across the sizes.
+    one resonance-pipeline pass yields both single-channel spectra:
+    the conserving-only one gives max_e gamma_e, the exchange-only one
+    gives max_e gamma_e and the e = 0 thermalization rate gamma0.
+    Exponents are log-log least-squares fits across the sizes.
 
     When ``bohr_spectrum(spec, tol)`` has 3^N groups, each is one flip
-    pattern (J is zero), and each mix gets only the groups it reads:
-    the conserving one the groups of size 1 (the 2^N all-flipped ones,
-    which carry its maximum), the exchange one those and the group of
-    size 2^N (the e = 0 group alone).  The channels share no table and
-    each size class is the batch a full pass would use, so every value
-    is bit-identical to evaluating all 3^N groups.  Any other group
-    count warns, and every group is evaluated.
+    pattern (J is zero), and the pass gets only the groups of size 1
+    (the 2^N all-flipped ones, which carry both maxima) and of size
+    2^N (the e = 0 group alone, whose conserving rate is 0).  Each
+    channel's tables and each mix's sums do not depend on the other
+    channel, and each size class is the batch a full pass would use,
+    so every value is bit-identical to evaluating all 3^N groups.  Any
+    other group count warns, and every group is evaluated.
 
     A size that is not an integer or integral float, below 1 or
     repeated raises BadConfiguration (a log-log fit needs distinct
@@ -360,18 +353,18 @@ def scaling_study(template: RegisterTemplate, n_list,
     for n in n_list:
         reg = template.realize(n, seed, attenuate=attenuate)
         spec = register_to_system(reg)
-        cons_groups = exch_groups = spectrum = bohr_spectrum(spec, tol)
-        if len(spectrum) == 3 ** n:
-            cons_groups = _size_classes(spectrum, {1})
-            exch_groups = _size_classes(spectrum, {1, 2 ** n})
+        groups = bohr_spectrum(spec, tol)
+        if len(groups) == 3 ** n:
+            groups = {e: pairs for e, pairs in groups.items()
+                      if len(pairs) in (1, 2 ** n)}
         else:
             warnings.warn(
                 f"the Bohr spectrum of the N = {n} field has "
-                f"{len(spectrum)} groups, not one per flip pattern "
+                f"{len(groups)} groups, not one per flip pattern "
                 f"(3^{n}); every group is evaluated", UserWarning,
                 stacklevel=2)
-        (cons,) = _resonance_mixes(spec, [(reg.lambda1, 0.0)], cons_groups)
-        (exch,) = _resonance_mixes(spec, [(0.0, reg.lambda2)], exch_groups)
+        cons, exch = _resonance_mixes(
+            spec, [(reg.lambda1, 0.0), (0.0, reg.lambda2)], groups)
         rows.append(ScalingRow(
             n_qubits=n,
             max_gamma_conserving=max(r.gamma for r in cons),

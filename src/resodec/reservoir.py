@@ -122,8 +122,6 @@ def xi(base: FormFactor, beta: float, eta: float) -> float:
     eta = _real(eta, "eta")
     if eta < 0.0:
         raise ValidationError(f"eta must be >= 0, got {eta!r}")
-    if base.is_zero:
-        return 0.0
     p = base.radial_exponent
     if eta == 0.0:
         if p > IR_CRITICAL + 1e-12:
@@ -153,8 +151,6 @@ def xi_lorentzian_check(base: FormFactor, beta: float, eta: float,
     if eta < 0.0:
         raise ValidationError(f"eta must be >= 0, got {eta!r}")
     epsilon = _positive(epsilon, "epsilon")
-    if base.is_zero:
-        return 0.0
 
     def f(r):
         # QUADPACK's nodes are interior, so r > 0
@@ -281,8 +277,6 @@ def _radial_moment(base: FormFactor, k: int,
 def mean_inverse_frequency(base: FormFactor) -> float:
     """The inverse-frequency moment int |g(k)|^2 / |k| d^3k
     (= int_0^inf r * S(r) dr), finite for p > -1, in closed form."""
-    if base.is_zero:
-        return 0.0
     if 2.0 * base.radial_exponent + 1.0 <= -1.0:
         raise InfraredDivergent(
             "inverse-frequency moment diverges for radial exponent "
@@ -320,29 +314,26 @@ def _pv_transform(pair, poles) -> np.ndarray:
     redone alone at h/2.  The poles +P and -P share one evaluation of
     pair (see _de_pass).  Sums run along one pole's row, so no value
     depends on the batch, and blocks of _PV_BLOCK magnitudes |pole|
-    (about 2 MB of work arrays) bound the memory.
+    (about 2 MB of work arrays), refined one after the other, bound the
+    memory.
     """
     poles = np.asarray(poles, dtype=float)
-    mags, index = _magnitudes(poles)
-    if mags.size > _PV_BLOCK:
-        block = index // _PV_BLOCK
-        out = np.empty(poles.shape)
-        for b in range(block.max() + 1):
-            at = block == b
-            out[at] = _pv_transform(pair, poles[at])
-        return out
+    block = _magnitudes(poles)[1] // _PV_BLOCK
     out = np.empty(poles.shape)
-    todo = np.arange(poles.size)
-    for level in range(_DE_LEVELS):
-        total, err = _de_pass(pair, poles[todo], _DE_STEP / 2 ** level)
-        ok = err <= np.maximum(_PV_TOL, _PV_TOL * np.abs(total))
-        out[todo[ok]] = total[ok]
-        todo, err = todo[~ok], err[~ok]
-        if not todo.size:
-            return out
-    raise QuadratureNotConverged(
-        f"principal-value error estimate {err[0]:.2e} at pole "
-        f"{poles[todo[0]]!r} exceeds tolerance")
+    for b in range(block.max(initial=-1) + 1):
+        todo = np.flatnonzero(block == b)
+        for level in range(_DE_LEVELS):
+            total, err = _de_pass(pair, poles[todo], _DE_STEP / 2 ** level)
+            ok = err <= np.maximum(_PV_TOL, _PV_TOL * np.abs(total))
+            out[todo[ok]] = total[ok]
+            todo, err = todo[~ok], err[~ok]
+            if not todo.size:
+                break
+        else:
+            raise QuadratureNotConverged(
+                f"principal-value error estimate {err[0]:.2e} at pole "
+                f"{poles[todo[0]]!r} exceeds tolerance")
+    return out
 
 
 def _magnitudes(poles: np.ndarray) -> tuple:
@@ -441,8 +432,6 @@ def pv_energy_shift(base: FormFactor, beta: float, Delta: float) -> float:
     """
     _beta(beta)
     Delta = _real(Delta, "Delta")
-    if base.is_zero:
-        return 0.0
     if base.radial_exponent <= -1.0:
         raise InfraredDivergent(
             "principal-value shift integrand is not integrable at zero "
@@ -454,8 +443,7 @@ def _half_line_transforms(base: FormFactor, beta: float, omegas,
                           densities) -> list:
     """W at every omega from the densities D(omega) there, with one
     batched principal-value transform."""
-    shifts = np.zeros(len(omegas)) if base.is_zero else 0.5 * \
-        _pv_transform(partial(_density_pair, base, beta), omegas)
+    shifts = 0.5 * _pv_transform(partial(_density_pair, base, beta), omegas)
     return [complex(0.5 * np.pi * d, float(s))
             for d, s in zip(densities, shifts)]
 
@@ -510,13 +498,10 @@ def check_condition_A(ff: FormFactor) -> ConditionAReport:
     diverges, and q < 0 fails at order 0.  ``mismatch_order`` is the
     lowest one-sided derivative order that no chi matches (None on a
     PASS); ``best_chi`` is the chi that matches the orders below it,
-    and None where every chi does the same (a non-integer q, q < 0 and
-    the zero form factor).  The decision reads only p and m, so it is
-    exact, the same at every beta, and no frequency window enters.
+    and None where every chi does the same (a non-integer q and q < 0).
+    The decision reads only p and m, so it is exact, the same at every
+    beta, and no frequency window enters.
     """
-    if ff.is_zero:
-        return ConditionAReport(passed=True, best_chi=None,
-                                mismatch_order=None)
     q = ff.radial_exponent + 0.5
     k = round(q)
     if abs(q - k) > 1e-12 or k < 0:

@@ -154,7 +154,7 @@ def _channel_tables(spec: SystemSpec, mixes) -> list:
     E = spec.energies
     tables = []
     for r, term in enumerate(spec.couplings):
-        if term.form_factor.is_zero or all(mix[r] == 0.0 for mix in mixes):
+        if all(mix[r] == 0.0 for mix in mixes):
             continue
         ff = term.form_factor
         G = term.matrix

@@ -874,12 +874,21 @@ def test_every_object_below_the_top_level_refuses_unknown_keys(tmp_path,
      "xi_grid.stop must be a finite number"),
     (xi_from_config, XI_CFG, _set("form_factor", "scale", "1"),
      "form_factor.scale must be a finite number"),
+    (xi_from_config, XI_CFG, _set("form_factor", "scale", 0.0),
+     "overall_scale must be nonzero; a coupling strength of 0 switches"),
     (verify_from_config, VERIFY_CFG, _set("verify", "omega_max", False),
      "verify.omega_max must be a finite number"),
     (verify_from_config, VERIFY_CFG, _set("verify", "lambdas", [[0.01]]),
      "verify.lambdas must be a 1-d array of finite numbers"),
     (verify_from_config, VERIFY_CFG, _set("verify", "n_modes", 0),
      "n_modes must be >= 1"),
+    (system_from_config, QUBIT_CFG, _set("couplings", {}),
+     "couplings must be an array"),
+    (scaling_from_config, SCALING_CFG, _set("scaling", "n_list", 3),
+     "scaling.n_list must be an array"),
+    # a library caller may pass any value, not only a parsed file's dict
+    (lambda cfg: register_from_config([cfg]), REG4_CFG, lambda cfg: None,
+     "^configuration must be an object"),
 ])
 def test_section_loaders_raise_bad_configuration(loader, path, mutate,
                                                  message):
@@ -980,6 +989,9 @@ def test_tol_must_be_finite_and_positive(tol):
 @pytest.mark.parametrize("argv, message", [
     (["spectrum", "--config", str(QUBIT_CFG), "--tol", "inf"],
      "resodec spectrum: argument --tol: tolerance must be finite and > 0"),
+    (["spectrum", "--config", str(QUBIT_CFG), "--tol", "abc"],
+     "resodec spectrum: argument --tol: tolerance must be a number, "
+     "got 'abc'"),
     (["spectrum", "--config", str(QUBIT_CFG), "--seed", "x"],
      "resodec spectrum: argument --seed: seed must be an integer"),
     (["bogus"], "resodec: argument command: invalid choice: 'bogus'"),

@@ -76,8 +76,12 @@ def test_form_factor_rejects_non_square_integrable_exponent():
 
 
 def test_form_factor_is_zero():
-    assert FormFactor(radial_exponent=0.5, decay_exponent=1,
-                      overall_scale=0.0).is_zero
+    # a coupling strength of 0 is the one switch of a channel: a zero
+    # scale is refused, so is_zero is False on every form factor
+    with pytest.raises(ValidationError, match="overall_scale must be "
+                       "nonzero; a coupling strength of 0 switches"):
+        FormFactor(radial_exponent=0.5, decay_exponent=1,
+                   overall_scale=0.0)
     assert not FormFactor(radial_exponent=0.5, decay_exponent=1).is_zero
 
 
@@ -119,6 +123,9 @@ def test_system_spec_validation():
     spec = SystemSpec(dim=2, energies=np.array([0.0, 1.0]),
                       couplings=(term,), beta=1.0)
     assert spec.overall_coupling == 0.1
+    # no channel, no coupling
+    assert SystemSpec(dim=2, energies=np.array([0.0, 1.0]), couplings=(),
+                      beta=1.0).overall_coupling == 0.0
 
 
 def test_build_system_accepts_tuples():
@@ -435,6 +442,29 @@ def test_scales_reals_and_form_factor_fields_are_checked():
          lambda: DensityMatrix(0, np.zeros((0, 0)))),
         ("from_array(zeros((0, 0)))", ValidationError, "dim must be >= 1",
          lambda: DensityMatrix.from_array(np.zeros((0, 0)))),
+        # shapes, sizes and coupling entries
+        ("CouplingTerm 2x3 matrix", DimensionMismatch,
+         r"coupling matrix must be square, got shape \(2, 3\)",
+         lambda: CouplingTerm(0.1, np.zeros((2, 3)), FF)),
+        ("SystemSpec dim=0", ValidationError, "dim must be >= 1",
+         lambda: SystemSpec(0, [], (), 1.0)),
+        ("SystemSpec coupling tuple", ValidationError,
+         "couplings must be CouplingTerm instances",
+         lambda: SystemSpec(2, [0.0, 1.0], [(0.1, SX, FF)], 1.0)),
+        ("DensityMatrix dim=3, 2x2 entries", DimensionMismatch,
+         r"expected shape \(3, 3\)", lambda: DensityMatrix(3, half)),
+        ("RegisterSpec n_qubits=0", ValidationError,
+         "n_qubits must be >= 1", lambda: make_register(0)),
+        ("RegisterSpec 3x3 J", DimensionMismatch, "J must be 2x2",
+         lambda: make_register(2, J=np.zeros((3, 3)))),
+        ("TruncatedBath without modes", ValidationError,
+         "at least one mode is required",
+         lambda: TruncatedBath([], [], 1, 1.0)),
+        *[(f"build_system coupling {label}", BadConfiguration,
+           r"^couplings\[0\] must be a \(strength, matrix, form_factor\) "
+           "triple", lambda v=v: build_system([0.0, 1.0], [v], 1.0))
+          for label, v in (("pair", (0.1, np.eye(2))), ("number", 0.1),
+                           ("4-tuple", (0.1, np.eye(2), FF, 1.0)))],
         # form-factor fields hold FormFactors
         ("CouplingTerm form_factor=None", ValidationError,
          "form_factor must be a FormFactor",

@@ -1,6 +1,7 @@
 """Truncated-bath oracle: discretization, engines, fits, verification."""
 
 import importlib.util
+import json
 import math
 import warnings
 
@@ -11,6 +12,7 @@ import scipy.linalg
 import scipy.sparse
 
 from resodec import oracle
+from resodec.cli import run
 from resodec.config import load_config, system_from_config, \
     verify_from_config
 from resodec.errors import (
@@ -931,9 +933,40 @@ def test_fit_decay_failure_modes():
         fit_decay(synthetic_trajectory(times, noise=wobble), (0, 1))
 
 
+def test_fit_decay_refuses_a_window_cut_short_by_the_tail_floor():
+    # e^(-t) on [0, 100] falls under 2% of its start after 4 time units,
+    # 8 of the 200 samples
+    times = np.linspace(0.0, 100.0, 200)
+    with pytest.raises(PoorFit, match="only 8 samples before the signal "
+                                      "reaches the tail floor"):
+        fit_decay(synthetic_trajectory(times, rate=1.0, freq=0.0,
+                                       asymptote=0.0), (0, 1))
+
+
 # =====================================================================
 # Verification orchestrator
 # =====================================================================
+
+def test_verify_reports_a_poor_fit_as_a_failed_rate(monkeypatch, tmp_path):
+    # a rate the oracle's trajectory cannot be fitted to is a FAIL row of
+    # the scorecard, not an exception; the command exits 3 on it
+    def poor_fit(trajectory, element):
+        raise PoorFit("too few samples in the window")
+
+    monkeypatch.setattr(oracle, "fit_decay", poor_fit)
+    cfg = json.loads((CONFIG_DIR / "verify_qubit.json").read_text())
+    cfg["verify"].update(fock_cutoff=1, num_times=41)
+    path = tmp_path / "poor_fit.json"
+    path.write_text(json.dumps(cfg))
+    spec, config, _ = verify_from_config(load_config(path))
+    report = verify(spec, config)
+    rate, = [c for c in report.checks if c.name == "lambda=0.01:rate(0,1)"]
+    assert not rate.passed and rate.deviation == math.inf
+    assert rate.detail.startswith("PoorFit: too few samples")
+    assert not report.passed
+    assert run(["verify", "--config", str(path),
+                "-o", str(tmp_path / "verify.csv")]) == 3
+
 
 def test_verify_passes_on_resolved_benchmark():
     g = FormFactor(radial_exponent=0.5, decay_exponent=2,

@@ -1,5 +1,6 @@
 """Package structure: deferred imports, the one beta comparison, the
-one array conversion, the CLI's one pipeline and the version literal."""
+one channel switch, the one array conversion, the CLI's one pipeline
+and the version literal."""
 
 import ast
 
@@ -68,6 +69,20 @@ def test_beta_is_compared_only_in_its_checked_conversion():
         for node in ast.walk(tree):
             if isinstance(node, ast.Compare) \
                     and any(map(names_beta, [node.left, *node.comparators])):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
+
+
+def test_a_channel_is_switched_off_only_by_its_strength():
+    # a coupling strength of 0 is the one switch of a channel, and a
+    # zero form-factor scale is refused; a branch on FormFactor.is_zero
+    # (always False) is a second switch beside it.  The property's own
+    # definition is no read
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "is_zero":
                 sites.append(f"{path.name}:{node.lineno}")
     assert sites == []
 

@@ -1,12 +1,16 @@
 """Register specialization: Hamming data, field genericity, rate laws."""
 
 import dataclasses
+import json
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
+from resodec.cli import run
+from resodec.config import load_config, register_from_config
+from resodec.dynamics import resonance_evolution
 from resodec.errors import (
     BadConfiguration,
     RegisterTooLarge,
@@ -30,7 +34,8 @@ from resodec.register import (
 from resodec.reservoir import thermal_spectral_density, xi
 from resodec.resonances import bohr_spectrum, resonance_energies
 
-from conftest import NARROW_B_INTERVAL, NEAR_RELATION_FIELDS
+from conftest import CONFIG_DIR, NARROW_B_INTERVAL, \
+    NEAR_RELATION_FIELDS
 
 G1 = FormFactor(radial_exponent=-0.5, decay_exponent=1)
 G2 = FormFactor(radial_exponent=0.5, decay_exponent=1)
@@ -233,6 +238,47 @@ def test_two_channel_attribution_adds_for_singletons():
             assert abs(rep.gamma_cross) <= 1e-12 * max(rep.gamma, 1e-30)
 
 
+@pytest.mark.parametrize("n, n_groups", [(3, 57), (4, 241)])
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_interacting_register_end_to_end(tmp_path, n, seed, n_groups):
+    # J != 0 splits the flip patterns into more than 3^N groups, none of
+    # them merged; the conserving channel still couples through the
+    # diagonal magnetization alone, so its rate law holds group by group
+    reg4 = json.loads((CONFIG_DIR / "reg4.json").read_text())
+    rng = np.random.default_rng(seed)
+    J = np.triu(rng.uniform(-0.05, 0.05, (n, n)), 1)
+    reg4["register"].update(n=n, J=(J + J.T).tolist(),
+                            B=rng.uniform(0.45, 0.55, n).tolist())
+    path = tmp_path / "interacting.json"
+    path.write_text(json.dumps(reg4))
+    reg = register_from_config(load_config(path))
+    assert reg.J.any()
+
+    reports = decoherence_rates(reg)
+    assert len(reports) == n_groups
+    assert not any(rep.merged for rep in reports)
+    d_zero = thermal_spectral_density(reg.g1, reg.beta, 0.0)
+    for rep in reports:
+        law = reg.lambda1 ** 2 * (np.pi / 2.0) * d_zero * rep.e0 ** 2
+        if rep.e0 == 0:
+            assert rep.gamma_conserving == 0.0
+        else:
+            assert abs(rep.gamma_conserving - law) <= 1e-14 * law
+        assert rep.gamma > 0.0
+
+    spec = register_to_system(reg)
+    rho0 = np.full((spec.dim, spec.dim), 1.0 / spec.dim)
+    with pytest.warns(UserWarning, match="separation margin"):
+        states = resonance_evolution(spec, rho0,
+                                     np.linspace(0.0, 1000.0, 11)).states
+    trace = np.trace(states, axis1=1, axis2=2)
+    assert np.max(np.abs(trace - 1.0)) <= 1e-10
+    assert np.max(np.abs(states - states.conj().swapaxes(1, 2))) <= 1e-10
+
+    assert run(["rates", "--config", str(path),
+                "-o", str(tmp_path / "rates.csv")]) == 0
+
+
 # =====================================================================
 # Templates and scaling
 # =====================================================================
@@ -384,14 +430,27 @@ def test_scaling_study_diagonalizes_only_the_rate_carrying_sizes(
     template = RegisterTemplate(lambda1=0.01, lambda2=0.01, g1=G1, g2=G2,
                                 beta=0.5)
     calls = _spy_diagonalized(monkeypatch)
+    eig_calls = []
+    eig = np.linalg.eig
+
+    def counted_eig(a):
+        eig_calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
     for tol in (None, 1e-9):
         for n in range(1, 7):
             calls.clear()
+            eig_calls.clear()
             scaling_study(template, [n], seed=11, tol=tol)
-            # the 2^N all-flipped groups for each channel, the e = 0
-            # group for the exchange channel only
+            # the 2^N all-flipped groups and the e = 0 group, for each
+            # channel in one pass
             assert sorted(calls) == [(1, 2 ** n), (1, 2 ** n),
-                                     (2 ** n, 1)], (n, tol)
+                                     (2 ** n, 1), (2 ** n, 1)], (n, tol)
+            # the conserving stacks are exactly diagonal, and so are the
+            # size-1 ones: only the exchange channel's e = 0 group runs
+            # eig
+            assert eig_calls == [(1, 2 ** n, 2 ** n)], (n, tol)
 
 
 def test_scaling_study_evaluates_every_group_otherwise(monkeypatch):

@@ -215,8 +215,12 @@ def test_mean_inverse_frequency_beyond_float_range():
 
 
 def test_mean_inverse_frequency_divergence():
-    with pytest.raises(InfraredDivergent):
-        mean_inverse_frequency(make_ff(-1.2, 1))
+    # the principal-value shift diverges with it, from p = -1 down
+    for p in (-1.2, -1.0):
+        with pytest.raises(InfraredDivergent):
+            mean_inverse_frequency(make_ff(p, 1))
+        with pytest.raises(InfraredDivergent, match=f"p = {p} <= -1"):
+            pv_energy_shift(make_ff(p, 1), 1.0, 0.5)
 
 
 def test_pv_shift_antisymmetry_and_zero():
@@ -483,12 +487,6 @@ def test_condition_a_fails_for_kinks_and_fractional_powers():
     # a fractional power and a divergent branch single out no phase
     for p, m in [(0.3, 2), (-0.8, 1)]:
         assert check_condition_A(make_ff(p, m)).best_chi is None, (p, m)
-
-
-def test_condition_a_zero_form_factor():
-    rep = check_condition_A(make_ff(0.5, 2, scale=0.0))
-    assert rep.passed and rep.mismatch_order is None
-    assert rep.best_chi is None
 
 
 # =====================================================================

@@ -513,6 +513,10 @@ def test_nonoverlap_margin_unperturbed_is_infinite():
     rep = check_nonoverlap(spec)
     assert rep.margin == np.inf
     assert rep.passed
+    # one level has one Bohr frequency and no gap between two
+    one = build_system([0.0], [(0.01, [[1.0]], ff)], beta=1.0)
+    rep = check_nonoverlap(one)
+    assert rep.min_gap == np.inf and rep.margin == np.inf and rep.passed
 
 
 def test_nonoverlap_margin_matches_definition():
