@@ -874,8 +874,6 @@ def test_every_object_below_the_top_level_refuses_unknown_keys(tmp_path,
      "xi_grid.stop must be a finite number"),
     (xi_from_config, XI_CFG, _set("form_factor", "scale", "1"),
      "form_factor.scale must be a finite number"),
-    (xi_from_config, XI_CFG, _set("form_factor", "scale", 0.0),
-     "overall_scale must be nonzero; a coupling strength of 0 switches"),
     (verify_from_config, VERIFY_CFG, _set("verify", "omega_max", False),
      "verify.omega_max must be a finite number"),
     (verify_from_config, VERIFY_CFG, _set("verify", "lambdas", [[0.01]]),
@@ -889,6 +887,8 @@ def test_every_object_below_the_top_level_refuses_unknown_keys(tmp_path,
     # a library caller may pass any value, not only a parsed file's dict
     (lambda cfg: register_from_config([cfg]), REG4_CFG, lambda cfg: None,
      "^configuration must be an object"),
+    (xi_from_config, XI_CFG, _set("form_factor", "scale", 0.0),
+     "overall_scale must be nonzero; a coupling strength of 0 switches"),
 ])
 def test_section_loaders_raise_bad_configuration(loader, path, mutate,
                                                  message):
@@ -989,9 +989,6 @@ def test_tol_must_be_finite_and_positive(tol):
 @pytest.mark.parametrize("argv, message", [
     (["spectrum", "--config", str(QUBIT_CFG), "--tol", "inf"],
      "resodec spectrum: argument --tol: tolerance must be finite and > 0"),
-    (["spectrum", "--config", str(QUBIT_CFG), "--tol", "abc"],
-     "resodec spectrum: argument --tol: tolerance must be a number, "
-     "got 'abc'"),
     (["spectrum", "--config", str(QUBIT_CFG), "--seed", "x"],
      "resodec spectrum: argument --seed: seed must be an integer"),
     (["bogus"], "resodec: argument command: invalid choice: 'bogus'"),
@@ -1013,6 +1010,9 @@ def test_tol_must_be_finite_and_positive(tol):
     (["spectrum", "--config", str(QUBIT_CFG), "--seed",
       "0x10000000000000000"],
      "resodec spectrum: argument --seed: seed must fit in 64 unsigned bits"),
+    (["spectrum", "--config", str(QUBIT_CFG), "--tol", "abc"],
+     "resodec spectrum: argument --tol: tolerance must be a number, "
+     "got 'abc'"),
 ])
 def test_flag_errors_print_one_error_line(argv, message, capsys):
     # a usage error is a validation error like any other: exit 1 and one
